@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoding import StateEncoding, default_norms, encode_state
 from .gain import GainGraph, SensingParams, build_gain_graph, num_models
-from .network import Scenario, clone_scenario, sense_targets, step_mobility
+from .network import Scenario, clone_scenario, step_mobility
 from .pool import (
     CapacityExceeded,
     Claim,
@@ -331,12 +331,11 @@ class RoundEnv:
         t_cons = consumption_window(length, dt)
         coupled = self.schedule.mode is Mode.ZEROS
 
-        residuals, fracs, counts = [], [], []
+        residuals, fracs = [], []
         for client in sc.clients:
             pool = self.pools[client.client_id]
             residuals.append((pool.rect_bandwidth_hz((0, length)), pool.compute_cps))
             fracs.append(pool.residual_fraction())
-            counts.append(len(sense_targets(client, sc.targets)))
         graph = build_gain_graph(sc, t_gen, t_cons, residuals, self.sensing, coupled)
 
         m = len(graph.model_ids)
@@ -353,7 +352,7 @@ class RoundEnv:
             graph=graph,
             residuals=residuals,
             residual_fractions=fracs,
-            sensed_counts=counts,
+            sensed_counts=graph.sensed_counts,
             latency_table=table,
             state=state,
             t_gen=t_gen,
@@ -394,8 +393,12 @@ def audit_trace(
     max_util = 0.0
     for frame in sorted(by_frame):
         pools: dict[int, UniversalResourcePool] = {}
+        rounds: dict[int, set[int]] = {}
         for claim in by_frame[frame]:
-            pool = pools.setdefault(claim.client_id, pool_cfg.build())
+            pool = pools.get(claim.client_id)
+            if pool is None:
+                pool = pools[claim.client_id] = pool_cfg.build()
+            rounds.setdefault(claim.client_id, set()).add(claim.round_index)
             try:
                 pool.try_allocate(claim)
             except CapacityExceeded:
@@ -407,7 +410,7 @@ def audit_trace(
             for grid in (pool.time_freq, pool.time_comp):
                 if grid.used.size:
                     max_util = max(max_util, float(grid.used.max() / grid.cell_capacity))
-            for rnd in {c.round_index for c in by_frame[frame] if c.client_id == client_id}:
+            for rnd in rounds[client_id]:
                 pool.release_round(rnd)
             freq_left = np.abs(pool.time_freq.used).max() if pool.time_freq.used.size else 0.0
             comp_left = np.abs(pool.time_comp.used).max() if pool.time_comp.used.size else 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Scenario, SensingMode, class_counts, local_distribution, sense_targets, spectral_efficiency
+from .network import Scenario, local_distribution, sensed_class_counts, spectral_efficiency
 from .workload import WorkloadProblem, WorkloadSolution, solve_workload
 
 
@@ -48,6 +48,20 @@ def similarity(p: np.ndarray, q: np.ndarray) -> float:
     return math.exp(-kl)
 
 
+def kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(N, M) matrix of KL(p_i || q_m) for (N, K) rows p and (M, K) rows q.
+
+    Each entry is summed exactly as in `similarity`, so exp(-entry) equals
+    `similarity(p_i, q_m)` bit for bit.
+    """
+    if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
+        raise DimensionMismatch(f"{p.shape} vs {q.shape}")
+    if np.any(p <= 0.0) or np.any(q <= 0.0):
+        raise ValueError("distributions must be smoothed strictly positive")
+    p = p[:, None, :]
+    return np.sum(p * np.log(p / q[None, :, :]), axis=-1)
+
+
 def gain(s: float, w: float) -> float:
     """Learning performance gain g = s * ln(1 + W)."""
     if not 0.0 < s <= 1.0 + 1e-12:
@@ -74,6 +88,7 @@ class GainGraph:
     model_ids: list[int]
     vertex_features: dict[int, np.ndarray]  # client_id -> features
     edges: list[GainEdge]
+    sensed_counts: list[int]  # targets each client senses this round
     _index: dict[tuple[int, int], GainEdge] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -139,14 +154,19 @@ def build_gain_graph(
     if len(residuals) != len(scenario.clients):
         raise DimensionMismatch("one residual pair per client required")
 
+    counts = sensed_class_counts(scenario)
+    sensed = counts.sum(axis=1)
+    mixtures = np.array([
+        scenario.edges[e_idx].model_mixtures[variant]
+        for e_idx, variant in (model_edge_variant(scenario, m) for m in model_ids)
+    ])
+    kl = kl_matrix(local_distribution(counts, sensing.epsilon), mixtures)
+
     features: dict[int, np.ndarray] = {}
     edges: list[GainEdge] = []
     for i, client in enumerate(scenario.clients):
         b_hz, f_cps = residuals[i]
-        sensed = sense_targets(client, scenario.targets)
-        counts = class_counts(sensed, scenario.num_classes)
-        p_local = local_distribution(counts, sensing.epsilon)
-        w_cap = float(len(sensed) * sensing.samples_per_target)
+        w_cap = float(sensed[i] * sensing.samples_per_target)
 
         etas = []
         for m in model_ids:
@@ -171,7 +191,7 @@ def build_gain_graph(
                 coupled=coupled,
             )
             sol = solve_workload(problem)
-            s = similarity(p_local, np.array(edge_srv.model_mixtures[variant]))
+            s = math.exp(-float(kl[i, m]))
             edges.append(
                 GainEdge(
                     client_id=client.client_id,
@@ -190,4 +210,4 @@ def build_gain_graph(
                 etas,
             ]
         )
-    return GainGraph(client_ids, model_ids, features, edges)
+    return GainGraph(client_ids, model_ids, features, edges, sensed.astype(int).tolist())

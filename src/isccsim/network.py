@@ -64,6 +64,23 @@ class Scenario:
     num_classes: int
     channel: ChannelParams
     time_s: float = 0.0
+    # Targets never move, so their arrays are built on first use and shared
+    # by every clone of the scenario.
+    _target_arrays: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (T, 2) target positions and (T, K) class one-hot."""
+        if self._target_arrays is None:
+            t = len(self.targets)
+            xy = np.array([tg.position for tg in self.targets], dtype=float).reshape(t, 2)
+            onehot = np.zeros((t, self.num_classes))
+            onehot[np.arange(t), np.array([tg.class_id for tg in self.targets], dtype=int)] = 1.0
+            xy.flags.writeable = False
+            onehot.flags.writeable = False
+            self._target_arrays = (xy, onehot)
+        return self._target_arrays
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,7 @@ def clone_scenario(scenario: Scenario) -> Scenario:
         num_classes=scenario.num_classes,
         channel=scenario.channel,
         time_s=scenario.time_s,
+        _target_arrays=scenario.target_arrays(),
     )
 
 
@@ -195,10 +213,33 @@ def sense_targets(client: Client, targets: list[Target]) -> list[Target]:
     ]
 
 
-def class_counts(sensed: list[Target], num_classes: int) -> np.ndarray:
-    counts = np.zeros(num_classes)
-    for t in sensed:
-        counts[t.class_id] += 1.0
+# Clients sensed per block: bounds the (block, T) temporaries of one pass.
+SENSE_BLOCK = 32
+
+
+def sensed_class_counts(scenario: Scenario) -> np.ndarray:
+    """(N, K) class counts of the targets each client senses, in one pass.
+
+    Equals counting the classes of `sense_targets` for every client. np.hypot
+    and math.hypot can differ in the last bit, so a distance within a few
+    ulps of the radius is decided by `distance_m`, as in `sense_targets`.
+    """
+    target_xy, onehot = scenario.target_arrays()
+    n = len(scenario.clients)
+    xy = np.array([c.position for c in scenario.clients], dtype=float).reshape(n, 2)
+    radius = np.array([c.sensing_radius_m for c in scenario.clients], dtype=float)
+    counts = np.empty((n, scenario.num_classes))
+    for lo in range(0, n, SENSE_BLOCK):
+        block = slice(lo, lo + SENSE_BLOCK)
+        r = radius[block, None]
+        slack = 4.0 * np.spacing(r)
+        dy = xy[block, 1, None] - target_xy[:, 1]
+        dist = np.hypot(xy[block, 0, None] - target_xy[:, 0], dy, out=dy)
+        inside = dist <= r
+        for i, t in zip(*np.nonzero((dist >= r - slack) & (dist <= r + slack))):
+            c = scenario.clients[lo + i]
+            inside[i, t] = distance_m(c.position, scenario.targets[t].position) <= c.sensing_radius_m
+        counts[block] = inside @ onehot
     return counts
 
 
@@ -206,12 +247,12 @@ def local_distribution(counts: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
     """Smoothed empirical class distribution: (n_k + eps) / (N + K*eps).
 
     Defined for all-zero counts (gives uniform); always strictly positive
-    and sums to one.
+    and sums to one. A 2-D array gives one distribution per row.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     counts = np.asarray(counts, dtype=float)
     if np.any(counts < 0):
         raise ValueError("negative class count")
-    k = counts.size
-    return (counts + epsilon) / (counts.sum() + k * epsilon)
+    k = counts.shape[-1]
+    return (counts + epsilon) / (counts.sum(axis=-1, keepdims=True) + k * epsilon)

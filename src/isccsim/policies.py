@@ -27,10 +27,6 @@ class Policy:
     def decide(self, obs: Observation) -> list[int]:
         raise NotImplementedError
 
-    def learn(self, transition) -> None:
-        # Non-learning policies ignore experience.
-        return None
-
 
 class GreedyGainPolicy(Policy):
     """Each client takes the model with the largest gain-graph weight."""

@@ -217,10 +217,6 @@ class UniversalResourcePool:
         resid = self.time_freq.residual(slot_range)
         return float(resid.min(axis=0).sum()) / self.slot_duration
 
-    def rect_compute_cps(self, slot_range: tuple[int, int]) -> float:
-        resid = self.time_comp.residual(slot_range)
-        return float(resid.min(axis=0).sum()) / self.slot_duration
-
     def residual_fraction(self) -> tuple[float, float]:
         """(freq, comp) residual capacity as a fraction of total capacity."""
         f = self.time_freq
@@ -302,23 +298,6 @@ class UniversalResourcePool:
             slot_duration=self.slot_duration,
             claims=list(self.claims),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "slot_duration_s": self.slot_duration,
-            "time_freq": {
-                "num_slots": self.time_freq.num_slots,
-                "num_lanes": self.time_freq.num_lanes,
-                "cell_capacity": self.time_freq.cell_capacity,
-                "used": self.time_freq.used.tolist(),
-            },
-            "time_comp": {
-                "num_slots": self.time_comp.num_slots,
-                "num_lanes": self.time_comp.num_lanes,
-                "cell_capacity": self.time_comp.cell_capacity,
-                "used": self.time_comp.used.tolist(),
-            },
-        }
 
 
 @dataclass(frozen=True)

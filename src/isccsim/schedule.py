@@ -53,24 +53,6 @@ class RoundSchedule:
         w = self.for_round(claim.round_index)
         return w.gen_frame if claim.process is Process.SENS else w.cons_frame
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "num_rounds": self.num_rounds,
-            "cr_length": self.cr_length,
-            "total_frames": self.total_frames,
-            "rounds": [
-                {
-                    "round": w.round_index,
-                    "gen_frame": w.gen_frame,
-                    "gen_slots": list(w.gen_slots),
-                    "cons_frame": w.cons_frame,
-                    "cons_slots": list(w.cons_slots),
-                }
-                for w in self.windows
-            ],
-        }
-
 
 def plan_pipeline(num_rounds: int, cr_length: int, mode: Mode) -> RoundSchedule:
     """Place each round's generation and consumption windows onto frames.

@@ -12,7 +12,7 @@ sensing branch crosses the falling compute branch, found by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,8 +262,3 @@ def latency_components(
     else:
         t_sens = w * p.sigma / (p.bandwidth_hz * p.rho)
     return (t_sens, t_dl, t_cp, t_ul)
-
-
-def scaled_problem(p: WorkloadProblem, **overrides) -> WorkloadProblem:
-    """Copy a problem with selected fields replaced."""
-    return replace(p, **overrides)

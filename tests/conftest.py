@@ -1,8 +1,18 @@
 """Shared test helpers."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from isccsim.network import SensingMode
+from isccsim.network import (
+    ChannelParams,
+    Client,
+    EdgeServer,
+    SENSE_BLOCK,
+    Scenario,
+    SensingMode,
+    Target,
+    distance_m,
+)
 from isccsim.workload import WorkloadProblem
 
 
@@ -36,3 +46,59 @@ def random_problem(rng: np.random.Generator) -> WorkloadProblem:
     return WorkloadProblem(
         mode=SensingMode.WS, sigma=sigma, rho=rho, coupled=True, **base
     )
+
+
+# Offsets of length 5 that hypot computes exactly, so a target placed there
+# lies exactly on a radius-5k disc.
+_EXACT_ON_RADIUS = ((5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (-4, 3), (4, -3), (-3, -4))
+
+
+@st.composite
+def random_scenarios(draw):
+    """Random scenarios that stress the array sensing pass.
+
+    Client counts straddle the sensing block size and target counts include
+    zero. Some targets sit exactly on a client's sensing radius: either at a
+    3-4-5 offset from an integer position with an integer radius, or with
+    the client's radius set to its `distance_m` from the target, where
+    np.hypot may round one ulp away from math.hypot.
+    """
+    n = draw(st.integers(1, 2 * SENSE_BLOCK + 3))
+    t = draw(st.integers(0, 40))
+    k = draw(st.integers(1, 10))
+    num_edges = draw(st.integers(1, 3))
+    variants = draw(st.integers(1, 2))
+    on_offset = draw(st.integers(0, t))
+    on_distance = draw(st.integers(0, n)) if t else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    area = 300.0
+
+    positions = [(float(x), float(y)) for x, y in rng.integers(0, 301, size=(n, 2))]
+    radii = [5.0 * float(r) for r in rng.integers(1, 25, size=n)]
+    targets = []
+    for j in range(t):
+        if j < on_offset:
+            c = int(rng.integers(0, n))
+            ox, oy = _EXACT_ON_RADIUS[int(rng.integers(0, len(_EXACT_ON_RADIUS)))]
+            scale = radii[c] / 5.0
+            pos = (positions[c][0] + ox * scale, positions[c][1] + oy * scale)
+        else:
+            pos = tuple(float(v) for v in rng.uniform(0.0, area, size=2))
+        targets.append(Target(j, pos, int(rng.integers(0, k))))
+    for c in range(on_distance):
+        radii[c] = distance_m(positions[c], targets[int(rng.integers(0, t))].position)
+
+    sizes = tuple(1e6 * (1.0 + v) for v in range(variants))
+    clients = [
+        Client(i, positions[i], (0.0, 0.0),
+               SensingMode.VS if i % 2 == 0 else SensingMode.WS, radii[i], sizes, sizes, sizes)
+        for i in range(n)
+    ]
+    edges = []
+    for e in range(num_edges):
+        mixtures = tuple(
+            tuple(float(x) for x in rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
+            for _ in range(variants)
+        )
+        edges.append(EdgeServer(e, tuple(float(v) for v in rng.uniform(0.0, area, 2)), mixtures))
+    return Scenario(area, clients, edges, targets, k, ChannelParams())

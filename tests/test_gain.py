@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_scenarios
 from isccsim.gain import (
     DimensionMismatch,
     SensingParams,
     build_gain_graph,
     gain,
+    kl_matrix,
+    model_edge_variant,
     num_models,
     similarity,
 )
@@ -20,6 +23,9 @@ from isccsim.network import (
     Scenario,
     EdgeServer,
     generate_scenario,
+    local_distribution,
+    sense_targets,
+    sensed_class_counts,
 )
 from isccsim.workload import solve_workload
 
@@ -74,6 +80,24 @@ class TestSimilarity:
         q = np.array(raw_q[:k]) / sum(raw_q[:k])
         s = similarity(p, q)
         assert 0.0 < s <= 1.0 + 1e-12
+
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_kl_matrix_matches_scalar_bitwise(self, k, n, m, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(k), size=n) + 1e-6
+        q = rng.dirichlet(np.ones(k), size=m) + 1e-6
+        kl = kl_matrix(p, q)
+        assert kl.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                assert math.exp(-kl[i, j]) == similarity(p[i], q[j])
+
+    def test_kl_matrix_rejects_bad_input(self):
+        with pytest.raises(DimensionMismatch):
+            kl_matrix(np.full((2, 2), 0.5), np.full((1, 3), 1 / 3))
+        with pytest.raises(ValueError):
+            kl_matrix(np.full((1, 2), 0.5), np.array([[1.0, 0.0]]))
 
 
 class TestGain:
@@ -136,10 +160,7 @@ class TestGainGraph:
         client = sc.clients[0]
         # Two co-located edges: one whose mixture equals the client's local
         # distribution, one skewed elsewhere.
-        from isccsim.network import class_counts, local_distribution, sense_targets
-
-        counts = class_counts(sense_targets(client, sc.targets), sc.num_classes)
-        p_local = tuple(local_distribution(counts, 1e-3))
+        p_local = tuple(local_distribution(sensed_class_counts(sc)[0], 1e-3))
         skew = (0.97, 0.01, 0.01, 0.01) if p_local[0] < 0.9 else (0.01, 0.97, 0.01, 0.01)
         pos = sc.edges[0].position
         sc = Scenario(
@@ -179,6 +200,25 @@ class TestGainGraph:
             assert feats[1] == DEFAULT_RESIDUAL[1]
             assert np.all(feats[2:4] >= 0.0) and np.all(feats[2:4] <= 1.0)
             assert np.all(feats[4:] > 0.0)
+
+    @given(random_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_one_pass_matches_scalar_reference(self, sc):
+        """Workload caps, similarities and sensed counts come out exactly as
+        the per-client `sense_targets` and scalar `similarity` define them."""
+        sensing = SensingParams()
+        graph = self.build(sc, sensing)
+        for i, client in enumerate(sc.clients):
+            sensed = sense_targets(client, sc.targets)
+            counts = np.bincount([t.class_id for t in sensed], minlength=sc.num_classes)
+            p = local_distribution(counts.astype(float), sensing.epsilon)
+            assert graph.sensed_counts[i] == len(sensed)
+            for m in graph.model_ids:
+                e = graph.edge(client.client_id, m)
+                e_idx, variant = model_edge_variant(sc, m)
+                q = np.array(sc.edges[e_idx].model_mixtures[variant])
+                assert e.similarity == similarity(p, q)
+                assert e.problem.w_cap == float(len(sensed) * sensing.samples_per_target)
 
     def test_serializes(self):
         import json

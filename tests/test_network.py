@@ -7,17 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_scenarios
 from isccsim.network import (
     ChannelParams,
     Client,
     EdgeServer,
+    Scenario,
     ScenarioConfig,
     SensingMode,
     Target,
-    class_counts,
+    clone_scenario,
     generate_scenario,
     local_distribution,
     sense_targets,
+    sensed_class_counts,
     spectral_efficiency,
     step_mobility,
 )
@@ -157,12 +160,29 @@ class TestSensing:
 
     def test_counts(self):
         targets = [Target(i, (0.0, 0.0), c) for i, c in enumerate([0, 0, 2, 3, 3, 3])]
-        counts = class_counts(targets, 4)
-        assert counts.tolist() == [2.0, 0.0, 1.0, 3.0]
+        far = Target(6, (500.0, 0.0), 1)
+        sc = Scenario(500.0, [make_client((0.0, 0.0))], [], targets + [far], 4, ChannelParams())
+        assert sensed_class_counts(sc).tolist() == [[2.0, 0.0, 1.0, 3.0]]
 
     def test_empty(self):
         client = make_client((0.0, 0.0), radius=1.0)
         assert sense_targets(client, []) == []
+
+    @given(random_scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_array_pass_matches_reference(self, sc):
+        counts = sensed_class_counts(sc)
+        assert counts.shape == (len(sc.clients), sc.num_classes)
+        for i, client in enumerate(sc.clients):
+            sensed = [t.class_id for t in sense_targets(client, sc.targets)]
+            assert counts[i].tolist() == np.bincount(sensed, minlength=sc.num_classes).tolist()
+
+    def test_target_arrays_shared_by_clones(self):
+        sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=5), seed=1)
+        xy, onehot = sc.target_arrays()
+        clone = clone_scenario(sc)
+        assert clone.target_arrays()[0] is xy and clone.target_arrays()[1] is onehot
+        assert not xy.flags.writeable and not onehot.flags.writeable
 
 
 class TestLocalDistribution:

@@ -100,6 +100,7 @@ def test_permuting_models_permutes_feature_blocks():
             for cid, feat in graph.vertex_features.items()
         },
         edges=[dataclasses.replace(e, model_id=perm[e.model_id]) for e in graph.edges],
+        sensed_counts=list(graph.sensed_counts),
     )
     fracs = [(0.5, 0.5)] * len(obs.scenario.clients)
     base = encode_state(obs.scenario, fracs, graph, obs.state.norms)

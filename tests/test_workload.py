@@ -1,6 +1,7 @@
 """Workload solver tests: closed forms, bisection, oracle agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from isccsim.workload import (
     WorkloadProblem,
     latency_components,
     oracle_workload,
-    scaled_problem,
     solve_workload,
 )
 
@@ -163,13 +163,13 @@ class TestSolutionInvariants:
         p = random_problem(np.random.default_rng(seed))
         w0 = solve_workload(p).w_star
         for field in ("t_gen", "t_cons", "bandwidth_hz", "compute_cps", "w_cap"):
-            grown = scaled_problem(p, **{field: getattr(p, field) * factor})
+            grown = replace(p, **{field: getattr(p, field) * factor})
             assert solve_workload(grown).w_star >= w0, field
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_zero_availability(self, seed):
-        p = scaled_problem(random_problem(np.random.default_rng(seed)), w_cap=0.0)
+        p = replace(random_problem(np.random.default_rng(seed)), w_cap=0.0)
         assert solve_workload(p).w_star == 0
 
 
@@ -185,7 +185,7 @@ class TestLatencyComponents:
     def test_doubling_bandwidth_halves_comm(self):
         p = vs_problem()
         _, t_dl, _, t_ul = latency_components(p, 5)
-        _, t_dl2, _, t_ul2 = latency_components(scaled_problem(p, bandwidth_hz=2e6), 5)
+        _, t_dl2, _, t_ul2 = latency_components(replace(p, bandwidth_hz=2e6), 5)
         assert t_dl2 == pytest.approx(t_dl / 2)
         assert t_ul2 == pytest.approx(t_ul / 2)
 

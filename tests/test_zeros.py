@@ -16,7 +16,7 @@ from isccsim.episode import (
     run_episode,
 )
 from isccsim.gain import SensingParams
-from isccsim.network import ScenarioConfig, generate_scenario
+from isccsim.network import ScenarioConfig, generate_scenario, sense_targets
 from isccsim.policies import GreedyGainPolicy, RandomPolicy
 from isccsim.pool import Claim, GridKind, PoolConfig, Process, new_pool
 from isccsim.schedule import (
@@ -291,6 +291,19 @@ class TestEpisode:
         assert trace.violations == []
         report = audit_trace(trace, plan_pipeline(4, 9, Mode.ZEROS), PoolConfig())
         assert report["ok"]
+
+    def test_sensing_follows_mobility(self):
+        """Each round senses from the clients' current positions."""
+        sc = tiny_scenario(4, num_clients=6, num_targets=80, v_max_mps=150.0)
+        env = RoundEnv(lambda _: sc, plan_pipeline(5, 9, Mode.SERIAL),
+                       PoolConfig(), SensingParams())
+        obs, done, seen = env.reset(), False, []
+        while not done:
+            expected = [len(sense_targets(c, obs.scenario.targets)) for c in obs.scenario.clients]
+            assert obs.sensed_counts == expected
+            seen.append(expected)
+            obs, _, done = env.step([0] * len(sc.clients))
+        assert len(seen) == 5 and any(a != b for a, b in zip(seen, seen[1:]))
 
     def test_bad_assignment_rejected(self):
         sc = tiny_scenario(1)
