@@ -1,11 +1,12 @@
 """Round-by-round episode mechanics.
 
-Each client owns one per-frame resource pool. Under the overlapped mode a
-frame holds the current round's sensing claims next to the previous
-round's download/compute/upload claims; the solver's coupled flag models
-the resulting bandwidth contention. Consumption claims are planned at
-decision time and emitted into the following frame, where they always fit
-because they were sized against that frame's guaranteed-free budget.
+Each client owns one per-frame resource pool, a row of the episode's
+``PoolBank``. Under the overlapped mode a frame holds the current round's
+sensing claims next to the previous round's download/compute/upload claims;
+the solver's coupled flag models the resulting bandwidth contention.
+Consumption claims are planned at decision time against an empty frame and
+emitted into the following frame, which is empty when they arrive, so they
+always fit; a consumption claim that does not is an internal error.
 """
 
 from __future__ import annotations
@@ -22,13 +23,19 @@ from .pool import (
     CapacityExceeded,
     Claim,
     GridKind,
+    PoolBank,
     PoolConfig,
     Process,
     UniversalResourcePool,
+    pour_lanes,
 )
 from .schedule import Mode, RoundSchedule, ScheduleError, Violation, slots_needed, validate_cstc
 from .workload import WorkloadProblem, WorkloadSolution, latency_components
 from .network import SensingMode
+
+
+class InvariantBroken(RuntimeError):
+    """A state the episode mechanics rule out occurred: a program fault."""
 
 
 @dataclass
@@ -112,10 +119,11 @@ def claims_for_solution(
 ) -> tuple[list[Claim], list[Claim]]:
     """Turn a solution into (generation claims, consumption claims).
 
-    Generation claims are poured against the live pool; consumption claims
-    against a scratch pool standing in for the next, initially empty frame.
-    Raises CapacityExceeded if anything fails to fit, which the caller
-    records as an infeasible pair.
+    Generation claims are poured against the live pool. Consumption claims
+    are planned against the next frame, which starts empty: DL and UL take
+    disjoint slot ranges and COMP the other grid, so each is poured onto
+    full lanes and none changes another's pour. Raises CapacityExceeded if
+    anything fails to fit, which the caller records as an infeasible pair.
     """
     if not sol.feasible or sol.w_star == 0:
         return [], []
@@ -142,32 +150,23 @@ def claims_for_solution(
     a, b, c = plan_cons_slots(sol, dt)
     if c > length:
         raise CapacityExceeded(f"consumption plan needs {c} slots, frame has {length}")
+    freq, comp = pool.time_freq, pool.time_comp
     cons: list[Claim] = []
-    scratch = pool_cfg.build()
-    for process, rng, hz in (
-        (Process.COMM_DL, (0, a), sol.b_comm_hz),
-        (Process.COMM_UL, (b, c), sol.b_comm_hz),
+    # Serial order DL -> COMP -> UL, as recorded in the claim list.
+    for process, grid, rng, demand, full in (
+        (Process.COMM_DL, GridKind.TIME_FREQ, (0, a), sol.b_comm_hz * dt, freq),
+        (Process.COMP, GridKind.TIME_COMP, (a, b), sol.f_cps * dt, comp),
+        (Process.COMM_UL, GridKind.TIME_FREQ, (b, c), sol.b_comm_hz * dt, freq),
     ):
         if rng[1] <= rng[0]:
             continue
-        groups = scratch.pour_bandwidth(rng, hz)
+        groups = pour_lanes([full.cell_capacity] * full.num_lanes, demand)
         if groups is None:
-            raise CapacityExceeded(f"{process.value} bandwidth does not fit")
-        for lanes, amount in groups:
-            claim = Claim(client_id, round_index, process, GridKind.TIME_FREQ, rng, lanes, amount)
-            scratch.try_allocate(claim)
-            cons.append(claim)
-    if b > a:
-        groups = scratch.pour_compute((a, b), sol.f_cps)
-        if groups is None:
-            raise CapacityExceeded("compute does not fit")
-        for lanes, amount in groups:
-            claim = Claim(client_id, round_index, Process.COMP, GridKind.TIME_COMP,
-                          (a, b), lanes, amount)
-            scratch.try_allocate(claim)
-            cons.append(claim)
-    # Keep serial order DL -> COMP -> UL in the recorded claim list.
-    cons.sort(key=lambda cl: cl.slot_range[0])
+            raise CapacityExceeded(f"{process.value} does not fit")
+        cons.extend(
+            Claim(client_id, round_index, process, grid, rng, lanes, amount)
+            for lanes, amount in groups
+        )
     return gen, cons
 
 
@@ -206,8 +205,8 @@ class RoundEnv:
             max_targets=max(1, len(self.scenario.targets)),
             samples_per_target=self.sensing.samples_per_target,
         )
-        self.pools = {c.client_id: self.pool_cfg.build() for c in self.scenario.clients}
-        self.pending: dict[int, list[Claim]] = {c.client_id: [] for c in self.scenario.clients}
+        self.bank = PoolBank(self.pool_cfg, len(self.scenario.clients))
+        self.pending: list[list[Claim]] = [[] for _ in self.scenario.clients]
         self.round_index = 1
         self.trace = EpisodeTrace(
             self.schedule.mode, self.schedule.num_rounds, self.schedule.cr_length
@@ -230,14 +229,14 @@ class RoundEnv:
         gains, workloads, feasible, claims = [], [], [], []
         for i, client in enumerate(self.scenario.clients):
             edge = obs.graph.edge(client.client_id, assignment[i])
-            pool = self.pools[client.client_id]
+            pool = self.bank.pools[i]
             try:
                 gen, cons = claims_for_solution(
                     client.client_id, r, edge.problem, edge.solution, pool, self.pool_cfg
                 )
                 for claim in gen:
                     pool.try_allocate(claim)
-                self.pending[client.client_id].extend(cons)
+                self.pending[i].extend(cons)
                 ok = edge.solution.feasible
                 claims.extend(gen)
                 claims.extend(cons)
@@ -276,41 +275,29 @@ class RoundEnv:
     # -- internals -------------------------------------------------------
 
     def _emit_pending(self) -> None:
-        for client_id, queued in self.pending.items():
-            pool = self.pools[client_id]
+        for pool, queued in zip(self.bank.pools, self.pending):
             for claim in queued:
                 try:
                     pool.try_allocate(claim)
-                except CapacityExceeded:
-                    # Cannot happen for claims planned against an empty
-                    # frame; recorded defensively rather than aborting.
-                    self._void_round(client_id, claim.round_index)
-                    break
+                except CapacityExceeded as err:
+                    # Planned against an empty frame and emitted into one,
+                    # so it fits unless the planning or the pools are wrong.
+                    raise InvariantBroken(
+                        f"consumption claim of client {claim.client_id} "
+                        f"round {claim.round_index} does not fit its empty frame"
+                    ) from err
             queued.clear()
 
-    def _void_round(self, client_id: int, round_index: int) -> None:
-        self.pools[client_id].release_round(round_index)
-        for rec in self.trace.rounds:
-            if rec.round_index == round_index:
-                i = [c.client_id for c in self.scenario.clients].index(client_id)
-                rec.gains[i] = 0.0
-                rec.workloads[i] = 0
-                rec.feasible[i] = False
-
     def _close_frame(self, frame: int, rounds_to_release: tuple[int, ...]) -> None:
-        freq, comp = [], []
-        for pool in self.pools.values():
-            f_frac, c_frac = pool.residual_fraction()
-            freq.append(1.0 - f_frac)
-            comp.append(1.0 - c_frac)
+        f_frac, c_frac = self.bank.residual_fraction()
         self.trace.utilization.append(
             {
                 "frame": frame,
-                "freq_used": float(np.mean(freq)),
-                "comp_used": float(np.mean(comp)),
+                "freq_used": float(np.mean(1.0 - f_frac)),
+                "comp_used": float(np.mean(1.0 - c_frac)),
             }
         )
-        for pool in self.pools.values():
+        for pool in self.bank.pools:
             for rnd in rounds_to_release:
                 pool.release_round(rnd)
         step_mobility(self.scenario, self.schedule.cr_length * self.pool_cfg.slot_duration)
@@ -331,11 +318,10 @@ class RoundEnv:
         t_cons = consumption_window(length, dt)
         coupled = self.schedule.mode is Mode.ZEROS
 
-        residuals, fracs = [], []
-        for client in sc.clients:
-            pool = self.pools[client.client_id]
-            residuals.append((pool.rect_bandwidth_hz((0, length)), pool.compute_cps))
-            fracs.append(pool.residual_fraction())
+        compute_cps = self.bank.empty.compute_cps
+        residuals = [(b_hz, compute_cps) for b_hz in self.bank.rect_bandwidth_hz().tolist()]
+        f_frac, c_frac = self.bank.residual_fraction()
+        fracs = list(zip(f_frac.tolist(), c_frac.tolist()))
         graph = build_gain_graph(sc, t_gen, t_cons, residuals, self.sensing, coupled)
 
         m = len(graph.model_ids)
@@ -380,42 +366,42 @@ def run_episode(
 def audit_trace(
     trace: EpisodeTrace, schedule: RoundSchedule, pool_cfg: PoolConfig
 ) -> dict:
-    """Replay a trace's claims frame by frame on fresh pools.
+    """Replay a trace's claims frame by frame on one bank of pools.
 
     Confirms no cell was ever over capacity and that releasing every round
     restores the empty-pool residuals.
     """
     by_frame: dict[int, list[Claim]] = {}
+    rows: dict[int, int] = {}
     for claim in trace.all_claims():
         by_frame.setdefault(schedule.frame_of(claim), []).append(claim)
+        rows.setdefault(claim.client_id, len(rows))
+    bank = PoolBank(pool_cfg, len(rows))
+    client_of_row = list(rows)
 
     failures: list[str] = []
     max_util = 0.0
     for frame in sorted(by_frame):
-        pools: dict[int, UniversalResourcePool] = {}
         rounds: dict[int, set[int]] = {}
         for claim in by_frame[frame]:
-            pool = pools.get(claim.client_id)
-            if pool is None:
-                pool = pools[claim.client_id] = pool_cfg.build()
             rounds.setdefault(claim.client_id, set()).add(claim.round_index)
             try:
-                pool.try_allocate(claim)
+                bank.pools[rows[claim.client_id]].try_allocate(claim)
             except CapacityExceeded:
                 failures.append(
                     f"frame {frame} client {claim.client_id} round {claim.round_index} "
                     f"{claim.process.value} over capacity"
                 )
-        for client_id, pool in pools.items():
-            for grid in (pool.time_freq, pool.time_comp):
-                if grid.used.size:
-                    max_util = max(max_util, float(grid.used.max() / grid.cell_capacity))
-            for rnd in rounds[client_id]:
-                pool.release_round(rnd)
-            freq_left = np.abs(pool.time_freq.used).max() if pool.time_freq.used.size else 0.0
-            comp_left = np.abs(pool.time_comp.used).max() if pool.time_comp.used.size else 0.0
-            if freq_left > 1e-9 * pool.time_freq.cell_capacity or comp_left > 1e-9 * pool.time_comp.cell_capacity:
-                failures.append(f"frame {frame} client {client_id} release left residue")
+        max_util = max(max_util, bank.peak_use())
+        for client_id, client_rounds in rounds.items():
+            for rnd in client_rounds:
+                bank.pools[rows[client_id]].release_round(rnd)
+        failures.extend(
+            f"frame {frame} client {client_of_row[row]} release left residue"
+            for row in bank.residue_rows()
+        )
+        bank.time_freq.fill(0.0)
+        bank.time_comp.fill(0.0)
     return {
         "ok": not failures,
         "frames_checked": len(by_frame),

@@ -1,6 +1,9 @@
 """Universal resource pools: slotted 2-D capacity grids (time x frequency and
 time x compute) that sensing, communication, and computing draw on without
-distinction. Allocation is claim-based and conservation-checked."""
+distinction. Allocation is claim-based and conservation-checked.
+
+A ``PoolBank`` keeps every client's cell usage in one (N, slots, lanes) array
+per grid; each client's ``UniversalResourcePool`` works on its row."""
 
 from __future__ import annotations
 
@@ -44,6 +47,10 @@ class OutOfHorizon(PoolError):
 
 class MalformedClaim(PoolError):
     pass
+
+
+class PhantomRelease(PoolError):
+    """A release took a cell below zero: the claim was never (fully) allocated."""
 
 
 # Which grid(s) each process is allowed to claim. Sensing may be wireless
@@ -125,18 +132,38 @@ class ResourceGrid:
         s0, s1 = slot_range
         return np.maximum(self.cell_capacity - self.used[s0:s1], 0.0)
 
+    def cells(self, claim: Claim) -> tuple[slice, slice | list[int]]:
+        """Index of a claim's cells: one rectangle slice when its lanes are contiguous.
+
+        ``Claim.check`` forbids duplicate lanes, so ``max - min + 1 == len``
+        exactly when the lanes form a contiguous set, in any order.
+        """
+        lanes = claim.lanes
+        lo, hi = min(lanes), max(lanes)
+        cols = slice(lo, hi + 1) if hi - lo + 1 == len(lanes) else list(lanes)
+        return slice(*claim.slot_range), cols
+
     def fits(self, claim: Claim) -> bool:
-        s0, s1 = claim.slot_range
-        lanes = list(claim.lanes)
-        cells = self.used[s0:s1][:, lanes]
-        return bool(np.all(cells + claim.amount_per_cell <= self.cell_capacity + EPS))
+        peak = float(self.used[self.cells(claim)].max())
+        return peak + claim.amount_per_cell <= self.cell_capacity + EPS
 
     def apply(self, claim: Claim, sign: float) -> None:
-        s0, s1 = claim.slot_range
-        for lane in claim.lanes:
-            self.used[s0:s1, lane] += sign * claim.amount_per_cell
-        if sign < 0:
-            np.clip(self.used, 0.0, None, out=self.used)
+        """Add (sign > 0) or remove (sign < 0) a claim's amount on its cells.
+
+        Every cell is >= 0 before a release, so only the touched cells can go
+        negative: rounding noise within EPS of a cell is clipped to 0, anything
+        deeper raises PhantomRelease.
+        """
+        idx = self.cells(claim)
+        if sign > 0:
+            self.used[idx] += claim.amount_per_cell
+            return
+        left = self.used[idx] - claim.amount_per_cell
+        if left.min() < -EPS * self.cell_capacity:
+            raise PhantomRelease(
+                f"release of {claim.process.value} r{claim.round_index} takes cells below 0"
+            )
+        self.used[idx] = np.maximum(left, 0.0, out=left)
 
 
 @dataclass
@@ -247,57 +274,50 @@ class UniversalResourcePool:
     ) -> list[tuple[tuple[int, ...], float]] | None:
         if per_slot_demand <= EPS:
             return []
-        lane_avail = grid.residual(slot_range).min(axis=0)
-        takes = np.zeros(grid.num_lanes)
-        remaining = per_slot_demand
-        for lane in range(grid.num_lanes):
-            if remaining <= EPS:
-                break
-            take = min(remaining, float(lane_avail[lane]))
-            if take > EPS:
-                takes[lane] = take
-                remaining -= take
-        if remaining > EPS:
-            return None
-        # Group consecutive lanes with equal take into one rectangle.
-        groups: list[tuple[tuple[int, ...], float]] = []
-        run: list[int] = []
-        run_amount = 0.0
-        for lane in range(grid.num_lanes):
-            amt = float(takes[lane])
-            if amt <= EPS:
-                continue
-            if run and abs(amt - run_amount) <= EPS and lane == run[-1] + 1:
-                run.append(lane)
-            else:
-                if run:
-                    groups.append((tuple(run), run_amount))
-                run = [lane]
-                run_amount = amt
-        if run:
-            groups.append((tuple(run), run_amount))
-        return groups
+        return pour_lanes(grid.residual(slot_range).min(axis=0).tolist(), per_slot_demand)
 
     def _grid(self, kind: GridKind) -> ResourceGrid:
         return self.time_freq if kind is GridKind.TIME_FREQ else self.time_comp
 
-    def clone(self) -> "UniversalResourcePool":
-        return UniversalResourcePool(
-            time_freq=ResourceGrid(
-                self.time_freq.num_slots,
-                self.time_freq.num_lanes,
-                self.time_freq.cell_capacity,
-                self.time_freq.used.copy(),
-            ),
-            time_comp=ResourceGrid(
-                self.time_comp.num_slots,
-                self.time_comp.num_lanes,
-                self.time_comp.cell_capacity,
-                self.time_comp.used.copy(),
-            ),
-            slot_duration=self.slot_duration,
-            claims=list(self.claims),
-        )
+
+def pour_lanes(
+    lane_avail: list[float], per_slot_demand: float
+) -> list[tuple[tuple[int, ...], float]] | None:
+    """Pack a per-slot demand onto lanes with the given availability.
+
+    Returns (lanes, amount_per_cell) groups, lowest-index lanes first, or None
+    when the demand does not fit.
+    """
+    if per_slot_demand <= EPS:
+        return []
+    takes = [0.0] * len(lane_avail)
+    remaining = per_slot_demand
+    for lane, avail in enumerate(lane_avail):
+        if remaining <= EPS:
+            break
+        take = min(remaining, avail)
+        if take > EPS:
+            takes[lane] = take
+            remaining -= take
+    if remaining > EPS:
+        return None
+    # Group consecutive lanes with equal take into one rectangle.
+    groups: list[tuple[tuple[int, ...], float]] = []
+    run: list[int] = []
+    run_amount = 0.0
+    for lane, amt in enumerate(takes):
+        if amt <= EPS:
+            continue
+        if run and abs(amt - run_amount) <= EPS and lane == run[-1] + 1:
+            run.append(lane)
+        else:
+            if run:
+                groups.append((tuple(run), run_amount))
+            run = [lane]
+            run_amount = amt
+    if run:
+        groups.append((tuple(run), run_amount))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -344,3 +364,63 @@ def new_pool(
         time_comp=ResourceGrid.empty(num_slots, comp_lanes, cycles_per_lane_slot),
         slot_duration=slot_duration,
     )
+
+
+class PoolBank:
+    """Every client's pool, each grid's cell usage held in one (N, slots, lanes) array.
+
+    ``pools[i]`` is row i's claim-level API: its grids' ``used`` arrays are
+    views of row i, so its claims land in the bank, and the all-client
+    reductions below read them without a per-pool call. Each reduction equals
+    the per-pool method of the same name, row by row.
+    """
+
+    def __init__(self, cfg: PoolConfig, num_pools: int):
+        # The shape and capacities of every row; never allocated into.
+        self.empty = cfg.build()
+        f, c = self.empty.time_freq, self.empty.time_comp
+        self.time_freq = np.zeros((num_pools, f.num_slots, f.num_lanes))
+        self.time_comp = np.zeros((num_pools, c.num_slots, c.num_lanes))
+        self.pools = [
+            UniversalResourcePool(
+                ResourceGrid(f.num_slots, f.num_lanes, f.cell_capacity, self.time_freq[i]),
+                ResourceGrid(c.num_slots, c.num_lanes, c.cell_capacity, self.time_comp[i]),
+                cfg.slot_duration,
+            )
+            for i in range(num_pools)
+        ]
+
+    def rect_bandwidth_hz(self) -> np.ndarray:
+        """Each row's ``rect_bandwidth_hz`` over the whole frame."""
+        cap = self.empty.time_freq.cell_capacity
+        resid = np.maximum(cap - self.time_freq, 0.0)
+        return resid.min(axis=1).sum(axis=1) / self.empty.slot_duration
+
+    def residual_fraction(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's (freq, comp) ``residual_fraction``, as two arrays."""
+        return (
+            _free_fraction(self.time_freq, self.empty.time_freq.cell_capacity),
+            _free_fraction(self.time_comp, self.empty.time_comp.cell_capacity),
+        )
+
+    def peak_use(self) -> float:
+        """Highest cell usage over every row and both grids, as a fraction of capacity."""
+        return max(
+            float(self.time_freq.max() / self.empty.time_freq.cell_capacity),
+            float(self.time_comp.max() / self.empty.time_comp.cell_capacity),
+        )
+
+    def residue_rows(self) -> np.ndarray:
+        """Rows holding any cell with |usage| above 1e-9 of its capacity."""
+        return np.flatnonzero(
+            (np.abs(self.time_freq).max(axis=(1, 2))
+             > 1e-9 * self.empty.time_freq.cell_capacity)
+            | (np.abs(self.time_comp).max(axis=(1, 2))
+               > 1e-9 * self.empty.time_comp.cell_capacity)
+        )
+
+
+def _free_fraction(used: np.ndarray, cell_capacity: float) -> np.ndarray:
+    n, num_slots, num_lanes = used.shape
+    resid = np.maximum(cell_capacity - used, 0.0).reshape(n, -1)
+    return resid.sum(axis=1) / (num_slots * num_lanes * cell_capacity)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isccsim.pool import (
@@ -13,6 +13,9 @@ from isccsim.pool import (
     GridKind,
     MalformedClaim,
     OutOfHorizon,
+    PhantomRelease,
+    PoolBank,
+    PoolConfig,
     Process,
     new_pool,
 )
@@ -172,6 +175,37 @@ class TestRelease:
         assert f_res[0, 2] == pytest.approx(5e4)
         assert all(c.round_index == 4 for c in pool.claims)
 
+    def test_phantom_release_raises(self):
+        pool = default_pool()
+        pool.claims.append(freq_claim([0, 1], (0, 4), 5e4))  # never allocated
+        with pytest.raises(PhantomRelease):
+            pool.release_round(1)
+        pool = default_pool()
+        pool.try_allocate(freq_claim([2], (0, 4), 5e4))
+        with pytest.raises(PhantomRelease):
+            pool.time_freq.apply(freq_claim([2], (0, 4), 6e4), -1.0)
+
+    def test_release_noise_within_eps_clips_to_zero(self):
+        pool = default_pool()
+        pool.try_allocate(comp_claim([0], (0, 4), 2e7))
+        pool.time_comp.apply(comp_claim([0], (0, 4), 2e7 + 1e-3), -1.0)
+        assert np.all(pool.time_comp.used == 0.0)
+
+    @given(
+        st.integers(0, 8),
+        st.integers(1, 9),
+        st.permutations(range(4)),
+        st.integers(1, 4),
+        st.floats(0.0, 1e5, allow_nan=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_allocate_then_release_leaves_exact_zeros(self, s0, width, order, k, amount):
+        pool = default_pool()
+        claim = freq_claim(order[:k], (s0, min(s0 + width, 9)), amount)
+        pool.try_allocate(claim)
+        pool.release_round(claim.round_index)
+        assert np.all(pool.time_freq.used == 0.0)
+
     def test_release_missing_round_is_noop(self):
         pool = default_pool()
         pool.try_allocate(freq_claim([0], (0, 4), 5e4, rnd=1))
@@ -219,7 +253,7 @@ def claim_batches(draw):
     for _ in range(draw(st.integers(1, 12))):
         s0 = draw(st.integers(0, num_slots - 1))
         s1 = draw(st.integers(s0 + 1, num_slots))
-        lanes = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))))
+        lanes = tuple(draw(st.permutations(range(4)))[:draw(st.integers(1, 4))])
         amount = draw(st.floats(0.0, 1.5e5, allow_nan=False))
         rnd = draw(st.integers(1, 3))
         claims.append(freq_claim(lanes, (s0, s1), amount, rnd=rnd))
@@ -228,8 +262,11 @@ def claim_batches(draw):
 
 class TestConservation:
     @given(claim_batches())
+    @example((9, [freq_claim((2, 0, 1), (0, 9), 4e4), freq_claim((1, 2), (3, 5), 6e4)]))
+    @example((9, [freq_claim((0, 2), (0, 9), 4e4), freq_claim((3, 1), (2, 4), 5e4)]))
     @settings(max_examples=120, deadline=None)
     def test_usage_equals_sum_of_accepted_claims(self, batch):
+        """Rectangle updates give the per-lane reference's usage bit for bit."""
         num_slots, claims = batch
         pool = default_pool(num_slots=num_slots)
         expected = np.zeros((num_slots, 4))
@@ -241,7 +278,7 @@ class TestConservation:
             s0, s1 = claim.slot_range
             for lane in claim.lanes:
                 expected[s0:s1, lane] += claim.amount_per_cell
-        assert np.allclose(pool.time_freq.used, expected)
+        assert np.array_equal(pool.time_freq.used, expected)
         assert np.all(pool.time_freq.used <= pool.time_freq.cell_capacity + EPS)
 
     @given(claim_batches())
@@ -297,11 +334,79 @@ class TestConservation:
         assert np.array_equal(outcomes[0][1], outcomes[1][1])
 
 
-class TestClone:
-    def test_clone_is_independent(self):
-        pool = default_pool()
-        pool.try_allocate(freq_claim([0], (0, 3), 5e4))
-        twin = pool.clone()
-        twin.try_allocate(freq_claim([0], (0, 3), 5e4))
-        assert pool.time_freq.used[0, 0] == pytest.approx(5e4)
-        assert twin.time_freq.used[0, 0] == pytest.approx(1e5)
+@st.composite
+def bank_histories(draw):
+    """A pool shape, N clients and a sequence of allocations and round releases."""
+    cfg = PoolConfig(
+        num_slots=draw(st.integers(1, 9)),
+        freq_lanes=draw(st.integers(1, 5)),
+        comp_lanes=draw(st.integers(1, 3)),
+        slot_duration=draw(st.sampled_from([0.1, 0.05, 0.3])),
+        hz_per_lane=draw(st.sampled_from([1e6, 7.3e5])),
+        cycles_per_lane_slot=draw(st.sampled_from([5e7, 1.1e7])),
+    )
+    n = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(draw(st.integers(0, 25))):
+        client = draw(st.integers(0, n - 1))
+        rnd = draw(st.integers(1, 3))
+        if draw(st.integers(0, 4)) == 0:
+            steps.append(("release", client, rnd))
+            continue
+        grid = draw(st.sampled_from([GridKind.TIME_FREQ, GridKind.TIME_COMP]))
+        lanes_total = cfg.freq_lanes if grid is GridKind.TIME_FREQ else cfg.comp_lanes
+        cap = cfg.hz_per_lane * cfg.slot_duration if grid is GridKind.TIME_FREQ \
+            else cfg.cycles_per_lane_slot
+        lanes = draw(st.permutations(range(lanes_total)))[:draw(st.integers(1, lanes_total))]
+        s0 = draw(st.integers(0, cfg.num_slots - 1))
+        s1 = draw(st.integers(s0 + 1, cfg.num_slots))
+        amount = cap * draw(st.floats(0.0, 1.2, allow_nan=False))
+        process = Process.COMM_DL if grid is GridKind.TIME_FREQ else Process.COMP
+        steps.append(("alloc", client, Claim(client, rnd, process, grid, (s0, s1),
+                                             tuple(lanes), amount)))
+    return cfg, n, steps
+
+
+class TestBank:
+    @given(bank_histories())
+    @settings(max_examples=200, deadline=None)
+    def test_bank_reductions_equal_per_pool_methods(self, history):
+        """Bank rows and separately built pools agree bit for bit after any history."""
+        cfg, n, steps = history
+        bank = PoolBank(cfg, n)
+        pools = [cfg.build() for _ in range(n)]
+        for kind, client, arg in steps:
+            for p in (bank.pools[client], pools[client]):
+                if kind == "release":
+                    p.release_round(arg)
+                    continue
+                try:
+                    p.try_allocate(arg)
+                except CapacityExceeded:
+                    pass
+        for i, p in enumerate(pools):
+            assert np.array_equal(bank.time_freq[i], p.time_freq.used)
+            assert np.array_equal(bank.time_comp[i], p.time_comp.used)
+        rect = bank.rect_bandwidth_hz()
+        f_frac, c_frac = bank.residual_fraction()
+        for i, p in enumerate(pools):
+            assert rect[i] == p.rect_bandwidth_hz((0, cfg.num_slots))
+            assert (f_frac[i], c_frac[i]) == p.residual_fraction()
+        # Peak use and residue as the audit computed them pool by pool.
+        peak = max(float(g.used.max() / g.cell_capacity)
+                   for p in pools for g in (p.time_freq, p.time_comp))
+        assert bank.peak_use() == peak
+        residue = [
+            i for i, p in enumerate(pools)
+            if np.abs(p.time_freq.used).max() > 1e-9 * p.time_freq.cell_capacity
+            or np.abs(p.time_comp.used).max() > 1e-9 * p.time_comp.cell_capacity
+        ]
+        assert bank.residue_rows().tolist() == residue
+
+    def test_rows_are_views(self):
+        bank = PoolBank(PoolConfig(), 3)
+        bank.pools[1].try_allocate(freq_claim([1, 2], (0, 9), 1e5))
+        assert bank.time_freq[1, :, 1:3].min() == 1e5
+        assert bank.time_freq[[0, 2]].max() == 0.0
+        assert bank.rect_bandwidth_hz().tolist() == [4e6, 2e6, 4e6]
+        assert bank.empty.claims == []

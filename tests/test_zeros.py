@@ -1,14 +1,19 @@
 """Pipeline planning, serial-timing validation, and episode mechanics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_problem
 from isccsim.episode import (
+    EpisodeTrace,
+    InvariantBroken,
     RoundEnv,
+    RoundRecord,
     audit_trace,
     claims_for_solution,
     consumption_window,
@@ -18,7 +23,7 @@ from isccsim.episode import (
 from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, generate_scenario, sense_targets
 from isccsim.policies import GreedyGainPolicy, RandomPolicy
-from isccsim.pool import Claim, GridKind, PoolConfig, Process, new_pool
+from isccsim.pool import CapacityExceeded, Claim, GridKind, PoolConfig, Process, new_pool
 from isccsim.schedule import (
     Mode,
     ScheduleError,
@@ -160,8 +165,6 @@ class TestClaimConversion:
         """A solution converted to claims always allocates on a pool with
         exactly the solved budgets."""
         rng = np.random.default_rng(11)
-        from conftest import random_problem
-
         pool_cfg = PoolConfig(num_slots=9)
         for _ in range(60):
             p = random_problem(rng)
@@ -196,6 +199,28 @@ class TestClaimConversion:
             for claim in cons:
                 fresh.try_allocate(claim)
 
+    def test_empty_frame_plan_matches_scratch_pool_plan(self):
+        """Consumption pours onto full lanes equal pours into a scratch pool
+        that receives each claim as it is planned."""
+        rng = np.random.default_rng(5)
+        planned = 0
+        for _ in range(400):
+            lanes = int(rng.integers(1, 6))
+            p = replace(random_problem(rng), t_gen=0.9, t_cons=0.7)
+            cfg = PoolConfig(
+                num_slots=9, freq_lanes=lanes, comp_lanes=int(rng.integers(1, 4)),
+                hz_per_lane=p.bandwidth_hz / rng.uniform(0.5, lanes),
+                cycles_per_lane_slot=p.compute_cps * 0.1 / rng.uniform(0.5, 3.0),
+            )
+            sol = solve_workload(p)
+            try:
+                got = claims_for_solution(0, 1, p, sol, cfg.build(), cfg)
+            except CapacityExceeded:
+                got = None
+            assert got == scratch_pool_plan(0, 1, p, sol, cfg)
+            planned += bool(got and got[1])
+        assert planned > 100
+
     def test_plan_orders_and_bounds(self):
         p = WorkloadProblem(
             t_gen=0.9, t_cons=0.7, bandwidth_hz=4e6, compute_cps=1e9, eta=4.0,
@@ -217,6 +242,50 @@ class TestClaimConversion:
         pool_cfg = PoolConfig()
         gen, cons = claims_for_solution(0, 1, p, sol, pool_cfg.build(), pool_cfg)
         assert gen == [] and cons == []
+
+
+def scratch_pool_plan(client_id, round_index, problem, sol, cfg):
+    """Reference consumption planning: pour and allocate into a scratch pool."""
+    if not sol.feasible or sol.w_star == 0:
+        return [], []
+    pool = cfg.build()
+    dt = cfg.slot_duration
+    gen = []
+    s1 = slots_needed(sol.t_sens, dt)
+    if s1 > 0:
+        if problem.mode is SensingMode.VS:
+            gen.append(Claim(client_id, round_index, Process.SENS, GridKind.NONE,
+                             (0, s1), (), 0.0))
+        else:
+            groups = pool.pour_bandwidth((0, s1), sol.b_sens_hz)
+            if groups is None:
+                return None
+            gen.extend(Claim(client_id, round_index, Process.SENS, GridKind.TIME_FREQ,
+                             (0, s1), lanes, amount) for lanes, amount in groups)
+    a, b, c = plan_cons_slots(sol, dt)
+    if c > cfg.num_slots:
+        return None
+    scratch = cfg.build()
+    cons = []
+    for process, grid, rng in (
+        (Process.COMM_DL, GridKind.TIME_FREQ, (0, a)),
+        (Process.COMM_UL, GridKind.TIME_FREQ, (b, c)),
+        (Process.COMP, GridKind.TIME_COMP, (a, b)),
+    ):
+        if rng[1] <= rng[0]:
+            continue
+        if process is Process.COMP:
+            groups = scratch.pour_compute(rng, sol.f_cps)
+        else:
+            groups = scratch.pour_bandwidth(rng, sol.b_comm_hz)
+        if groups is None:
+            return None
+        for lanes, amount in groups:
+            claim = Claim(client_id, round_index, process, grid, rng, lanes, amount)
+            scratch.try_allocate(claim)
+            cons.append(claim)
+    cons.sort(key=lambda cl: cl.slot_range[0])
+    return gen, cons
 
 
 class TestEpisode:
@@ -280,6 +349,21 @@ class TestEpisode:
             assert report["ok"], report["failures"]
             assert report["max_cell_utilization"] <= 1.0 + 1e-9
 
+    def test_audit_starts_each_frame_empty(self):
+        """Rounding left by a release in one frame does not carry into the next."""
+        cap = PoolConfig().hz_per_lane * PoolConfig().slot_duration
+        # Allocating then releasing these leaves 1.46e-11 on the cell, within
+        # the residue tolerance but enough to lift a full cell above 1.0.
+        sens = [Claim(0, 1, Process.SENS, GridKind.TIME_FREQ, (0, 1), (0,), x)
+                for x in (17722.67404746588, 82277.32556446739)]
+        dl = Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (0, 1), (0,), cap)
+        trace = EpisodeTrace(Mode.SERIAL, 1, 9,
+                             [RoundRecord(1, [0], [0.0], [0], [True], sens + [dl])])
+        report = audit_trace(trace, plan_pipeline(1, 9, Mode.SERIAL), PoolConfig())
+        assert report["ok"], report["failures"]
+        assert report["frames_checked"] == 2
+        assert report["max_cell_utilization"] == 1.0
+
     def test_utilization_recorded_per_frame(self):
         trace = self.run(Mode.ZEROS, rounds=3)
         assert len(trace.utilization) == 4  # R+1 frames
@@ -304,6 +388,18 @@ class TestEpisode:
             seen.append(expected)
             obs, _, done = env.step([0] * len(sc.clients))
         assert len(seen) == 5 and any(a != b for a, b in zip(seen, seen[1:]))
+
+    def test_consumption_claim_over_capacity_is_internal_error(self):
+        """A consumption claim that does not fit its empty frame raises."""
+        sc = tiny_scenario(1)
+        env = RoundEnv(lambda _: sc, plan_pipeline(2, 9, Mode.SERIAL),
+                       PoolConfig(), SensingParams())
+        env.reset()
+        cap = env.bank.empty.time_freq.cell_capacity
+        env.pending[0].append(Claim(sc.clients[0].client_id, 1, Process.COMM_DL,
+                                    GridKind.TIME_FREQ, (0, 2), (1, 2), 1.5 * cap))
+        with pytest.raises(InvariantBroken):
+            env.step([0] * len(sc.clients))
 
     def test_bad_assignment_rejected(self):
         sc = tiny_scenario(1)
