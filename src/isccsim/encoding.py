@@ -82,25 +82,19 @@ def encode_state(
     m = len(graph.model_ids)
     if len(residual_fractions) != n or len(graph.client_ids) != n:
         raise LayoutMismatch("client count changed mid-episode")
-
-    blocks = []
-    for i, client in enumerate(scenario.clients):
-        feats = graph.vertex_features[client.client_id]
-        etas = feats[4:]
-        if etas.size != m:
-            raise LayoutMismatch("model count changed mid-episode")
-        f_frac, c_frac = residual_fractions[i]
-        blocks.append(
-            np.concatenate(
-                [
-                    [f_frac, c_frac],
-                    np.array(client.position) / scenario.area_m,
-                    etas / norms.eta_norm,
-                ]
-            )
-        )
-    weights = graph.weight_matrix().reshape(-1) / norms.gain_norm
-    vector = np.concatenate(blocks + [weights]).astype(np.float64)
+    if graph.etas.shape != (n, m):
+        raise LayoutMismatch("model count changed mid-episode")
+    positions = np.array([c.position for c in scenario.clients], dtype=float).reshape(n, 2)
+    blocks = np.concatenate(
+        [
+            np.array(residual_fractions, dtype=float).reshape(n, 2),
+            positions / scenario.area_m,
+            graph.etas / norms.eta_norm,
+        ],
+        axis=1,
+    )
+    weights = graph.weights / norms.gain_norm
+    vector = np.concatenate([blocks.reshape(-1), weights.reshape(-1)])
     if not np.all(np.isfinite(vector)):
         raise ValueError("non-finite state feature")
     return StateEncoding(vector, n, m, norms)

@@ -30,7 +30,7 @@ from .pool import (
     pour_lanes,
 )
 from .schedule import Mode, RoundSchedule, ScheduleError, Violation, slots_needed, validate_cstc
-from .workload import WorkloadProblem, WorkloadSolution, latency_components
+from .workload import WorkloadProblem, WorkloadSolution
 from .network import SensingMode
 
 
@@ -323,13 +323,6 @@ class RoundEnv:
         f_frac, c_frac = self.bank.residual_fraction()
         fracs = list(zip(f_frac.tolist(), c_frac.tolist()))
         graph = build_gain_graph(sc, t_gen, t_cons, residuals, self.sensing, coupled)
-
-        m = len(graph.model_ids)
-        table = np.zeros((len(sc.clients), m, 4))
-        for i, client in enumerate(sc.clients):
-            for j in range(m):
-                edge = graph.edge(client.client_id, j)
-                table[i, j] = latency_components(edge.problem, int(edge.problem.w_cap))
         state = encode_state(sc, fracs, graph, self.norms)
         self._current_obs = Observation(
             round_index=self.round_index,
@@ -339,7 +332,7 @@ class RoundEnv:
             residuals=residuals,
             residual_fractions=fracs,
             sensed_counts=graph.sensed_counts,
-            latency_table=table,
+            latency_table=graph.latency_table,
             state=state,
             t_gen=t_gen,
             sensing=self.sensing,

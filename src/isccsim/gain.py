@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Scenario, local_distribution, sensed_class_counts, spectral_efficiency
-from .workload import WorkloadProblem, WorkloadSolution, solve_workload
+from .workload import WorkloadProblem, WorkloadSolution, latency_components, solve_workload
 
 
 class DimensionMismatch(ValueError):
@@ -86,9 +86,11 @@ class GainEdge:
 class GainGraph:
     client_ids: list[int]
     model_ids: list[int]
-    vertex_features: dict[int, np.ndarray]  # client_id -> features
     edges: list[GainEdge]
     sensed_counts: list[int]  # targets each client senses this round
+    weights: np.ndarray        # (N, M) edge weights
+    etas: np.ndarray           # (N, M) spectral efficiency to each model's edge
+    latency_table: np.ndarray  # (N, M, 4): t_sens, t_dl, t_cp, t_ul at W = w_cap
     _index: dict[tuple[int, int], GainEdge] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -99,30 +101,7 @@ class GainGraph:
         return self._index[(client_id, model_id)]
 
     def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((len(self.client_ids), len(self.model_ids)))
-        for i, n in enumerate(self.client_ids):
-            for j, m in enumerate(self.model_ids):
-                w[i, j] = self._index[(n, m)].weight
-        return w
-
-    def to_dict(self) -> dict:
-        return {
-            "clients": [
-                {"client_id": n, "features": self.vertex_features[n].tolist()}
-                for n in self.client_ids
-            ],
-            "models": list(self.model_ids),
-            "edges": [
-                {
-                    "client_id": e.client_id,
-                    "model_id": e.model_id,
-                    "weight": e.weight,
-                    "workload": e.workload,
-                    "similarity": e.similarity,
-                }
-                for e in self.edges
-            ],
-        }
+        return self.weights
 
 
 def num_models(scenario: Scenario) -> int:
@@ -162,18 +141,17 @@ def build_gain_graph(
     ])
     kl = kl_matrix(local_distribution(counts, sensing.epsilon), mixtures)
 
-    features: dict[int, np.ndarray] = {}
+    n = len(scenario.clients)
+    weights = np.zeros((n, m_count))
+    etas = np.zeros((n, m_count))
+    table = np.zeros((n, m_count, 4))
     edges: list[GainEdge] = []
     for i, client in enumerate(scenario.clients):
         b_hz, f_cps = residuals[i]
         w_cap = float(sensed[i] * sensing.samples_per_target)
-
-        etas = []
         for m in model_ids:
             e_idx, variant = model_edge_variant(scenario, m)
-            edge_srv = scenario.edges[e_idx]
-            eta = spectral_efficiency(client, edge_srv, scenario.channel)
-            etas.append(eta)
+            eta = spectral_efficiency(client, scenario.edges[e_idx], scenario.channel)
             problem = WorkloadProblem(
                 t_gen=t_gen,
                 t_cons=t_cons,
@@ -192,22 +170,19 @@ def build_gain_graph(
             )
             sol = solve_workload(problem)
             s = math.exp(-float(kl[i, m]))
-            edges.append(
-                GainEdge(
-                    client_id=client.client_id,
-                    model_id=m,
-                    weight=gain(s, sol.w_star),
-                    workload=sol.w_star,
-                    similarity=s,
-                    problem=problem,
-                    solution=sol,
-                )
+            edge = GainEdge(
+                client_id=client.client_id,
+                model_id=m,
+                weight=gain(s, sol.w_star),
+                workload=sol.w_star,
+                similarity=s,
+                problem=problem,
+                solution=sol,
             )
-        features[client.client_id] = np.concatenate(
-            [
-                [b_hz, f_cps],
-                np.array(client.position) / scenario.area_m,
-                etas,
-            ]
-        )
-    return GainGraph(client_ids, model_ids, features, edges, sensed.astype(int).tolist())
+            edges.append(edge)
+            weights[i, m] = edge.weight
+            etas[i, m] = eta
+            table[i, m] = latency_components(problem, int(w_cap))
+    return GainGraph(
+        client_ids, model_ids, edges, sensed.astype(int).tolist(), weights, etas, table
+    )

@@ -6,7 +6,8 @@ The program is convex in the bandwidth split. Camera sensing (VS) uses no
 spectrum, so every budget binds independently and the optimum is closed
 form. Wireless sensing (WS) under an overlapped pipeline shares bandwidth
 with the concurrent communication phase; the optimum sits where the rising
-sensing branch crosses the falling compute branch, found by bisection.
+sensing branch crosses the falling compute branch, the positive root of a
+quadratic in the communication bandwidth.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class WorkloadProblem:
     rho: float = 0.0      # sensing spectral efficiency, b/s/Hz (WS)
     coupled: bool = False  # sensing shares bandwidth with concurrent comm
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in (
             "t_gen", "t_cons", "bandwidth_hz", "compute_cps", "s_dl", "s_ul",
             "kappa", "w_cap", "tau_s", "sigma", "rho",
@@ -110,7 +111,6 @@ def solve_workload(p: WorkloadProblem) -> WorkloadSolution:
     share one bandwidth variable. Infeasible means the communication time
     alone exceeds the consumption window at the best admissible bandwidth.
     """
-    p.validate()
     total_bits = p.s_dl + p.s_ul
     t_comm_full = _comm_time(total_bits, p.bandwidth_hz, p.eta)
     feasible = t_comm_full < p.t_cons or total_bits == 0.0
@@ -129,7 +129,7 @@ def solve_workload(p: WorkloadProblem) -> WorkloadSolution:
         return _package(p, w_star, b_sens=b_sens, b_comm=p.bandwidth_hz, feasible=True)
 
     # WS coupled: W(b_sens) = min(rising sensing branch, falling compute
-    # branch, w_cap) is unimodal; bisect on the branch crossing.
+    # branch, w_cap) is unimodal; its peak is the branch crossing.
     if p.sigma == 0.0:
         w_real = min(p.w_cap, _comp_cap(p, p.bandwidth_hz, p.compute_cps))
         return _package(p, _ifloor(w_real), 0.0, p.bandwidth_hz, True)
@@ -137,18 +137,7 @@ def solve_workload(p: WorkloadProblem) -> WorkloadSolution:
         return _package(p, 0, 0.0, p.bandwidth_hz, True)
 
     b = p.bandwidth_hz
-    lo, hi = 0.0, b
-    # Converge well past the stated 1e-6*B tolerance so the result is
-    # reproducible to float precision and monotone in the budgets.
-    for _ in range(128):
-        if hi - lo <= 1e-13 * b:
-            break
-        mid = 0.5 * (lo + hi)
-        if _sens_cap_ws(p, mid) >= _comp_cap(p, b - mid, p.compute_cps):
-            hi = mid
-        else:
-            lo = mid
-    b_cross = 0.5 * (lo + hi)
+    b_cross = b - _crossing_comm_hz(p)
     b_cap = p.w_cap * p.sigma / (p.rho * p.t_gen)
     b_sens = min(b_cross, b_cap)
     w_real = min(
@@ -158,6 +147,26 @@ def solve_workload(p: WorkloadProblem) -> WorkloadSolution:
     # Give back bandwidth the integer solution does not need.
     b_sens = min(b_sens, _thrifty_b_sens(p, w_star))
     return _package(p, w_star, b_sens=b_sens, b_comm=b - b_sens, feasible=True)
+
+
+def _crossing_comm_hz(p: WorkloadProblem) -> float:
+    """Communication bandwidth x = B - b_sens where the sensing cap a(B - x)
+    meets the compute cap c(t_cons - S/(x eta)): the positive root of
+    a x^2 - (aB - c t_cons) x - cS/eta = 0, capped at B against rounding."""
+    b = p.bandwidth_hz
+    total_bits = p.s_dl + p.s_ul
+    if p.kappa == 0.0:
+        # c -> inf: the compute cap is unbounded once comm fits in t_cons.
+        return min(b, total_bits / (p.eta * p.t_cons)) if total_bits else 0.0
+    a = p.rho * p.t_gen / p.sigma
+    c = p.compute_cps / p.kappa
+    beta = a * b - c * p.t_cons
+    q = c * total_bits / p.eta
+    root = math.sqrt(beta * beta + 4.0 * a * q)
+    # Both forms are >= 0; the second is (beta + root) / (2a) without the
+    # cancellation it would suffer when beta < 0.
+    x = (beta + root) / (2.0 * a) if beta >= 0.0 else 2.0 * q / (root - beta)
+    return min(b, x)
 
 
 def _thrifty_b_sens(p: WorkloadProblem, w_star: int) -> float:
@@ -204,7 +213,6 @@ def oracle_workload(p: WorkloadProblem, grid: int = 400) -> int:
     Every lattice point is a feasible allocation, so the result never
     exceeds the true optimum and converges to it as the grid refines.
     """
-    p.validate()
     if grid < 2:
         raise InvalidProblem("grid must be >= 2")
     b = np.linspace(0.0, p.bandwidth_hz, grid)
@@ -243,7 +251,6 @@ def latency_components(
 ) -> tuple[float, float, float, float]:
     """Per-process times at full-budget allocation (b_comm=B, f=F, sensing
     over the whole bandwidth). Feeds the latency-greedy baselines."""
-    p.validate()
     if w < 0:
         raise InvalidProblem("w must be >= 0")
     t_dl = _comm_time(p.s_dl, p.bandwidth_hz, p.eta)

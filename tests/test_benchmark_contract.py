@@ -27,3 +27,17 @@ def test_every_span_resolves_to_a_callable(bench):
         if not callable(getattr(span.owner, span.attr, None))
     ]
     assert missing == []
+
+
+def test_edge_counts_read_a_built_graph(bench):
+    """The traced run's edge counters read a real gain graph's edges."""
+    inp = bench.oracle_build(0)[0]
+    graph = bench.gain.build_gain_graph(
+        inp.scenario, 0.9, 0.7, [(4e6, 1e9)] * len(inp.scenario.clients),
+        bench.SENSING, coupled=True,
+    )
+    store = bench.SpanStore()
+    bench._edge_counts(store, (), graph)
+    edges = len(inp.scenario.clients) * bench.gain.num_models(inp.scenario)
+    assert store.counters["gain.edges_solved"] == edges
+    assert store.counters["gain.edges_feasible"] == sum(e.solution.feasible for e in graph.edges)

@@ -26,8 +26,9 @@ from isccsim.network import (
     local_distribution,
     sense_targets,
     sensed_class_counts,
+    spectral_efficiency,
 )
-from isccsim.workload import solve_workload
+from isccsim.workload import latency_components, solve_workload
 
 
 def small_scenario(**kw):
@@ -193,13 +194,9 @@ class TestGainGraph:
         sc = small_scenario()
         graph = self.build(sc)
         m = num_models(sc)
-        for cid in graph.client_ids:
-            feats = graph.vertex_features[cid]
-            assert feats.shape == (2 + 2 + m,)
-            assert feats[0] == DEFAULT_RESIDUAL[0]
-            assert feats[1] == DEFAULT_RESIDUAL[1]
-            assert np.all(feats[2:4] >= 0.0) and np.all(feats[2:4] <= 1.0)
-            assert np.all(feats[4:] > 0.0)
+        assert graph.etas.shape == (len(graph.client_ids), m)
+        assert np.all(graph.etas > 0.0)
+        assert graph.latency_table.shape == (len(graph.client_ids), m, 4)
 
     @given(random_scenarios())
     @settings(max_examples=40, deadline=None)
@@ -223,6 +220,33 @@ class TestGainGraph:
     def test_serializes(self):
         import json
 
-        sc = small_scenario()
-        blob = json.dumps(self.build(sc).to_dict(), sort_keys=True)
-        assert "edges" in blob
+        graph = self.build(small_scenario())
+        blob = json.dumps(
+            {"weights": graph.weights.tolist(), "etas": graph.etas.tolist()}, sort_keys=True
+        )
+        back = json.loads(blob)
+        assert np.array_equal(np.array(back["weights"]), graph.weights)
+        assert np.array_equal(np.array(back["etas"]), graph.etas)
+
+    @given(random_scenarios(), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_arrays_match_per_edge_reference(self, sc, coupled, seed):
+        """The (N, M) arrays filled in the one pass over the edges equal the
+        per-edge values they summarize, bit for bit."""
+        rng = np.random.default_rng(seed)
+        n = len(sc.clients)
+        residuals = list(zip(rng.uniform(0.0, 8e6, n).tolist(), rng.uniform(0.0, 2e9, n).tolist()))
+        graph = build_gain_graph(sc, 0.9, 0.7, residuals, SensingParams(), coupled)
+        m_count = num_models(sc)
+        assert graph.weights.shape == graph.etas.shape == (n, m_count)
+        assert graph.latency_table.shape == (n, m_count, 4)
+        for i, client in enumerate(sc.clients):
+            for m in graph.model_ids:
+                e = graph.edge(client.client_id, m)
+                e_idx, _ = model_edge_variant(sc, m)
+                assert graph.weights[i, m] == e.weight
+                assert graph.etas[i, m] == spectral_efficiency(client, sc.edges[e_idx], sc.channel)
+                assert graph.etas[i, m] == e.problem.eta
+                expected = latency_components(e.problem, int(e.problem.w_cap))
+                assert tuple(graph.latency_table[i, m].tolist()) == expected
+        assert graph.weight_matrix() is graph.weights

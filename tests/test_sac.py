@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isccsim.encoding import LayoutMismatch, encode_state, layout_length
+from conftest import random_scenarios
+from isccsim.encoding import LayoutMismatch, default_norms, encode_state, layout_length
 from isccsim.episode import RoundEnv
-from isccsim.gain import GainGraph, SensingParams
+from isccsim.gain import GainGraph, SensingParams, build_gain_graph, model_edge_variant
 from isccsim.mlp import Mlp, gradient_check, scalar_gradient_check
-from isccsim.network import ScenarioConfig, generate_scenario
+from isccsim.network import ScenarioConfig, generate_scenario, spectral_efficiency
 from isccsim.policies import RandomPolicy
 from isccsim.sac import (
     ReplayBuffer,
@@ -95,12 +98,11 @@ def test_permuting_models_permutes_feature_blocks():
     swapped = GainGraph(
         client_ids=list(graph.client_ids),
         model_ids=list(graph.model_ids),
-        vertex_features={
-            cid: np.concatenate([feat[:4], feat[4:][perm]])
-            for cid, feat in graph.vertex_features.items()
-        },
         edges=[dataclasses.replace(e, model_id=perm[e.model_id]) for e in graph.edges],
         sensed_counts=list(graph.sensed_counts),
+        weights=graph.weights[:, perm],
+        etas=graph.etas[:, perm],
+        latency_table=graph.latency_table[:, perm],
     )
     fracs = [(0.5, 0.5)] * len(obs.scenario.clients)
     base = encode_state(obs.scenario, fracs, graph, obs.state.norms)
@@ -111,6 +113,43 @@ def test_permuting_models_permutes_feature_blocks():
         assert np.array_equal(b0[:4], b1[:4])
         assert np.array_equal(b0[4:][perm], b1[4:])
         assert np.array_equal(base.weights_slice(i)[perm], moved.weights_slice(i))
+
+
+def reference_encoding(scenario, fracs, graph, norms):
+    """The state vector concatenated one client block at a time from
+    per-edge values (spectral efficiency, edge weight)."""
+    blocks = []
+    for i, client in enumerate(scenario.clients):
+        etas = [
+            spectral_efficiency(client, scenario.edges[model_edge_variant(scenario, m)[0]],
+                                scenario.channel)
+            for m in graph.model_ids
+        ]
+        blocks.append(np.concatenate([
+            list(fracs[i]),
+            np.array(client.position) / scenario.area_m,
+            np.array(etas) / norms.eta_norm,
+        ]))
+    weights = np.array([
+        [graph.edge(c.client_id, m).weight for m in graph.model_ids] for c in scenario.clients
+    ]).reshape(-1) / norms.gain_norm
+    return np.concatenate(blocks + [weights]).astype(np.float64)
+
+
+@given(random_scenarios(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_encoding_matches_per_client_reference(sc, seed):
+    rng = np.random.default_rng(seed)
+    n = len(sc.clients)
+    sensing = SensingParams()
+    residuals = [(float(b), 1e9) for b in rng.uniform(0.0, 8e6, n)]
+    graph = build_gain_graph(sc, 0.9, 0.7, residuals, sensing, coupled=True)
+    fracs = [(float(f), float(c)) for f, c in rng.random((n, 2))]
+    norms = default_norms(sc.channel, max(1, len(sc.targets)), sensing.samples_per_target)
+    state = encode_state(sc, fracs, graph, norms)
+    expected = reference_encoding(sc, fracs, graph, norms)
+    assert state.vector.dtype == expected.dtype
+    assert state.vector.tobytes() == expected.tobytes()
 
 
 # -- actor forward ------------------------------------------------------------

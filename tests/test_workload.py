@@ -1,4 +1,5 @@
-"""Workload solver tests: closed forms, bisection, oracle agreement."""
+"""Workload solver tests: closed forms, the coupled crossing against a
+bisection reference, oracle agreement."""
 
 import math
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
+from isccsim import workload
 from isccsim.network import SensingMode
 from isccsim.workload import (
     InvalidProblem,
@@ -16,6 +18,12 @@ from isccsim.workload import (
     latency_components,
     oracle_workload,
     solve_workload,
+)
+
+
+NON_NEGATIVE = (
+    "t_gen", "t_cons", "bandwidth_hz", "compute_cps", "s_dl", "s_ul",
+    "kappa", "w_cap", "tau_s", "sigma", "rho",
 )
 
 
@@ -70,11 +78,58 @@ class TestClosedForm:
         assert sol.w_star == 0
         assert sol.feasible
 
-    def test_invalid_fields(self):
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, -1.0) for name in NON_NEGATIVE] + [("eta", 0.0), ("eta", -1.0)],
+    )
+    def test_invalid_fields(self, name, value):
         with pytest.raises(InvalidProblem):
-            solve_workload(vs_problem(bandwidth_hz=-1.0))
+            vs_problem(**{name: value})
         with pytest.raises(InvalidProblem):
-            solve_workload(vs_problem(eta=0.0))
+            replace(vs_problem(), **{name: value})
+
+
+def bisection_comm_hz(p):
+    """Reference crossing: bisect b_sens on the sign of sensing cap minus
+    compute cap, to 1e-13*B, and return the communication bandwidth B - b_sens."""
+    b = p.bandwidth_hz
+    lo, hi = 0.0, b
+    for _ in range(128):
+        if hi - lo <= 1e-13 * b:
+            break
+        mid = 0.5 * (lo + hi)
+        if workload._sens_cap_ws(p, mid) >= workload._comp_cap(p, b - mid, p.compute_cps):
+            hi = mid
+        else:
+            lo = mid
+    return b - 0.5 * (lo + hi)
+
+
+def bisection_solutions(problems):
+    """The solver's results with the reference crossing in place of the closed form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_crossing_comm_hz", bisection_comm_hz)
+        return [solve_workload(p) for p in problems]
+
+
+# A root that rounds one ulp above B when there is no compute (c = 0).
+ROUNDS_ABOVE_B = dict(
+    compute_cps=0.0, rho=1.0177271252473479, t_gen=2.5490667977981927,
+    sigma=68645.40369432246, bandwidth_hz=3956775.013618525,
+)
+
+CROSSING_EDGE_CASES = {
+    "kappa=0": dict(kappa=0.0),
+    "kappa=0, w_cap binds": dict(kappa=0.0, w_cap=100.0),
+    "kappa=0, no bits": dict(kappa=0.0, s_dl=0.0, s_ul=0.0),
+    "no bits": dict(s_dl=0.0, s_ul=0.0),
+    "no bits, crossing at x=0": dict(s_dl=0.0, s_ul=0.0, compute_cps=1e9),
+    "no compute, crossing at x=B": dict(compute_cps=0.0),
+    "no compute, root above B": ROUNDS_ABOVE_B,
+    "compute-rich, aB - c t_cons << 0": dict(compute_cps=1e12, kappa=1.0),
+    "w_cap binds": dict(w_cap=50.0),
+    "infeasible": dict(s_dl=4e6, s_ul=4e6),
+}
 
 
 class TestCoupledBisection:
@@ -102,6 +157,26 @@ class TestCoupledBisection:
         # 8e6/(2e6*2) = 2 s >= 1.5 s window.
         assert sol.w_star == 0
         assert not sol.feasible
+
+    @pytest.mark.parametrize("overrides", CROSSING_EDGE_CASES.values(), ids=list(CROSSING_EDGE_CASES))
+    def test_closed_form_matches_bisection_edge_cases(self, overrides):
+        self.assert_matches_bisection([ws_problem(**overrides)])
+
+    def test_closed_form_matches_bisection_random(self):
+        rng = np.random.default_rng(11)
+        problems = [p for p in (random_problem(rng) for _ in range(20000)) if p.coupled]
+        assert len(problems) > 9000
+        self.assert_matches_bisection(problems)
+
+    def assert_matches_bisection(self, problems):
+        for p in problems:
+            x = workload._crossing_comm_hz(p)
+            assert abs(x - bisection_comm_hz(p)) <= 1e-13 * p.bandwidth_hz
+        for p, sol, ref in zip(problems, map(solve_workload, problems), bisection_solutions(problems)):
+            assert sol.w_star == ref.w_star
+            assert sol.feasible == ref.feasible
+            assert abs(sol.b_sens_hz - ref.b_sens_hz) <= 1e-13 * p.bandwidth_hz
+            assert 0.0 <= sol.b_sens_hz <= p.bandwidth_hz
 
     def test_uncoupled_ws_uses_full_band_for_sensing(self):
         p = ws_problem(coupled=False)
