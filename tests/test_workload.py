@@ -78,11 +78,17 @@ class TestClosedForm:
         assert sol.w_star == 0
         assert sol.feasible
 
+    def test_invalid_fields(self):
+        with pytest.raises(InvalidProblem):
+            solve_workload(vs_problem(bandwidth_hz=-1.0))
+        with pytest.raises(InvalidProblem):
+            solve_workload(vs_problem(eta=0.0))
+
     @pytest.mark.parametrize(
         "name, value",
         [(name, -1.0) for name in NON_NEGATIVE] + [("eta", 0.0), ("eta", -1.0)],
     )
-    def test_invalid_fields(self, name, value):
+    def test_invalid_field_rejected_at_construction(self, name, value):
         with pytest.raises(InvalidProblem):
             vs_problem(**{name: value})
         with pytest.raises(InvalidProblem):
