@@ -5,7 +5,8 @@ exhaustive-oracle report.
 Every command writes deterministic CSV/JSON artifacts: with a fixed config
 and seed list the bytes are identical across runs, except for the volatile
 fields isolated under the summary's "meta" key. Exit codes: 0 success,
-2 usage or configuration error, 3 failed experiment assertion.
+2 usage or configuration error, 3 failed experiment assertion, 4 training
+produced a non-finite loss (its diagnostics go to summary.json).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -35,7 +37,7 @@ from .network import (
 )
 from .policies import FixedSequencePolicy, InstanceTooLarge, exhaustive_optimal, make_policy
 from .pool import PoolConfig
-from .sac import evaluate, load_policy, train, CURVE_FIELDS
+from .sac import CURVE_FIELDS, NonFiniteLoss, evaluate, load_policy, train
 from .schedule import Mode, makespan, plan_pipeline
 from .workload import oracle_workload
 
@@ -488,6 +490,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.time()
     try:
         cfg = config_from_args(args)
         if args.command == "simulate":
@@ -510,6 +513,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
+    except NonFiniteLoss as err:
+        os.makedirs(cfg.out, exist_ok=True)
+        path = os.path.join(cfg.out, "summary.json")
+        # Strict JSON has no NaN or infinity: those values are written as text.
+        diagnostics = {k: v if math.isfinite(v) else str(v)
+                       for k, v in err.diagnostics.items()}
+        results = {"error": str(err), "diagnostics": diagnostics}
+        write_json(path, summary_payload(args.command, cfg, results, t0))
+        print(f"training failed: {err}; diagnostics dumped to {path}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

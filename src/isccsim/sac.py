@@ -1,9 +1,13 @@
 """Discrete soft actor-critic for multi-client model selection.
 
 Centralized training, decentralized execution: one parameter-shared actor maps
-each client's slice of the global state (plus the full state for context) to a
+each client's slice of the global state, plus the full state for context, to a
 distribution over models, while twin centralized critics score every
-(client, model) pair from the global state alone. Updates use the team reward,
+(client, model) pair from the global state alone. The actor's first layer is
+factorised in the style of Deep Sets: a per-client encoder shared by all
+clients reads the client's own block and model weights, and one global-context
+product of the full state per batch row is added to every client's encoding,
+so the state is never copied once per client. Updates use the team reward,
 soft value targets, and an adaptive temperature driven toward a fixed entropy
 floor. All math is float64 numpy; gradients are hand-derived and validated
 against finite differences."""
@@ -154,7 +158,10 @@ class SacAgent:
     # -- state plumbing ----------------------------------------------------
 
     def actor_inputs(self, states: np.ndarray) -> np.ndarray:
-        """(B, D) global states -> (B*N, block + M + D) per-client rows."""
+        """(B, D) global states -> (B*N, block + M + D) per-client rows.
+
+        The reference definition of the actor's input: `policy` and
+        `actor_loss` never build these rows (see `_first_layer`)."""
         states = np.atleast_2d(states)
         b = states.shape[0]
         n, m = self.num_clients, self.num_models
@@ -166,11 +173,36 @@ class SacAgent:
             rows.append(np.concatenate([own, weights, states], axis=1))
         return np.stack(rows, axis=1).reshape(b * n, -1)
 
+    def _own_rows(self, states: np.ndarray) -> np.ndarray:
+        """(B, D) states -> (B*N, block + M): each client's block, then its weights."""
+        b, n = states.shape[0], self.num_clients
+        split = n * self.block
+        own = np.concatenate([states[:, :split].reshape(b, n, self.block),
+                              states[:, split:].reshape(b, n, self.num_models)],
+                             axis=2)
+        return own.reshape(b * n, -1)
+
+    def _first_layer(self, states: np.ndarray, w: np.ndarray,
+                     bias: np.ndarray) -> np.ndarray:
+        """actor_inputs(states) @ w + bias from the (B, D) states: the shared
+        per-client encoder plus one context product per batch row."""
+        b, n, k = states.shape[0], self.num_clients, self.block + self.num_models
+        context = states @ w[k:] + bias
+        z = (self._own_rows(states) @ w[:k]).reshape(b, n, -1)
+        z += context[:, None, :]
+        return z.reshape(b * n, -1)
+
+    def _first_layer_grad(self, states: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """actor_inputs(states).T @ delta for (B*N, h) first-layer deltas."""
+        b = states.shape[0]
+        pooled = delta.reshape(b, self.num_clients, -1).sum(axis=1)
+        return np.vstack([self._own_rows(states).T @ delta, states.T @ pooled])
+
     def policy(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-client action distributions: (B, N, M) probs and log-probs."""
         states = np.atleast_2d(states)
         b = states.shape[0]
-        logits, _ = self.actor.forward(self.actor_inputs(states))
+        logits, _ = self.actor.forward(states, first_layer=self._first_layer)
         logp = log_softmax(logits).reshape(b, self.num_clients, self.num_models)
         return np.exp(logp), logp
 
@@ -223,8 +255,7 @@ class SacAgent:
         states = batch["states"]
         b = states.shape[0]
         n, m = self.num_clients, self.num_models
-        x = self.actor_inputs(states)
-        logits, cache = self.actor.forward(x)
+        logits, cache = self.actor.forward(states, first_layer=self._first_layer)
         logp = log_softmax(logits)
         probs = np.exp(logp)
         q1 = self.critic1.forward(states)[0].reshape(b, n, m)
@@ -235,7 +266,9 @@ class SacAgent:
         loss = float(per_row.mean())
         grad_logits = probs * (g - per_row[:, None]) / per_row.size
         entropy = float(-(probs * logp).sum(axis=1).mean())
-        return loss, self.actor.backward(cache, grad_logits), entropy
+        grads = self.actor.backward(cache, grad_logits,
+                                    first_layer_grad=self._first_layer_grad)
+        return loss, grads, entropy
 
     def temperature_loss(self, log_alpha: float, entropy: float):
         """Pushes alpha up when entropy dips below the target, down otherwise."""
@@ -357,7 +390,7 @@ class TrainResult:
 
 
 CURVE_FIELDS = ("episode", "steps", "cumulative_gain", "actor_loss",
-                "critic_loss", "alpha")
+                "critic_loss", "alpha", "entropy")
 
 
 def train(env: RoundEnv, config: SacConfig) -> TrainResult:
@@ -374,7 +407,9 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
     buffer = ReplayBuffer(config.replay_capacity, state_dim, num_clients)
 
     result = TrainResult(policy=SacPolicy(agent), agent=agent)
-    losses = {"actor_loss": 0.0, "critic_loss": 0.0, "alpha": agent.alpha}
+    # Before the first update the actor is the untouched uniform policy.
+    losses = {"actor_loss": 0.0, "critic_loss": 0.0, "alpha": agent.alpha,
+              "entropy": float(np.log(num_models))}
     episode = 0
     steps = 0
     while steps < config.total_steps:
@@ -404,6 +439,7 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
             "actor_loss": losses.get("actor_loss", 0.0),
             "critic_loss": losses.get("critic_loss", 0.0),
             "alpha": losses.get("alpha", agent.alpha),
+            "entropy": losses["entropy"],
         })
         episode += 1
         due = episode % config.eval_interval_episodes == 0

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from isccsim.cli import main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
+from isccsim.sac import SacAgent
 
 TINY_SCENARIO = {
     "area_m": 200.0,
@@ -245,7 +247,7 @@ def test_train_then_eval_matches_final_evaluation(tmp_path):
     out = tmp_path / "out"
     assert (out / "params.bin").exists()
     curve = (out / "curve.csv").read_text().splitlines()
-    assert curve[0] == "episode,steps,cumulative_gain,actor_loss,critic_loss,alpha"
+    assert curve[0] == "episode,steps,cumulative_gain,actor_loss,critic_loss,alpha,entropy"
     assert len(curve) > 1
     train_summary = read_summary(out)
 
@@ -262,6 +264,26 @@ def test_train_then_eval_matches_final_evaluation(tmp_path):
     assert master_row["cumulative_gain"] == pytest.approx(
         train_summary["results"]["final_eval_gain"], abs=1e-12
     )
+
+
+def test_non_finite_training_exits_four_with_diagnostics(tmp_path, monkeypatch, capsys):
+    def nan_targets(self, batch):
+        return np.full((batch["rewards"].size, self.num_clients), np.nan)
+
+    monkeypatch.setattr(SacAgent, "critic_targets", nan_targets)
+    assert main(["train", "--config", train_config(tmp_path)]) == 4
+    assert "diagnostics dumped to" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not (out / "params.bin").exists()
+    summary = read_summary(out)
+    assert summary["command"] == "train"
+    diag = summary["results"]["diagnostics"]
+    assert diag["critic_loss"] == "nan"
+    assert diag["max_abs_target"] == "nan"
+    assert set(diag) == {"critic_loss", "actor_loss", "alpha_loss", "alpha",
+                         "entropy", "max_abs_target", "max_abs_actor_param"}
+    # Strict JSON: no NaN or Infinity tokens anywhere in the file.
+    json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
 
 
 def test_eval_missing_params_exits_two(tmp_path, capsys):

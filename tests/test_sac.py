@@ -1,10 +1,11 @@
 """State encoding, hand-rolled backprop, and the soft actor-critic learner."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scenarios
@@ -20,6 +21,7 @@ from isccsim.sac import (
     SacConfig,
     SacPolicy,
     load_policy,
+    log_softmax,
     train,
 )
 from isccsim.pool import PoolConfig
@@ -343,6 +345,75 @@ def test_actor_gradients_match_finite_differences():
     assert err <= 1e-4
 
 
+def random_agent(n, m, hidden, seed):
+    """An agent for N clients and M models with random actor and critics."""
+    state_dim = n * (4 + m) + n * m
+    agent = SacAgent(state_dim, n, m, SacConfig(hidden=hidden),
+                     np.random.default_rng(seed))
+    randomize(agent, np.random.default_rng(seed + 1))
+    return agent
+
+
+def reference_actor_loss(agent, batch):
+    """`actor_loss` with the first layer on the materialised `actor_inputs`
+    rows, i.e. `actor.forward(actor_inputs(states))` and `actor.backward`."""
+    ref = copy.copy(agent)
+    ref._first_layer = lambda states, w, b: agent.actor_inputs(states) @ w + b
+    ref._first_layer_grad = lambda states, delta: agent.actor_inputs(states).T @ delta
+    return ref.actor_loss(batch)
+
+
+def assert_close(got, expected, rtol=1e-12):
+    """Elementwise agreement relative to the largest reference magnitude."""
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    assert got.shape == expected.shape
+    assert float(np.abs(got - expected).max(initial=0.0)) <= rtol * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 4), b=st.integers(1, 9),
+       hidden=st.integers(1, 12), seed=st.integers(0, 2**31))
+@example(n=5, m=3, b=1, hidden=7, seed=0)  # the single row `act` passes
+def test_factorised_actor_matches_materialised_rows(n, m, b, hidden, seed):
+    agent = random_agent(n, m, hidden, seed)
+    batch = probe_batch(agent, np.random.default_rng(seed + 2), size=b)
+    states = batch["states"]
+
+    logits, _ = agent.actor.forward(agent.actor_inputs(states))
+    factorised, _ = agent.actor.forward(states, first_layer=agent._first_layer)
+    assert_close(factorised, logits)
+    probs, logp = agent.policy(states)
+    expected_logp = log_softmax(logits).reshape(b, n, m)
+    assert_close(logp, expected_logp)
+    assert_close(probs, np.exp(expected_logp))
+
+    loss, (grads_w, grads_b), entropy = agent.actor_loss(batch)
+    ref_loss, (ref_w, ref_b), ref_entropy = reference_actor_loss(agent, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    assert entropy == pytest.approx(ref_entropy, rel=1e-12, abs=1e-12)
+    for got, expected in zip(grads_w + grads_b, ref_w + ref_b):
+        assert_close(got, expected)
+
+
+def test_factorised_actor_reads_weights_replaced_by_set_flat(tmp_path):
+    env = tiny_env()
+    agent, _ = fresh_agent(env)
+    assert agent.num_models > 1
+    states = np.random.default_rng(40).random((4, agent.state_dim))
+    uniform, _ = agent.policy(states)
+
+    agent.actor.set_flat(np.random.default_rng(41).normal(0.0, 0.5, agent.actor.num_params))
+    probs, _ = agent.policy(states)
+    logits, _ = agent.actor.forward(agent.actor_inputs(states))
+    assert not np.allclose(probs, uniform)
+    assert_close(probs, np.exp(log_softmax(logits)).reshape(probs.shape))
+
+    path = tmp_path / "policy.bin"
+    agent.save(str(path))
+    twin = SacAgent.load(str(path))
+    assert np.array_equal(twin.policy(states)[0], probs)
+
+
 def test_critic_gradients_match_finite_differences():
     env = tiny_env()
     agent, _ = fresh_agent(env)
@@ -430,7 +501,7 @@ def test_curve_rows_have_contract_fields():
     assert result.steps == 10
     for row in result.curve:
         assert set(row) == {"episode", "steps", "cumulative_gain",
-                            "actor_loss", "critic_loss", "alpha"}
+                            "actor_loss", "critic_loss", "alpha", "entropy"}
         assert all(np.isfinite(v) for v in row.values())
 
 
