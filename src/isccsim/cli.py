@@ -64,6 +64,11 @@ def write_csv(path: str, header: tuple[str, ...], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def write_curve(out: str, curve: list[dict]) -> None:
+    rows = [tuple(row[k] for k in CURVE_FIELDS) for row in curve]
+    write_csv(os.path.join(out, "curve.csv"), CURVE_FIELDS, rows)
+
+
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -344,11 +349,7 @@ def cmd_train(cfg: RunConfig) -> int:
     params_path = os.path.join(cfg.out, "params.bin")
     result.agent.save(params_path, norms=env.norms,
                       extra={"run_config": cfg.to_dict()})
-    write_csv(
-        os.path.join(cfg.out, "curve.csv"),
-        CURVE_FIELDS,
-        [tuple(row[k] for k in CURVE_FIELDS) for row in result.curve],
-    )
+    write_curve(cfg.out, result.curve)
     results = {
         "steps": result.steps,
         "episodes": len(result.curve),
@@ -521,6 +522,7 @@ def main(argv: list[str] | None = None) -> int:
                        for k, v in err.diagnostics.items()}
         results = {"error": str(err), "diagnostics": diagnostics}
         write_json(path, summary_payload(args.command, cfg, results, t0))
+        write_curve(cfg.out, err.curve)
         print(f"training failed: {err}; diagnostics dumped to {path}", file=sys.stderr)
         return 4
 

@@ -1,9 +1,11 @@
 """Round-by-round episode mechanics.
 
 Each client owns one per-frame resource pool, a row of the episode's
-``PoolBank``. Under the overlapped mode a frame holds the current round's
-sensing claims next to the previous round's download/compute/upload claims;
-the solver's coupled flag models the resulting bandwidth contention.
+``PoolBank``. The episode walks the frames of its ``RoundSchedule``, which
+alone places each round's phases on frames. Under the overlapped mode a
+frame holds the current round's sensing claims next to the previous
+round's download/compute/upload claims; the solver's coupled flag models
+the resulting bandwidth contention.
 Consumption claims are planned at decision time against an empty frame and
 emitted into the following frame, which is empty when they arrive, so they
 always fit; a consumption claim that does not is an internal error.
@@ -11,14 +13,13 @@ always fit; a consumption claim that does not is an internal error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import StateEncoding, default_norms, encode_state
-from .gain import GainGraph, SensingParams, build_gain_graph, num_models
-from .network import Scenario, clone_scenario, step_mobility
+from .gain import GainGraph, SensingParams, build_gain_graph
+from .network import Scenario, SensingMode, clone_scenario, step_mobility
 from .pool import (
     CapacityExceeded,
     Claim,
@@ -31,7 +32,6 @@ from .pool import (
 )
 from .schedule import Mode, RoundSchedule, ScheduleError, Violation, slots_needed, validate_cstc
 from .workload import WorkloadProblem, WorkloadSolution
-from .network import SensingMode
 
 
 class InvariantBroken(RuntimeError):
@@ -43,16 +43,9 @@ class Observation:
     """Everything a policy may look at when deciding round r."""
 
     round_index: int
-    num_rounds: int
     scenario: Scenario
     graph: GainGraph
-    residuals: list[tuple[float, float]]           # (B Hz, F cycles/s) per client
-    residual_fractions: list[tuple[float, float]]  # used for state encoding
-    sensed_counts: list[int]
-    latency_table: np.ndarray  # (N, M, 4): t_sens, t_dl, t_cp, t_ul at W=W_cap
     state: StateEncoding
-    t_gen: float
-    sensing: SensingParams
 
 
 @dataclass
@@ -208,11 +201,10 @@ class RoundEnv:
         self.bank = PoolBank(self.pool_cfg, len(self.scenario.clients))
         self.pending: list[list[Claim]] = [[] for _ in self.scenario.clients]
         self.round_index = 1
+        self.frame = 1
         self.trace = EpisodeTrace(
             self.schedule.mode, self.schedule.num_rounds, self.schedule.cr_length
         )
-        if self.schedule.mode is Mode.ZEROS:
-            self._emit_pending()  # no-op on round 1, keeps the frame cadence uniform
         return self._observe()
 
     def step(self, assignment: list[int]) -> tuple[Observation | None, float, bool]:
@@ -228,7 +220,7 @@ class RoundEnv:
         r = self.round_index
         gains, workloads, feasible, claims = [], [], [], []
         for i, client in enumerate(self.scenario.clients):
-            edge = obs.graph.edge(client.client_id, assignment[i])
+            edge = obs.graph.edge(i, assignment[i])
             pool = self.bank.pools[i]
             try:
                 gen, cons = claims_for_solution(
@@ -251,25 +243,20 @@ class RoundEnv:
         )
         reward = float(sum(gains))
 
-        if self.schedule.mode is Mode.ZEROS:
-            self._close_frame(frame=r, rounds_to_release=(r - 1, r))
-            done = r == self.schedule.num_rounds
-            self.round_index += 1
-            if done:
-                self._flush_final_frame()
-                return None, reward, True
+        # Close each frame and open the next with the pending consumption
+        # claims, until the next round's generation frame opens or, after
+        # the last round, the schedule's last frame has closed.
+        sched = self.schedule
+        done = r == sched.num_rounds
+        opens = sched.total_frames + 1 if done else sched.for_round(r + 1).gen_frame
+        while self.frame < opens:
+            self._close_frame()
+            self.frame += 1
             self._emit_pending()
-        else:
-            # Serial: the generation frame closes, then a dedicated
-            # consumption frame runs before the next decision.
-            self._close_frame(frame=2 * r - 1, rounds_to_release=(r,))
-            self._emit_pending()
-            self._close_frame(frame=2 * r, rounds_to_release=(r,))
-            done = r == self.schedule.num_rounds
-            self.round_index += 1
-            if done:
-                self.trace.violations = validate_cstc(self.schedule, self.trace.all_claims())
-                return None, reward, True
+        self.round_index += 1
+        if done:
+            self.trace.violations = validate_cstc(sched, self.trace.all_claims())
+            return None, reward, True
         return self._observe(), reward, False
 
     # -- internals -------------------------------------------------------
@@ -288,55 +275,36 @@ class RoundEnv:
                     ) from err
             queued.clear()
 
-    def _close_frame(self, frame: int, rounds_to_release: tuple[int, ...]) -> None:
+    def _close_frame(self) -> None:
         f_frac, c_frac = self.bank.residual_fraction()
         self.trace.utilization.append(
             {
-                "frame": frame,
+                "frame": self.frame,
                 "freq_used": float(np.mean(1.0 - f_frac)),
                 "comp_used": float(np.mean(1.0 - c_frac)),
             }
         )
+        rounds = self.schedule.rounds_in_frame(self.frame)
         for pool in self.bank.pools:
-            for rnd in rounds_to_release:
+            for rnd in rounds:
                 pool.release_round(rnd)
         step_mobility(self.scenario, self.schedule.cr_length * self.pool_cfg.slot_duration)
-
-    def _flush_final_frame(self) -> None:
-        self._emit_pending()
-        self._close_frame(
-            frame=self.schedule.num_rounds + 1,
-            rounds_to_release=(self.schedule.num_rounds,),
-        )
-        self.trace.violations = validate_cstc(self.schedule, self.trace.all_claims())
 
     def _observe(self) -> Observation:
         sc = self.scenario
         length = self.schedule.cr_length
         dt = self.pool_cfg.slot_duration
-        t_gen = length * dt
-        t_cons = consumption_window(length, dt)
         coupled = self.schedule.mode is Mode.ZEROS
 
         compute_cps = self.bank.empty.compute_cps
         residuals = [(b_hz, compute_cps) for b_hz in self.bank.rect_bandwidth_hz().tolist()]
         f_frac, c_frac = self.bank.residual_fraction()
         fracs = list(zip(f_frac.tolist(), c_frac.tolist()))
-        graph = build_gain_graph(sc, t_gen, t_cons, residuals, self.sensing, coupled)
-        state = encode_state(sc, fracs, graph, self.norms)
-        self._current_obs = Observation(
-            round_index=self.round_index,
-            num_rounds=self.schedule.num_rounds,
-            scenario=sc,
-            graph=graph,
-            residuals=residuals,
-            residual_fractions=fracs,
-            sensed_counts=graph.sensed_counts,
-            latency_table=graph.latency_table,
-            state=state,
-            t_gen=t_gen,
-            sensing=self.sensing,
+        graph = build_gain_graph(
+            sc, length * dt, consumption_window(length, dt), residuals, self.sensing, coupled
         )
+        state = encode_state(sc, fracs, graph, self.norms)
+        self._current_obs = Observation(self.round_index, sc, graph, state)
         return self._current_obs
 
 

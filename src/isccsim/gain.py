@@ -9,7 +9,7 @@ through a round (the achievable workload).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,17 +91,10 @@ class GainGraph:
     weights: np.ndarray        # (N, M) edge weights
     etas: np.ndarray           # (N, M) spectral efficiency to each model's edge
     latency_table: np.ndarray  # (N, M, 4): t_sens, t_dl, t_cp, t_ul at W = w_cap
-    _index: dict[tuple[int, int], GainEdge] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self._index:
-            self._index = {(e.client_id, e.model_id): e for e in self.edges}
-
-    def edge(self, client_id: int, model_id: int) -> GainEdge:
-        return self._index[(client_id, model_id)]
-
-    def weight_matrix(self) -> np.ndarray:
-        return self.weights
+    def edge(self, row: int, model_id: int) -> GainEdge:
+        """The edge of client row `row` (not client id) to model `model_id`."""
+        return self.edges[row * len(self.model_ids) + model_id]
 
 
 def num_models(scenario: Scenario) -> int:

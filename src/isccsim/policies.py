@@ -10,9 +10,13 @@ import numpy as np
 
 from .episode import Observation, run_episode
 from .gain import SensingParams
-from .network import Scenario, SensingMode
+from .network import Scenario
 from .pool import PoolConfig
 from .schedule import RoundSchedule
+
+
+# The most decision sequences exhaustive_optimal will simulate.
+EXHAUSTIVE_LIMIT = 10**6
 
 
 class InstanceTooLarge(ValueError):
@@ -34,8 +38,7 @@ class GreedyGainPolicy(Policy):
     name = "greedy"
 
     def decide(self, obs: Observation) -> list[int]:
-        weights = obs.graph.weight_matrix()
-        return [int(np.argmax(row)) for row in weights]
+        return [int(np.argmax(row)) for row in obs.graph.weights]
 
 
 class _LatencyPolicy(Policy):
@@ -45,7 +48,7 @@ class _LatencyPolicy(Policy):
 
     def decide(self, obs: Observation) -> list[int]:
         # latency_table[:, :, k] order: t_sens, t_dl, t_cp, t_ul.
-        score = obs.latency_table[:, :, list(self.components)].sum(axis=2)
+        score = obs.graph.latency_table[:, :, list(self.components)].sum(axis=2)
         return [int(np.argmin(row)) for row in score]
 
 
@@ -73,30 +76,16 @@ class MlSccPolicy(_LatencyPolicy):
 class MpTscPolicy(Policy):
     """Maximum product of sensed-target count and sensing capacity.
 
-    Both factors are model-independent here, so the score ties across
-    models and the tie rule picks the lowest index: sensing-aware but
-    matching-blind.
+    A client's sensed-target count and its sensing capacity (t_gen / tau_s
+    samples for vision, B * rho * t_gen / sigma for wireless) do not depend
+    on the model, so the product ties across all models and its argmax is
+    always model 0: sensing-aware but matching-blind.
     """
 
     name = "mp-tsc"
 
     def decide(self, obs: Observation) -> list[int]:
-        choices = []
-        num_m = len(obs.graph.model_ids)
-        for i, client in enumerate(obs.scenario.clients):
-            if client.sensing_mode is SensingMode.VS:
-                capacity = (
-                    np.inf if obs.sensing.tau_s == 0.0 else obs.t_gen / obs.sensing.tau_s
-                )
-            else:
-                b_hz = obs.residuals[i][0]
-                capacity = (
-                    np.inf if obs.sensing.sigma == 0.0
-                    else b_hz * obs.sensing.rho * obs.t_gen / obs.sensing.sigma
-                )
-            score = np.full(num_m, obs.sensed_counts[i] * capacity)
-            choices.append(int(np.argmax(score)))
-        return choices
+        return [0] * len(obs.scenario.clients)
 
 
 class RandomPolicy(Policy):
@@ -139,7 +128,6 @@ def exhaustive_optimal(
     pool_cfg: PoolConfig,
     sensing: SensingParams,
     num_models: int,
-    limit: int = 10**6,
 ) -> OracleResult:
     """Enumerate every decision sequence and simulate each one.
 
@@ -149,7 +137,7 @@ def exhaustive_optimal(
     n = len(scenario.clients)
     r = schedule.num_rounds
     count = num_models ** (n * r)
-    if count > limit:
+    if count > EXHAUSTIVE_LIMIT:
         raise InstanceTooLarge(f"{num_models}^({n}*{r}) = {count} sequences")
 
     best_gain = -1.0

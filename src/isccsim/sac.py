@@ -33,11 +33,13 @@ PARAMS_MAGIC = b"ISCCSAC1"
 
 
 class NonFiniteLoss(RuntimeError):
-    """Raised when an update produces NaN or infinity; carries diagnostics."""
+    """Raised when an update produces NaN or infinity; carries diagnostics
+    and, out of `train`, the curve rows of the episodes finished before it."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
         self.diagnostics = diagnostics
+        self.curve: list[dict] = []
 
 
 @dataclass(frozen=True)
@@ -431,7 +433,11 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
             episode_gain += reward
             if steps >= config.warmup_steps and buffer.size >= config.batch_size:
                 for _ in range(config.updates_per_step):
-                    losses = agent.update(buffer.sample(rng_sample, config.batch_size))
+                    try:
+                        losses = agent.update(buffer.sample(rng_sample, config.batch_size))
+                    except NonFiniteLoss as err:
+                        err.curve = result.curve
+                        raise
         result.curve.append({
             "episode": episode,
             "steps": steps,

@@ -48,6 +48,10 @@ class RoundSchedule:
     def for_round(self, round_index: int) -> RoundWindows:
         return self.windows[round_index - 1]
 
+    def rounds_in_frame(self, frame: int) -> list[int]:
+        """The rounds with a phase in `frame`, ascending."""
+        return [w.round_index for w in self.windows if frame in (w.gen_frame, w.cons_frame)]
+
     def frame_of(self, claim: Claim) -> int:
         """The frame a claim belongs to, implied by its round and process."""
         w = self.for_round(claim.round_index)

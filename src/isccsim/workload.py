@@ -257,9 +257,10 @@ def latency_components(
     t_ul = _comm_time(p.s_ul, p.bandwidth_hz, p.eta)
     if w == 0:
         return (0.0, t_dl, 0.0, t_ul)
-    t_cp = w * p.kappa / p.compute_cps if p.kappa > 0.0 else 0.0
-    if p.compute_cps == 0.0 and p.kappa > 0.0:
-        t_cp = math.inf
+    if p.kappa == 0.0:
+        t_cp = 0.0
+    else:
+        t_cp = math.inf if p.compute_cps == 0.0 else w * p.kappa / p.compute_cps
     if p.mode is SensingMode.VS:
         t_sens = w * p.tau_s
     elif p.sigma == 0.0:

@@ -7,7 +7,7 @@ import pytest
 
 from isccsim.cli import main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
-from isccsim.sac import SacAgent
+from isccsim.sac import CURVE_FIELDS, SacAgent
 
 TINY_SCENARIO = {
     "area_m": 200.0,
@@ -275,6 +275,10 @@ def test_non_finite_training_exits_four_with_diagnostics(tmp_path, monkeypatch, 
     assert "diagnostics dumped to" in capsys.readouterr().err
     out = tmp_path / "out"
     assert not (out / "params.bin").exists()
+    # The episodes finished before the failing update keep their curve rows.
+    curve = (out / "curve.csv").read_text().splitlines()
+    assert curve[0] == ",".join(CURVE_FIELDS)
+    assert len(curve) > 1
     summary = read_summary(out)
     assert summary["command"] == "train"
     diag = summary["results"]["diagnostics"]

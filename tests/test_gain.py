@@ -140,14 +140,14 @@ class TestGainGraph:
         sc = small_scenario()
         graph = self.build(sc)
         assert len(graph.edges) == 3 * 4
-        assert graph.weight_matrix().shape == (3, 4)
+        assert graph.weights.shape == (3, 4)
         pairs = {(e.client_id, e.model_id) for e in graph.edges}
         assert len(pairs) == 12
 
     def test_zero_targets_zero_weights(self):
         sc = small_scenario(num_targets=0)
         graph = self.build(sc)
-        assert np.all(graph.weight_matrix() == 0.0)
+        assert np.all(graph.weights == 0.0)
 
     def test_weight_zero_iff_zero_workload(self):
         sc = small_scenario()
@@ -158,7 +158,6 @@ class TestGainGraph:
 
     def test_matching_mixture_wins(self):
         sc = small_scenario(num_clients=1, num_edges=1, num_targets=30)
-        client = sc.clients[0]
         # Two co-located edges: one whose mixture equals the client's local
         # distribution, one skewed elsewhere.
         p_local = tuple(local_distribution(sensed_class_counts(sc)[0], 1e-3))
@@ -170,15 +169,15 @@ class TestGainGraph:
             sc.targets, sc.num_classes, sc.channel,
         )
         graph = self.build(sc)
-        w = graph.weight_matrix()[0]
-        if graph.edge(client.client_id, 0).workload > 0:
+        w = graph.weights[0]
+        if graph.edge(0, 0).workload > 0:
             assert w[0] > w[1]
 
     def test_pure_function(self):
         sc = small_scenario()
         g1 = self.build(sc)
         g2 = self.build(sc)
-        assert np.array_equal(g1.weight_matrix(), g2.weight_matrix())
+        assert np.array_equal(g1.weights, g2.weights)
         for e1, e2 in zip(g1.edges, g2.edges):
             assert e1 == e2
 
@@ -211,7 +210,7 @@ class TestGainGraph:
             p = local_distribution(counts.astype(float), sensing.epsilon)
             assert graph.sensed_counts[i] == len(sensed)
             for m in graph.model_ids:
-                e = graph.edge(client.client_id, m)
+                e = graph.edge(i, m)
                 e_idx, variant = model_edge_variant(sc, m)
                 q = np.array(sc.edges[e_idx].model_mixtures[variant])
                 assert e.similarity == similarity(p, q)
@@ -242,11 +241,10 @@ class TestGainGraph:
         assert graph.latency_table.shape == (n, m_count, 4)
         for i, client in enumerate(sc.clients):
             for m in graph.model_ids:
-                e = graph.edge(client.client_id, m)
+                e = graph.edge(i, m)
                 e_idx, _ = model_edge_variant(sc, m)
                 assert graph.weights[i, m] == e.weight
                 assert graph.etas[i, m] == spectral_efficiency(client, sc.edges[e_idx], sc.channel)
                 assert graph.etas[i, m] == e.problem.eta
                 expected = latency_components(e.problem, int(e.problem.w_cap))
                 assert tuple(graph.latency_table[i, m].tolist()) == expected
-        assert graph.weight_matrix() is graph.weights

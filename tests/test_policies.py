@@ -30,10 +30,8 @@ def stub_obs(weights=None, table=None):
     weights = None if weights is None else np.asarray(weights, dtype=float)
     table = None if table is None else np.asarray(table, dtype=float)
     m = weights.shape[1] if weights is not None else table.shape[1]
-    graph = SimpleNamespace(
-        weight_matrix=lambda: weights, model_ids=list(range(m))
-    )
-    return SimpleNamespace(graph=graph, latency_table=table, round_index=1)
+    graph = SimpleNamespace(weights=weights, latency_table=table, model_ids=list(range(m)))
+    return SimpleNamespace(graph=graph, round_index=1)
 
 
 def tiny_setup(seed, num_clients=3, num_rounds=2):
@@ -209,9 +207,7 @@ def test_exhaustive_rejects_oversized_instances():
         seed=0, num_clients=4, num_rounds=4
     )
     with pytest.raises(InstanceTooLarge):
-        exhaustive_optimal(
-            scenario, schedule, pool_cfg, sensing, num_models=4, limit=10**6
-        )
+        exhaustive_optimal(scenario, schedule, pool_cfg, sensing, num_models=4)
 
 
 # -- registry ----------------------------------------------------------------

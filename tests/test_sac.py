@@ -133,7 +133,7 @@ def reference_encoding(scenario, fracs, graph, norms):
             np.array(etas) / norms.eta_norm,
         ]))
     weights = np.array([
-        [graph.edge(c.client_id, m).weight for m in graph.model_ids] for c in scenario.clients
+        [graph.edge(i, m).weight for m in graph.model_ids] for i in range(len(scenario.clients))
     ]).reshape(-1) / norms.gain_norm
     return np.concatenate(blocks + [weights]).astype(np.float64)
 

@@ -284,3 +284,8 @@ class TestLatencyComponents:
     def test_rejects_negative(self):
         with pytest.raises(InvalidProblem):
             latency_components(vs_problem(), -1)
+
+    def test_zero_compute_is_infinite(self):
+        t_sens, _, t_cp, _ = latency_components(vs_problem(compute_cps=0.0), 5)
+        assert t_cp == math.inf
+        assert t_sens == pytest.approx(0.5)

@@ -365,11 +365,22 @@ class TestEpisode:
         assert report["max_cell_utilization"] == 1.0
 
     def test_utilization_recorded_per_frame(self):
-        trace = self.run(Mode.ZEROS, rounds=3)
-        assert len(trace.utilization) == 4  # R+1 frames
-        trace = self.run(Mode.SERIAL, rounds=3)
-        assert len(trace.utilization) == 6  # 2R frames
-
+        """Every frame of the schedule closes once, in order, and each close
+        advances mobility by one frame."""
+        pool_cfg = PoolConfig()
+        for mode in (Mode.ZEROS, Mode.SERIAL):
+            for rounds in range(1, 6):
+                sc = tiny_scenario(1)
+                schedule = plan_pipeline(rounds, 9, mode)
+                env = RoundEnv(lambda _: sc, schedule, pool_cfg, SensingParams())
+                obs, done = env.reset(), False
+                while not done:
+                    obs, _, done = env.step(GreedyGainPolicy().decide(obs))
+                frames = [row["frame"] for row in env.trace.utilization]
+                assert frames == list(range(1, schedule.total_frames + 1))
+                assert len(frames) == (rounds + 1 if mode is Mode.ZEROS else 2 * rounds)
+                frame_s = schedule.cr_length * pool_cfg.slot_duration
+                assert env.scenario.time_s == pytest.approx(schedule.total_frames * frame_s)
     def test_random_policy_episode_valid(self):
         trace = self.run(Mode.ZEROS, policy=RandomPolicy(3), rounds=4)
         assert trace.violations == []
@@ -384,7 +395,7 @@ class TestEpisode:
         obs, done, seen = env.reset(), False, []
         while not done:
             expected = [len(sense_targets(c, obs.scenario.targets)) for c in obs.scenario.clients]
-            assert obs.sensed_counts == expected
+            assert obs.graph.sensed_counts == expected
             seen.append(expected)
             obs, _, done = env.step([0] * len(sc.clients))
         assert len(seen) == 5 and any(a != b for a, b in zip(seen, seen[1:]))
