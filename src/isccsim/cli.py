@@ -6,7 +6,8 @@ Every command writes deterministic CSV/JSON artifacts: with a fixed config
 and seed list the bytes are identical across runs, except for the volatile
 fields isolated under the summary's "meta" key. Exit codes: 0 success,
 2 usage or configuration error, 3 failed experiment assertion, 4 training
-produced a non-finite loss (its diagnostics go to summary.json).
+produced a non-finite loss (its diagnostics go to summary.json), 5 a fault
+of the program itself (the error goes to summary.json).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import json
 import logging
 import math
 import os
+import struct
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -115,23 +118,45 @@ def _run_policy_episode(name: str, cfg: RunConfig, seed: int, schedule,
                         pool_cfg, sensing):
     scenario = generate_scenario(cfg.scenario_config(), seed)
     if name == "exhaustive":
-        result = exhaustive_optimal(
-            scenario, schedule, pool_cfg, sensing, num_models(scenario)
-        )
+        result = _exhaustive(scenario, schedule, pool_cfg, sensing)
         policy = FixedSequencePolicy([list(r) for r in result.decisions])
     elif name == "sac":
-        policy = _load_sac(cfg)
+        policy = _load_sac(cfg, scenario)
     else:
-        policy = make_policy(name, seed=seed)
+        policy = _make_policy(name, seed)
     return run_episode(scenario, policy, schedule, pool_cfg, sensing)
 
 
-def _load_sac(cfg: RunConfig):
+def _exhaustive(scenario, schedule, pool_cfg, sensing):
+    try:
+        return exhaustive_optimal(scenario, schedule, pool_cfg, sensing, num_models(scenario))
+    except InstanceTooLarge as err:
+        raise ConfigError("scenario", str(err)) from err
+
+
+def _make_policy(name: str, seed: int):
+    try:
+        return make_policy(name, seed=seed)
+    except ValueError as err:
+        raise ConfigError("policy", str(err)) from err
+
+
+def _load_sac(cfg: RunConfig, scenario: Scenario):
     if not cfg.params:
         raise ConfigError("params", "the sac policy needs --params FILE")
     if not os.path.exists(cfg.params):
         raise ConfigError("params", f"file not found: {cfg.params}")
-    return load_policy(cfg.params)
+    try:
+        policy = load_policy(cfg.params)
+    except (ValueError, KeyError, struct.error) as err:
+        raise ConfigError("params", f"{cfg.params}: {err}") from err
+    trained = (policy.agent.num_clients, policy.agent.num_models)
+    if trained != (len(scenario.clients), num_models(scenario)):
+        raise ConfigError(
+            "params", f"{cfg.params} was trained for (clients, models) = {trained}, "
+            f"the scenario has {(len(scenario.clients), num_models(scenario))}"
+        )
+    return policy
 
 
 def _trace_rows(seed: int, trace):
@@ -164,6 +189,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "cumulative_gain": trace.cumulative_gain,
             "violations": len(trace.violations),
             "audit_ok": audit["ok"],
+            "infeasible_edges": trace.infeasible_edges,
         })
         utilization.append({"seed": seed, "frames": list(trace.utilization)})
     gains = np.array([p["cumulative_gain"] for p in per_seed])
@@ -366,11 +392,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     t0 = time.time()
-    policy = _load_sac(cfg)
     schedule = _schedule_for(cfg)
     pool_cfg = cfg.pool_config()
     sensing = cfg.sensing_params()
     scen_cfg = cfg.scenario_config()
+    policy = _load_sac(cfg, generate_scenario(scen_cfg, cfg.seeds[0]))
     rows, per_seed = [], []
     for seed in cfg.seeds:
         scenario = generate_scenario(scen_cfg, seed)
@@ -396,15 +422,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
     pool_cfg = cfg.pool_config()
     sensing = cfg.sensing_params()
     scenario = generate_scenario(cfg.scenario_config(), cfg.seeds[0])
-    try:
-        best = exhaustive_optimal(
-            scenario, schedule, pool_cfg, sensing, num_models(scenario)
-        )
-    except InstanceTooLarge as err:
-        raise ConfigError("scenario", str(err))
+    best = _exhaustive(scenario, schedule, pool_cfg, sensing)
     rows = [("exhaustive", best.gain, 1.0)]
     for name in ORACLE_POLICY_ORDER:
-        policy = make_policy(name, seed=cfg.seeds[0])
+        policy = _make_policy(name, cfg.seeds[0])
         trace = run_episode(scenario, policy, schedule, pool_cfg, sensing)
         ratio = trace.cumulative_gain / best.gain if best.gain > 0 else 1.0
         rows.append((name, trace.cumulative_gain, ratio))
@@ -494,6 +515,11 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     try:
         cfg = config_from_args(args)
+    except (TypeError, ValueError) as err:
+        # Only the given flags and config file can fail here.
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    try:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "compare":
@@ -511,9 +537,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
     except NonFiniteLoss as err:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, "summary.json")
@@ -525,6 +548,19 @@ def main(argv: list[str] | None = None) -> int:
         write_curve(cfg.out, err.curve)
         print(f"training failed: {err}; diagnostics dumped to {path}", file=sys.stderr)
         return 4
+    except Exception as err:
+        # Input errors were all raised as ConfigError above: this one is a
+        # fault of the program, such as a broken invariant or a shape mismatch.
+        trace = traceback.format_exc()
+        print(trace, end="", file=sys.stderr)
+        os.makedirs(cfg.out, exist_ok=True)
+        path = os.path.join(cfg.out, "summary.json")
+        results = {"error": str(err), "error_type": type(err).__name__}
+        payload = summary_payload(args.command, cfg, results, t0)
+        payload["meta"]["traceback"] = trace.splitlines()
+        write_json(path, payload)
+        print(f"program fault: {type(err).__name__}; details dumped to {path}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .gain import SensingParams
 from .network import ScenarioConfig
-from .pool import PoolConfig
+from .pool import PoolConfig, PoolError
 from .sac import SacConfig
 
 SCHEMA_VERSION = 1
@@ -76,6 +76,18 @@ class RunConfig:
         _check_keys("sac", self.sac, SacConfig)
         if "num_slots" in self.pool and self.pool["num_slots"] != self.slots:
             raise ConfigError("pool.num_slots", "conflicts with slots; set slots only")
+        # Each section's own checks, so a bad value is an input error here
+        # and never surfaces later as a fault of the program.
+        for section, build in (
+            ("scenario", self.scenario_config),
+            ("pool", lambda: self.pool_config().build()),
+            ("sensing", self.sensing_params),
+            ("sac", lambda: self.sac_config().validate()),
+        ):
+            try:
+                build()
+            except (TypeError, ValueError, PoolError) as err:
+                raise ConfigError(section, str(err)) from err
 
     # -- section builders ---------------------------------------------------
 

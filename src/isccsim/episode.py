@@ -31,7 +31,7 @@ from .pool import (
     pour_lanes,
 )
 from .schedule import Mode, RoundSchedule, ScheduleError, Violation, slots_needed, validate_cstc
-from .workload import WorkloadProblem, WorkloadSolution
+from .workload import WorkloadSolution
 
 
 class InvariantBroken(RuntimeError):
@@ -56,6 +56,7 @@ class RoundRecord:
     workloads: list[int]
     feasible: list[bool]
     claims: list[Claim]
+    infeasible_edges: int = 0  # gain-graph edges the round's decision saw infeasible
 
 
 @dataclass
@@ -70,6 +71,10 @@ class EpisodeTrace:
     @property
     def cumulative_gain(self) -> float:
         return float(sum(sum(rec.gains) for rec in self.rounds))
+
+    @property
+    def infeasible_edges(self) -> int:
+        return sum(rec.infeasible_edges for rec in self.rounds)
 
     @property
     def rewards(self) -> list[float]:
@@ -105,7 +110,7 @@ def plan_cons_slots(
 def claims_for_solution(
     client_id: int,
     round_index: int,
-    problem: WorkloadProblem,
+    mode: SensingMode,
     sol: WorkloadSolution,
     pool: UniversalResourcePool,
     pool_cfg: PoolConfig,
@@ -126,7 +131,7 @@ def claims_for_solution(
     gen: list[Claim] = []
     s1 = slots_needed(sol.t_sens, dt)
     if s1 > 0:
-        if problem.mode is SensingMode.VS:
+        if mode is SensingMode.VS:
             gen.append(
                 Claim(client_id, round_index, Process.SENS, GridKind.NONE, (0, s1), (), 0.0)
             )
@@ -218,29 +223,31 @@ class RoundEnv:
             raise ValueError(f"assignment must give each of {n} clients a model in [0,{m})")
 
         r = self.round_index
+        graph = obs.graph
+        solutions, weights = graph.chosen(assignment)
         gains, workloads, feasible, claims = [], [], [], []
         for i, client in enumerate(self.scenario.clients):
-            edge = obs.graph.edge(i, assignment[i])
+            sol = solutions[i]
             pool = self.bank.pools[i]
             try:
                 gen, cons = claims_for_solution(
-                    client.client_id, r, edge.problem, edge.solution, pool, self.pool_cfg
+                    client.client_id, r, client.sensing_mode, sol, pool, self.pool_cfg
                 )
                 for claim in gen:
                     pool.try_allocate(claim)
                 self.pending[i].extend(cons)
-                ok = edge.solution.feasible
+                ok = sol.feasible
                 claims.extend(gen)
                 claims.extend(cons)
             except CapacityExceeded:
                 pool.release_round(r)
                 ok = False
-            gains.append(edge.weight if ok and edge.workload > 0 else 0.0)
-            workloads.append(edge.workload if ok else 0)
+            gains.append(weights[i] if ok and sol.w_star > 0 else 0.0)
+            workloads.append(sol.w_star if ok else 0)
             feasible.append(ok)
-        self.trace.rounds.append(
-            RoundRecord(r, list(assignment), gains, workloads, feasible, claims)
-        )
+        self.trace.rounds.append(RoundRecord(
+            r, list(assignment), gains, workloads, feasible, claims, graph.infeasible_edges
+        ))
         reward = float(sum(gains))
 
         # Close each frame and open the next with the pending consumption
@@ -296,8 +303,9 @@ class RoundEnv:
         dt = self.pool_cfg.slot_duration
         coupled = self.schedule.mode is Mode.ZEROS
 
-        compute_cps = self.bank.empty.compute_cps
-        residuals = [(b_hz, compute_cps) for b_hz in self.bank.rect_bandwidth_hz().tolist()]
+        residuals = np.empty((len(sc.clients), 2))
+        residuals[:, 0] = self.bank.rect_bandwidth_hz()
+        residuals[:, 1] = self.bank.empty.compute_cps
         f_frac, c_frac = self.bank.residual_fraction()
         fracs = list(zip(f_frac.tolist(), c_frac.tolist()))
         graph = build_gain_graph(

@@ -10,15 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .network import Scenario, local_distribution, sensed_class_counts, spectral_efficiency
-from .workload import WorkloadProblem, WorkloadSolution, latency_components, solve_workload
-
-
-class DimensionMismatch(ValueError):
-    pass
+from .network import (
+    DimensionMismatch,
+    Scenario,
+    local_distribution,
+    sensed_class_counts,
+    spectral_efficiencies,
+)
+from .workload import (
+    EDGE_FIELDS,
+    EdgeArrays,
+    WorkloadProblem,
+    WorkloadSolution,
+    edge_latencies,
+    solve_edges,
+)
 
 
 @dataclass(frozen=True)
@@ -30,6 +40,12 @@ class SensingParams:
     rho: float = 2.0              # wireless sensing spectral efficiency
     samples_per_target: int = 4   # per-round sample yield per covered target
     epsilon: float = 1e-3         # distribution smoothing
+
+    def __post_init__(self) -> None:
+        if min(self.tau_s, self.sigma, self.rho, self.samples_per_target) < 0:
+            raise ValueError("sensing constants must be >= 0")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
 
 
 def similarity(p: np.ndarray, q: np.ndarray) -> float:
@@ -58,6 +74,10 @@ def kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"{p.shape} vs {q.shape}")
     if np.any(p <= 0.0) or np.any(q <= 0.0):
         raise ValueError("distributions must be smoothed strictly positive")
+    return _kl(p, q)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = p[:, None, :]
     return np.sum(p * np.log(p / q[None, :, :]), axis=-1)
 
@@ -84,17 +104,55 @@ class GainEdge:
 
 @dataclass
 class GainGraph:
+    """One round's client-model gain graph, held as (N, M) arrays.
+
+    Edge objects are built only on demand from the arrays: `edge(row, m)`
+    builds one, `edges` all of them in row-major order.
+    """
+
     client_ids: list[int]
     model_ids: list[int]
-    edges: list[GainEdge]
-    sensed_counts: list[int]  # targets each client senses this round
+    sensed_counts: list[int]   # targets each client senses this round
     weights: np.ndarray        # (N, M) edge weights
     etas: np.ndarray           # (N, M) spectral efficiency to each model's edge
-    latency_table: np.ndarray  # (N, M, 4): t_sens, t_dl, t_cp, t_ul at W = w_cap
+    similarities: np.ndarray   # (N, M)
+    solutions: np.ndarray      # (9, N, M): `WorkloadSolution` fields in order
+    problems: EdgeArrays       # the solver inputs each edge's problem comes from
+
+    @cached_property
+    def latency_table(self) -> np.ndarray:
+        """(N, M, 4): t_sens, t_dl, t_cp, t_ul at W = w_cap and the full budgets."""
+        return edge_latencies(self.problems)
+
+    def chosen(self, assignment: list[int]) -> tuple[list[WorkloadSolution], list[float]]:
+        """Each client row's solution and edge weight at its chosen model."""
+        rows = self.solutions.transpose(1, 2, 0).tolist()
+        weights = self.weights.tolist()
+        return (
+            [WorkloadSolution.from_row(rows[i][m]) for i, m in enumerate(assignment)],
+            [weights[i][m] for i, m in enumerate(assignment)],
+        )
 
     def edge(self, row: int, model_id: int) -> GainEdge:
         """The edge of client row `row` (not client id) to model `model_id`."""
-        return self.edges[row * len(self.model_ids) + model_id]
+        solution = WorkloadSolution.from_row(self.solutions[:, row, model_id].tolist())
+        return GainEdge(
+            client_id=self.client_ids[row],
+            model_id=model_id,
+            weight=float(self.weights[row, model_id]),
+            workload=solution.w_star,
+            similarity=float(self.similarities[row, model_id]),
+            problem=self.problems.problem(row, model_id),
+            solution=solution,
+        )
+
+    @cached_property
+    def edges(self) -> list[GainEdge]:
+        return [self.edge(i, m) for i in range(len(self.client_ids)) for m in self.model_ids]
+
+    @property
+    def infeasible_edges(self) -> int:
+        return self.weights.size - int(self.solutions[-1].sum())
 
 
 def num_models(scenario: Scenario) -> int:
@@ -111,71 +169,51 @@ def build_gain_graph(
     scenario: Scenario,
     t_gen: float,
     t_cons: float,
-    residuals: list[tuple[float, float]],
+    residuals,
     sensing: SensingParams,
     coupled: bool,
 ) -> GainGraph:
     """Weight every (client, model) pair with its achievable gain.
 
-    residuals[i] is client i's (bandwidth Hz, compute cycles/s) budget for
-    the round. A pure function: identical inputs give identical graphs.
+    residuals is an (N, 2) array or list of client i's (bandwidth Hz,
+    compute cycles/s) budget for the round. One sensing pass and one
+    `solve_edges` pass cover every edge; exp, log1p and the spectral
+    efficiencies run on `math`, as their scalar definitions do. A pure
+    function: identical inputs give identical graphs.
     """
-    m_count = num_models(scenario)
-    model_ids = list(range(m_count))
-    client_ids = [c.client_id for c in scenario.clients]
-    if len(residuals) != len(scenario.clients):
+    n = len(scenario.clients)
+    if len(residuals) != n:
         raise DimensionMismatch("one residual pair per client required")
+    budgets = np.asarray(residuals, dtype=float).reshape(n, 2)
+    models = scenario.model_arrays()
+    m_count = len(models.edge_of_model)
 
     counts = sensed_class_counts(scenario)
     sensed = counts.sum(axis=1)
-    mixtures = np.array([
-        scenario.edges[e_idx].model_mixtures[variant]
-        for e_idx, variant in (model_edge_variant(scenario, m) for m in model_ids)
-    ])
-    kl = kl_matrix(local_distribution(counts, sensing.epsilon), mixtures)
+    kl = _kl(local_distribution(counts, sensing.epsilon), models.mixtures).ravel().tolist()
+    sims = [math.exp(-v) for v in kl]
+    if sims and not (min(sims) > 0.0 and max(sims) <= 1.0 + 1e-12):
+        raise ValueError("similarity outside (0, 1]")
 
-    n = len(scenario.clients)
-    weights = np.zeros((n, m_count))
-    etas = np.zeros((n, m_count))
-    table = np.zeros((n, m_count, 4))
-    edges: list[GainEdge] = []
-    for i, client in enumerate(scenario.clients):
-        b_hz, f_cps = residuals[i]
-        w_cap = float(sensed[i] * sensing.samples_per_target)
-        for m in model_ids:
-            e_idx, variant = model_edge_variant(scenario, m)
-            eta = spectral_efficiency(client, scenario.edges[e_idx], scenario.channel)
-            problem = WorkloadProblem(
-                t_gen=t_gen,
-                t_cons=t_cons,
-                bandwidth_hz=b_hz,
-                compute_cps=f_cps,
-                eta=eta,
-                s_dl=client.dl_bits[variant],
-                s_ul=client.ul_bits[variant],
-                kappa=client.cycles_per_sample[variant],
-                w_cap=w_cap,
-                mode=client.sensing_mode,
-                tau_s=sensing.tau_s,
-                sigma=sensing.sigma,
-                rho=sensing.rho,
-                coupled=coupled,
-            )
-            sol = solve_workload(problem)
-            s = math.exp(-float(kl[i, m]))
-            edge = GainEdge(
-                client_id=client.client_id,
-                model_id=m,
-                weight=gain(s, sol.w_star),
-                workload=sol.w_star,
-                similarity=s,
-                problem=problem,
-                solution=sol,
-            )
-            edges.append(edge)
-            weights[i, m] = edge.weight
-            etas[i, m] = eta
-            table[i, m] = latency_components(problem, int(w_cap))
+    values = np.empty((len(EDGE_FIELDS), n, m_count))
+    values[0] = budgets[:, :1]
+    values[1] = budgets[:, 1:]
+    np.take(spectral_efficiencies(scenario), models.edge_of_model, axis=1, out=values[2])
+    values[3:6] = models.sizes
+    values[6] = (sensed * sensing.samples_per_target)[:, None]
+    problems = EdgeArrays(
+        values, models.vs, t_gen, t_cons, sensing.tau_s, sensing.sigma, sensing.rho, coupled
+    )
+    solutions = solve_edges(problems)
+    weights = [s * math.log1p(w) for s, w in zip(sims, solutions[0].ravel().tolist())]
+    similarities, weights = np.array((sims, weights)).reshape(2, n, m_count)
     return GainGraph(
-        client_ids, model_ids, edges, sensed.astype(int).tolist(), weights, etas, table
+        client_ids=[c.client_id for c in scenario.clients],
+        model_ids=list(range(m_count)),
+        sensed_counts=sensed.astype(int).tolist(),
+        weights=weights,
+        etas=values[2],
+        similarities=similarities,
+        solutions=solutions,
+        problems=problems,
     )

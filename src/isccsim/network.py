@@ -13,6 +13,10 @@ from enum import Enum
 import numpy as np
 
 
+class DimensionMismatch(ValueError):
+    pass
+
+
 class SensingMode(Enum):
     VS = "vs"  # camera sensing, no spectrum use
     WS = "ws"  # wireless sensing, draws on the shared spectrum
@@ -55,6 +59,19 @@ class Target:
     class_id: int
 
 
+@dataclass(frozen=True)
+class ModelArrays:
+    """Per-scenario constants of the (client, model) edges.
+
+    Model m is variant m % V of edge server m // V.
+    """
+
+    edge_of_model: np.ndarray  # (M,) edge server index
+    mixtures: np.ndarray       # (M, K) class mixtures, strictly positive
+    sizes: np.ndarray          # (3, N, M) download bits, upload bits, cycles per sample
+    vs: np.ndarray             # (N, M) bool: camera sensing, else wireless
+
+
 @dataclass
 class Scenario:
     area_m: float
@@ -69,6 +86,8 @@ class Scenario:
     _target_arrays: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    # Likewise client task sizes, sensing modes and the edges' models.
+    _model_arrays: ModelArrays | None = field(default=None, repr=False, compare=False)
 
     def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (T, 2) target positions and (T, K) class one-hot."""
@@ -81,6 +100,42 @@ class Scenario:
             onehot.flags.writeable = False
             self._target_arrays = (xy, onehot)
         return self._target_arrays
+
+    def model_arrays(self) -> ModelArrays:
+        """Read-only per-edge constants, mixtures validated once."""
+        if self._model_arrays is None:
+            variants = len(self.edges[0].model_mixtures)
+            models = range(len(self.edges) * variants)
+            n = len(self.clients)
+            mixtures = np.array(
+                [self.edges[m // variants].model_mixtures[m % variants] for m in models],
+                dtype=float,
+            )
+            if mixtures.shape != (len(models), self.num_classes):
+                raise DimensionMismatch(
+                    f"model mixtures {mixtures.shape} vs {self.num_classes} classes"
+                )
+            if np.any(mixtures <= 0.0):
+                raise ValueError("distributions must be smoothed strictly positive")
+
+            sizes = np.array(
+                [
+                    [[getattr(c, name)[m % variants] for m in models] for c in self.clients]
+                    for name in ("dl_bits", "ul_bits", "cycles_per_sample")
+                ],
+                dtype=float,
+            ).reshape(3, n, len(models))
+            vs = [c.sensing_mode is SensingMode.VS for c in self.clients]
+            arrays = ModelArrays(
+                edge_of_model=np.array([m // variants for m in models], dtype=int),
+                mixtures=mixtures,
+                sizes=sizes,
+                vs=np.repeat(np.array(vs, dtype=bool).reshape(n, 1), len(models), axis=1),
+            )
+            for a in vars(arrays).values():
+                a.flags.writeable = False
+            self._model_arrays = arrays
+        return self._model_arrays
 
 
 @dataclass(frozen=True)
@@ -101,6 +156,15 @@ class ScenarioConfig:
     ul_bits_base: float = 1e6
     cycles_base: float = 1e7
     channel: ChannelParams = field(default_factory=ChannelParams)
+
+    def __post_init__(self) -> None:
+        if self.num_edges < 1 or self.num_models < 1 or self.num_classes < 2:
+            raise ValueError("need at least one edge, one model and two classes")
+        if min(self.num_clients, self.num_targets, self.v_max_mps, self.vs_radius_m,
+               self.ws_radius_m, self.dl_bits_base, self.ul_bits_base, self.cycles_base) < 0:
+            raise ValueError("counts, speeds, radii and task sizes must be >= 0")
+        if self.area_m <= 0 or not 0.0 <= self.dominant_share <= 1.0:
+            raise ValueError("area must be > 0 and dominant_share in [0, 1]")
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -161,6 +225,7 @@ def clone_scenario(scenario: Scenario) -> Scenario:
         channel=scenario.channel,
         time_s=scenario.time_s,
         _target_arrays=scenario.target_arrays(),
+        _model_arrays=scenario.model_arrays(),
     )
 
 
@@ -202,6 +267,31 @@ def spectral_efficiency(client: Client, edge: EdgeServer, channel: ChannelParams
         / channel.noise_power_w
     )
     return math.log2(1.0 + snr)
+
+
+def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
+    """(N, E) `spectral_efficiency` of every client to every edge server.
+
+    Evaluated on `math` in the scalar definition's order, so each entry
+    equals it bit for bit.
+    """
+    ch = scenario.channel
+    power_gain = ch.tx_power_w * ch.reference_gain
+    exponent = -ch.path_loss_exp
+    edges = [e.position for e in scenario.edges]
+    rows = [
+        [
+            math.log2(
+                1.0
+                + power_gain
+                * max(math.hypot(cx - ex, cy - ey), ch.min_distance_m) ** exponent
+                / ch.noise_power_w
+            )
+            for ex, ey in edges
+        ]
+        for cx, cy in (c.position for c in scenario.clients)
+    ]
+    return np.array(rows, dtype=float).reshape(len(scenario.clients), len(edges))
 
 
 def sense_targets(client: Client, targets: list[Target]) -> list[Target]:

@@ -42,7 +42,14 @@ class GreedyGainPolicy(Policy):
 
 
 class _LatencyPolicy(Policy):
-    """Argmin of a subset of the full-load latency components per client."""
+    """Argmin of a subset of the full-load latency components per client.
+
+    On scenarios from `generate_scenario` the three latency baselines pick
+    the same models: a client's t_sens does not depend on the model, and a
+    model variant m scales bits by (1 + 0.2m) and cycles by (1 + 0.5m), so
+    variant 0 wins every term and the best-communication edge's variant 0
+    also minimizes the sums. They differ only on scenarios built otherwise.
+    """
 
     components: tuple[int, ...] = ()
 

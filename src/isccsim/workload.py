@@ -8,12 +8,17 @@ form. Wireless sensing (WS) under an overlapped pipeline shares bandwidth
 with the concurrent communication phase; the optimum sits where the rising
 sensing branch crosses the falling compute branch, the positive root of a
 quadratic in the communication bandwidth.
+
+`solve_workload` and `latency_components` are the scalar reference
+definitions. `solve_edges` solves a whole (N×M) edge array in one pass of
+the same closed forms and equals them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,12 @@ TOL = 1e-9
 
 class InvalidProblem(ValueError):
     pass
+
+
+NON_NEGATIVE = (
+    "t_gen", "t_cons", "bandwidth_hz", "compute_cps", "s_dl", "s_ul",
+    "kappa", "w_cap", "tau_s", "sigma", "rho",
+)
 
 
 @dataclass(frozen=True)
@@ -45,18 +56,14 @@ class WorkloadProblem:
     coupled: bool = False  # sensing shares bandwidth with concurrent comm
 
     def __post_init__(self) -> None:
-        for name in (
-            "t_gen", "t_cons", "bandwidth_hz", "compute_cps", "s_dl", "s_ul",
-            "kappa", "w_cap", "tau_s", "sigma", "rho",
-        ):
+        for name in NON_NEGATIVE:
             if getattr(self, name) < 0:
                 raise InvalidProblem(f"{name} must be >= 0")
         if self.eta <= 0:
             raise InvalidProblem("eta must be > 0")
 
 
-@dataclass(frozen=True)
-class WorkloadSolution:
+class WorkloadSolution(NamedTuple):
     w_star: int
     b_sens_hz: float
     b_comm_hz: float
@@ -70,6 +77,18 @@ class WorkloadSolution:
     @property
     def latencies(self) -> tuple[float, float, float, float]:
         return (self.t_sens, self.t_dl, self.t_cp, self.t_ul)
+
+    @classmethod
+    def from_row(cls, row: list[float]) -> "WorkloadSolution":
+        """One edge of `solve_edges`' solution array, as a list of floats it
+        may overwrite."""
+        row[0] = int(row[0])
+        row[-1] = row[-1] == 1.0
+        return cls._make(row)
+
+
+# Row order of `solve_edges`' solution array.
+SOLUTION_FIELDS = WorkloadSolution._fields
 
 
 def _ifloor(x: float) -> int:
@@ -140,9 +159,12 @@ def solve_workload(p: WorkloadProblem) -> WorkloadSolution:
     b_cross = b - _crossing_comm_hz(p)
     b_cap = p.w_cap * p.sigma / (p.rho * p.t_gen)
     b_sens = min(b_cross, b_cap)
-    w_real = min(
-        _sens_cap_ws(p, b_sens), _comp_cap(p, b - b_sens, p.compute_cps), p.w_cap
-    )
+    # kappa = 0: training takes no time, so compute binds nowhere the
+    # communication fits. The crossing then sits on the comm-feasibility
+    # boundary, where the cap is taken from the feasible side: the full-band
+    # cap, which feasibility makes unbounded once t_cons > 0.
+    comp_b = b if p.kappa == 0.0 else b - b_sens
+    w_real = min(_sens_cap_ws(p, b_sens), _comp_cap(p, comp_b, p.compute_cps), p.w_cap)
     w_star = _ifloor(w_real)
     # Give back bandwidth the integer solution does not need.
     b_sens = min(b_sens, _thrifty_b_sens(p, w_star))
@@ -270,3 +292,164 @@ def latency_components(
     else:
         t_sens = w * p.sigma / (p.bandwidth_hz * p.rho)
     return (t_sens, t_dl, t_cp, t_ul)
+
+
+# The per-edge inputs of `EdgeArrays.values`, in `WorkloadProblem` order.
+EDGE_FIELDS = ("bandwidth_hz", "compute_cps", "eta", "s_dl", "s_ul", "kappa", "w_cap")
+SCALAR_FIELDS = ("t_gen", "t_cons", "tau_s", "sigma", "rho")
+
+
+@dataclass(frozen=True)
+class EdgeArrays:
+    """Solver inputs of a whole (N×M) edge array, validated at construction.
+
+    `values[k]` is the (N, M) array of field `EDGE_FIELDS[k]`, so one
+    reduction checks every field. Edge (i, m) is `problem(i, m)`.
+    """
+
+    values: np.ndarray  # (7, N, M)
+    vs: np.ndarray      # (N, M) bool: camera sensing, else wireless
+    t_gen: float
+    t_cons: float
+    tau_s: float = 0.0
+    sigma: float = 0.0
+    rho: float = 0.0
+    coupled: bool = False
+
+    def __post_init__(self) -> None:
+        if self.values.shape[:1] != (len(EDGE_FIELDS),) or self.vs.shape != self.values.shape[1:]:
+            raise InvalidProblem(f"values {self.values.shape} and vs {self.vs.shape} mismatch")
+        lows = self.values.min(axis=(1, 2), initial=math.inf).tolist()
+        lows.extend(getattr(self, name) for name in SCALAR_FIELDS)
+        if min(lows) < 0 or lows[2] <= 0:
+            low = dict(zip(EDGE_FIELDS + SCALAR_FIELDS, lows))
+            bad = [name for name in NON_NEGATIVE if low[name] < 0]
+            raise InvalidProblem(f"{bad[0]} must be >= 0" if bad else "eta must be > 0")
+
+    def problem(self, row: int, m: int) -> WorkloadProblem:
+        return WorkloadProblem(
+            self.t_gen,
+            self.t_cons,
+            *self.values[:, row, m].tolist(),
+            mode=SensingMode.VS if self.vs[row, m] else SensingMode.WS,
+            tau_s=self.tau_s,
+            sigma=self.sigma,
+            rho=self.rho,
+            coupled=self.coupled,
+        )
+
+
+def _comp_caps(slack: np.ndarray, f: np.ndarray, kappa: np.ndarray, free: bool) -> np.ndarray:
+    """`_comp_cap` given its slack; `free` says some kappa is 0."""
+    caps = np.maximum(slack, 0.0) * f / kappa
+    if free:
+        caps = np.where(kappa == 0.0, np.where(slack > 0.0, math.inf, 0.0), caps)
+    return caps
+
+
+def _crossing_comm_hz_edges(
+    x: EdgeArrays, b: np.ndarray, f: np.ndarray, eta: np.ndarray, kappa: np.ndarray,
+    total: np.ndarray, free: bool,
+) -> np.ndarray:
+    """`_crossing_comm_hz` of every edge; needs sigma > 0 and rho * t_gen > 0."""
+    a = x.rho * x.t_gen / x.sigma
+    c = f / kappa
+    beta = a * b - c * x.t_cons
+    q = c * total / eta
+    root = np.sqrt(beta * beta + 4.0 * a * q)
+    cross = np.where(beta >= 0.0, (beta + root) / (2.0 * a), 2.0 * q / (root - beta))
+    cross = np.minimum(b, cross)
+    if free:
+        no_compute = np.where(total == 0.0, 0.0, np.minimum(b, total / (eta * x.t_cons)))
+        cross = np.where(kappa == 0.0, no_compute, cross)
+    return cross
+
+
+def solve_edges(x: EdgeArrays) -> np.ndarray:
+    """`solve_workload` of every edge: the (9, N, M) solution array.
+
+    Row k holds field `SOLUTION_FIELDS[k]`, w_star and feasible (0 or 1)
+    as floats. The scalar solver's per-edge branches become masks; its
+    branches on the shared scalars stay Python branches. Only + - * / sqrt
+    floor and minimum/maximum run on the arrays, in the scalar code's order,
+    so every entry equals `solve_workload` bit for bit.
+    """
+    b, f, eta, s_dl, s_ul, kappa, w_cap = x.values
+    vs, ws = x.vs, ~x.vs
+    sens_rate = x.rho * x.t_gen
+    crossing = x.coupled and x.sigma != 0.0 and sens_rate != 0.0
+    free = not kappa.all()
+    total = s_dl + s_ul
+    out = np.empty((len(SOLUTION_FIELDS),) + vs.shape)
+    w, b_sens, b_comm, f_cps, t_sens, _, t_cp, _, feasible = out
+    # A mask drops each branch not taken, which may divide by zero. A time
+    # is 0 for a zero amount, so fmax(t, 0) turns the 0/0 of a zero amount
+    # at a zero rate into 0 and keeps every other time.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_eta = b * eta
+        t_comm = np.fmax(total / b_eta, 0.0)
+        ok = t_comm < x.t_cons if x.t_cons > 0.0 else total == 0.0
+        comp = _comp_caps(x.t_cons - t_comm, f, kappa, free)
+
+        # VS, and WS unless it takes the crossing: sigma = 0 gives the same
+        # caps, and rho * t_gen = 0 a zero sensing cap.
+        sens = math.inf if x.tau_s == 0.0 else x.t_gen / x.tau_s
+        if not crossing:
+            sens_ws = math.inf if x.sigma == 0.0 else b * x.rho * x.t_gen / x.sigma
+            sens = np.where(vs, sens, sens_ws)
+        w_real = np.minimum(np.minimum(sens, w_cap), comp)
+        if crossing:
+            # Every WS edge: B = 0 gives the zero caps and times of the
+            # scalar early return.
+            cross = ws & ok
+            b_cross = np.minimum(
+                b - _crossing_comm_hz_edges(x, b, f, eta, kappa, total, free),
+                w_cap * x.sigma / sens_rate,
+            )
+            slack = x.t_cons - np.fmax(total / ((b - b_cross) * eta), 0.0)
+            cross_comp = _comp_caps(slack, f, kappa, False)
+            if free:
+                # kappa = 0: the full-band cap, as in `solve_workload`.
+                cross_comp = np.where(kappa == 0.0, comp, cross_comp)
+            sens = b_cross * x.rho * x.t_gen / x.sigma
+            np.minimum(np.minimum(sens, cross_comp), w_cap, out=w_real, where=cross)
+        w[...] = 0.0
+        np.floor(w_real * (1.0 + 1e-12) + TOL, out=w, where=ok)
+
+        # Thrifty sensing bandwidth; w = 0 gives 0.
+        w_sigma = w * x.sigma
+        b_sens[...] = 0.0
+        if x.sigma != 0.0 and sens_rate != 0.0:
+            np.minimum(b, w_sigma / sens_rate, out=b_sens, where=ws)
+        b_comm[...] = b
+        b_comm_eta = b_eta
+        if crossing:
+            np.minimum(b_cross, b_sens, out=b_sens, where=cross)
+            np.subtract(b, b_sens, out=b_comm, where=cross)
+            b_comm_eta = b_comm * eta
+        # Rows 5 and 7: t_dl and t_ul.
+        np.fmax(x.values[3:5] / b_comm_eta, 0.0, out=out[5:8:2])
+        np.multiply(w, x.tau_s, out=t_sens)
+        if x.sigma == 0.0:
+            np.copyto(t_sens, 0.0, where=ws)
+        else:
+            np.fmax(w_sigma / (b_sens * x.rho), 0.0, out=t_sens, where=ws)
+        np.fmax(w * kappa / f, 0.0, out=t_cp)
+    f_cps[...] = f
+    feasible[...] = ok
+    return out
+
+
+def edge_latencies(x: EdgeArrays) -> np.ndarray:
+    """`latency_components(problem, int(w_cap))` of every edge: (N, M, 4)."""
+    b, f, eta, s_dl, s_ul, kappa, w_cap = x.values
+    w = np.floor(w_cap)
+    table = np.empty(x.vs.shape + (4,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_eta = b * eta
+        table[..., 1] = np.fmax(s_dl / b_eta, 0.0)
+        table[..., 3] = np.fmax(s_ul / b_eta, 0.0)
+        t_ws = 0.0 if x.sigma == 0.0 else np.fmax(w * x.sigma / (b * x.rho), 0.0)
+        table[..., 0] = np.where(x.vs, w * x.tau_s, t_ws)
+        table[..., 2] = np.fmax(w * kappa / f, 0.0)
+    return table

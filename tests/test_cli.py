@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from isccsim.cli import main
+from isccsim.cli import _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
-from isccsim.sac import CURVE_FIELDS, SacAgent
+from isccsim.episode import RoundEnv
+from isccsim.network import generate_scenario
+from isccsim.policies import GreedyGainPolicy
+from isccsim.pool import PoolBank
+from isccsim.sac import CURVE_FIELDS, PARAMS_MAGIC, SacAgent
 
 TINY_SCENARIO = {
     "area_m": 200.0,
@@ -111,6 +115,53 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     assert summary["command"] == "simulate"
     assert len(summary["results"]["per_seed"]) == 2
     assert summary["results"]["audit_all_ok"] is True
+
+
+def test_simulate_counts_infeasible_edges(tmp_path):
+    """The summary's counter equals the infeasible edges of every round's
+    gain graph, counted on lazily built edge objects."""
+    path = tiny_config(tmp_path, scenario={**TINY_SCENARIO, "num_clients": 6, "num_targets": 30})
+    assert main(["simulate", "--config", path, "--policy", "greedy"]) == 0
+    per_seed = read_summary(tmp_path / "out")["results"]["per_seed"]
+    cfg = RunConfig.from_file(path)
+    for row in per_seed:
+        scenario = generate_scenario(cfg.scenario_config(), row["seed"])
+        env = RoundEnv(lambda _: scenario, _schedule_for(cfg), cfg.pool_config(),
+                       cfg.sensing_params())
+        obs, done, expected = env.reset(), False, 0
+        while not done:
+            expected += sum(not e.solution.feasible for e in obs.graph.edges)
+            obs, _, done = env.step(GreedyGainPolicy().decide(obs))
+        assert row["infeasible_edges"] == expected
+    assert sum(row["infeasible_edges"] for row in per_seed) > 0
+
+
+def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
+    """A fault of the program, here negative residuals the pools could never
+    report, is not a usage error: exit 5, with the error in summary.json."""
+    monkeypatch.setattr(PoolBank, "rect_bandwidth_hz", lambda self: np.full(len(self.pools), -1.0))
+    rc = main(["simulate", "--config", tiny_config(tmp_path), "--policy", "greedy"])
+    assert rc == 5
+    assert "program fault: InvalidProblem" in capsys.readouterr().err
+    summary = read_summary(tmp_path / "out")
+    assert summary["results"] == {
+        "error": "bandwidth_hz must be >= 0", "error_type": "InvalidProblem"
+    }
+    assert summary["meta"]["traceback"][0].startswith("Traceback")
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("sensing", "epsilon", 0.0),
+    ("sensing", "tau_s", -1.0),
+    ("scenario", "dl_bits_base", -1.0),
+    ("scenario", "num_classes", 1),
+    ("pool", "hz_per_lane", 0.0),
+    ("sac", "gamma", 1.5),
+])
+def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value):
+    rc = main(["simulate", "--config", tiny_config(tmp_path, **{section: {field: value}})])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}:")
 
 
 def test_simulate_unknown_policy_lists_valid_names(tmp_path, capsys):
@@ -288,6 +339,14 @@ def test_non_finite_training_exits_four_with_diagnostics(tmp_path, monkeypatch, 
                          "entropy", "max_abs_target", "max_abs_actor_param"}
     # Strict JSON: no NaN or Infinity tokens anywhere in the file.
     json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("blob", [b"not a policy", PARAMS_MAGIC + b"\x01"])
+def test_eval_unreadable_params_exits_two(tmp_path, capsys, blob):
+    params = tmp_path / "bad.bin"
+    params.write_bytes(blob)
+    assert main(["eval", "--config", tiny_config(tmp_path), "--params", str(params)]) == 2
+    assert capsys.readouterr().err.startswith("config error: params:")
 
 
 def test_eval_missing_params_exits_two(tmp_path, capsys):

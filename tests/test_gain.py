@@ -28,7 +28,11 @@ from isccsim.network import (
     sensed_class_counts,
     spectral_efficiency,
 )
-from isccsim.workload import latency_components, solve_workload
+from isccsim.episode import run_episode
+from isccsim.policies import GreedyGainPolicy
+from isccsim.pool import PoolConfig
+from isccsim.schedule import Mode, plan_pipeline
+from isccsim.workload import WorkloadProblem, latency_components, solve_workload
 
 
 def small_scenario(**kw):
@@ -215,6 +219,18 @@ class TestGainGraph:
                 q = np.array(sc.edges[e_idx].model_mixtures[variant])
                 assert e.similarity == similarity(p, q)
                 assert e.problem.w_cap == float(len(sensed) * sensing.samples_per_target)
+
+    def test_episode_builds_no_edge_objects(self, monkeypatch):
+        """A round step reads its chosen edges from the arrays: an episode
+        builds no `WorkloadProblem`, while `edges` still builds every one."""
+        built = []
+        check = WorkloadProblem.__post_init__
+        monkeypatch.setattr(WorkloadProblem, "__post_init__", lambda p: built.append(check(p)))
+        sc = small_scenario()
+        trace = run_episode(sc, GreedyGainPolicy(), plan_pipeline(3, 9, Mode.ZEROS),
+                            PoolConfig(), SensingParams())
+        assert built == [] and sum(map(sum, (r.workloads for r in trace.rounds))) > 0
+        assert len(self.build(sc).edges) == len(built) == 3 * 4
 
     def test_serializes(self):
         import json

@@ -21,6 +21,7 @@ from isccsim.network import (
     local_distribution,
     sense_targets,
     sensed_class_counts,
+    spectral_efficiencies,
     spectral_efficiency,
     step_mobility,
 )
@@ -183,6 +184,30 @@ class TestSensing:
         clone = clone_scenario(sc)
         assert clone.target_arrays()[0] is xy and clone.target_arrays()[1] is onehot
         assert not xy.flags.writeable and not onehot.flags.writeable
+
+    def test_model_arrays_shared_by_clones(self):
+        sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=5, num_models=2), seed=1)
+        arrays = sc.model_arrays()
+        assert clone_scenario(sc).model_arrays() is arrays
+        assert arrays.sizes.shape == (3, 3, 8) and arrays.vs.shape == (3, 8)
+        assert arrays.edge_of_model.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert arrays.sizes[2, 0].tolist() == [c for _ in range(4) for c in sc.clients[0].cycles_per_sample]
+        assert not any(a.flags.writeable for a in vars(arrays).values())
+
+    @given(random_scenarios())
+    @settings(max_examples=30, deadline=None)
+    def test_spectral_efficiencies_match_scalar_bitwise(self, sc):
+        etas = spectral_efficiencies(sc)
+        assert etas.shape == (len(sc.clients), len(sc.edges))
+        for i, client in enumerate(sc.clients):
+            for e, edge in enumerate(sc.edges):
+                assert etas[i, e] == spectral_efficiency(client, edge, sc.channel)
+
+    def test_config_rejects_invalid_values(self):
+        for bad in (dict(num_classes=1), dict(num_edges=0), dict(dl_bits_base=-1.0),
+                    dict(area_m=0.0), dict(dominant_share=1.5)):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**bad)
 
 
 class TestLocalDistribution:

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isccsim.episode import RoundEnv, run_episode
 from isccsim.gain import SensingParams
@@ -123,6 +125,25 @@ def test_ml_scc_equals_ml_cc_for_pure_vs_population():
     ]
     obs = observe(scenario, schedule, pool_cfg, sensing)
     assert MlSccPolicy().decide(obs) == MlCcPolicy().decide(obs)
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 4), st.integers(1, 3),
+    st.sampled_from([Mode.ZEROS, Mode.SERIAL]),
+)
+@settings(max_examples=40, deadline=None)
+def test_latency_baselines_coincide_on_generated_scenarios(seed, n, edges, variants, mode):
+    """ml-c, ml-cc and ml-scc pick the same models on every round of a
+    generated scenario: t_sens does not depend on the model, and variant 0
+    has the fewest bits and cycles, so it wins every latency term."""
+    cfg = ScenarioConfig(num_clients=n, num_targets=4 * n, num_edges=edges, num_models=variants)
+    env = RoundEnv(lambda _i: generate_scenario(cfg, seed), plan_pipeline(3, 9, mode),
+                   PoolConfig(), SensingParams())
+    obs, done = env.reset(), False
+    while not done:
+        picks = [cls().decide(obs) for cls in (MlCPolicy, MlCcPolicy, MlSccPolicy)]
+        assert picks[0] == picks[1] == picks[2]
+        obs, _, done = env.step(RandomPolicy(seed).decide(obs))
 
 
 def test_random_policy_is_replayable_and_in_range():

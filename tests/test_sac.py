@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_scenarios
 from isccsim.encoding import LayoutMismatch, default_norms, encode_state, layout_length
 from isccsim.episode import RoundEnv
-from isccsim.gain import GainGraph, SensingParams, build_gain_graph, model_edge_variant
+from isccsim.gain import SensingParams, build_gain_graph, model_edge_variant
 from isccsim.mlp import Mlp, gradient_check, scalar_gradient_check
 from isccsim.network import ScenarioConfig, generate_scenario, spectral_efficiency
 from isccsim.policies import RandomPolicy
@@ -97,14 +97,16 @@ def test_permuting_models_permutes_feature_blocks():
     graph = obs.graph
     m = len(graph.model_ids)
     perm = list(reversed(range(m)))
-    swapped = GainGraph(
-        client_ids=list(graph.client_ids),
-        model_ids=list(graph.model_ids),
-        edges=[dataclasses.replace(e, model_id=perm[e.model_id]) for e in graph.edges],
-        sensed_counts=list(graph.sensed_counts),
+    problems = dataclasses.replace(
+        graph.problems, values=graph.problems.values[:, :, perm], vs=graph.problems.vs[:, perm]
+    )
+    swapped = dataclasses.replace(
+        graph,
         weights=graph.weights[:, perm],
-        etas=graph.etas[:, perm],
-        latency_table=graph.latency_table[:, perm],
+        etas=problems.values[2],
+        similarities=graph.similarities[:, perm],
+        solutions=graph.solutions[:, :, perm],
+        problems=problems,
     )
     fracs = [(0.5, 0.5)] * len(obs.scenario.clients)
     base = encode_state(obs.scenario, fracs, graph, obs.state.norms)

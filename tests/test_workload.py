@@ -13,10 +13,16 @@ from conftest import random_problem
 from isccsim import workload
 from isccsim.network import SensingMode
 from isccsim.workload import (
+    EDGE_FIELDS,
+    SCALAR_FIELDS,
+    EdgeArrays,
     InvalidProblem,
     WorkloadProblem,
+    WorkloadSolution,
+    edge_latencies,
     latency_components,
     oracle_workload,
+    solve_edges,
     solve_workload,
 )
 
@@ -97,7 +103,11 @@ class TestClosedForm:
 
 def bisection_comm_hz(p):
     """Reference crossing: bisect b_sens on the sign of sensing cap minus
-    compute cap, to 1e-13*B, and return the communication bandwidth B - b_sens."""
+    compute cap, to 1e-13*B, and return the communication bandwidth B - b_sens.
+
+    With kappa = 0 the compute cap is unbounded wherever the communication
+    fits, so the bisection lands on the comm-feasibility boundary, where
+    `solve_workload` takes the cap from the feasible side."""
     b = p.bandwidth_hz
     lo, hi = 0.0, b
     for _ in range(128):
@@ -183,6 +193,19 @@ class TestCoupledBisection:
             assert sol.feasible == ref.feasible
             assert abs(sol.b_sens_hz - ref.b_sens_hz) <= 1e-13 * p.bandwidth_hz
             assert 0.0 <= sol.b_sens_hz <= p.bandwidth_hz
+
+    @pytest.mark.parametrize("name", [k for k in CROSSING_EDGE_CASES if k.startswith("kappa=0")])
+    def test_kappa_zero_trains_for_free(self, name):
+        """kappa = 0: training takes no time, so W* is the sensing cap at the
+        least communication bandwidth S / (eta t_cons), or w_cap."""
+        p = ws_problem(**CROSSING_EDGE_CASES[name])
+        total = p.s_dl + p.s_ul
+        b_sens = min(p.bandwidth_hz - total / (p.eta * p.t_cons), p.w_cap * p.sigma / p.rho)
+        expected = math.floor(min(b_sens * p.rho * p.t_gen / p.sigma, p.w_cap) + 1e-9)
+        sol = solve_workload(p)
+        assert sol.w_star == expected > 0
+        assert bisection_solutions([p])[0].w_star == expected
+        assert sol.t_dl + sol.t_cp + sol.t_ul <= p.t_cons + 1e-9
 
     def test_uncoupled_ws_uses_full_band_for_sensing(self):
         p = ws_problem(coupled=False)
@@ -289,3 +312,107 @@ class TestLatencyComponents:
         t_sens, _, t_cp, _ = latency_components(vs_problem(compute_cps=0.0), 5)
         assert t_cp == math.inf
         assert t_sens == pytest.approx(0.5)
+
+
+def edge_arrays_of(vs, t_gen, t_cons, **fields):
+    """EdgeArrays from one array per `EDGE_FIELDS` name, broadcast to vs's shape."""
+    values = np.stack([np.broadcast_to(fields.pop(k), np.shape(vs)) for k in EDGE_FIELDS])
+    return EdgeArrays(values.astype(float), np.asarray(vs, dtype=bool), t_gen, t_cons, **fields)
+
+
+@st.composite
+def edge_arrays(draw):
+    """Random (N×M) solver inputs, with N·M = 1 included, zeros sprinkled
+    over every amount and rate, and each shared scalar sometimes 0."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, m)
+
+    def some_zero(values):
+        return np.where(rng.random(shape) < 0.2, 0.0, values)
+
+    def scalar(lo, hi):
+        return 0.0 if draw(st.integers(0, 3)) == 0 else float(rng.uniform(lo, hi))
+
+    w_cap = rng.integers(0, 301, shape).astype(float)
+    if draw(st.booleans()):
+        w_cap += rng.random(shape)
+    return edge_arrays_of(
+        vs=rng.random(shape) < 0.5,
+        t_gen=scalar(0.5, 3.0),
+        t_cons=scalar(0.5, 4.0),
+        bandwidth_hz=some_zero(rng.uniform(1e5, 8e6, shape)),
+        compute_cps=some_zero(rng.uniform(1e7, 1e9, shape)),
+        eta=rng.uniform(0.5, 8.0, shape),
+        s_dl=some_zero(rng.uniform(1e4, 2e6, shape)),
+        s_ul=some_zero(rng.uniform(1e4, 2e6, shape)),
+        kappa=some_zero(rng.uniform(1e5, 1e7, shape)),
+        w_cap=some_zero(w_cap),
+        tau_s=scalar(0.005, 0.1),
+        sigma=scalar(1e3, 1e5),
+        rho=scalar(0.5, 4.0),
+        coupled=draw(st.booleans()),
+    )
+
+
+NAMED_EDGES = {
+    "vs": vs_problem(),
+    "vs infeasible": vs_problem(s_dl=3e6, s_ul=3e6),
+    "vs w_cap=0": vs_problem(w_cap=0.0),
+    "vs F=0": vs_problem(compute_cps=0.0),
+    "vs kappa=0": vs_problem(kappa=0.0),
+    "vs B=0, no bits": vs_problem(bandwidth_hz=0.0, s_dl=0.0, s_ul=0.0),
+    "vs B=0": vs_problem(bandwidth_hz=0.0),
+    "ws uncoupled": ws_problem(coupled=False),
+    "ws sigma=0": ws_problem(sigma=0.0),
+    "ws rho=0": ws_problem(rho=0.0),
+    "ws B=0": ws_problem(bandwidth_hz=0.0, s_dl=0.0, s_ul=0.0),
+    "ws F=0": ws_problem(compute_cps=0.0),
+    "ws w_cap=0": ws_problem(w_cap=0.0),
+    **{f"ws {name}": ws_problem(**overrides) for name, overrides in CROSSING_EDGE_CASES.items()},
+}
+
+
+def assert_matches_scalar_reference(x):
+    """Every edge of the array pass equals `solve_workload` and
+    `latency_components(problem, int(w_cap))`, compared by repr so that each
+    float must match to the bit."""
+    solutions, table = solve_edges(x), edge_latencies(x)
+    for i, j in np.ndindex(x.vs.shape):
+        p = x.problem(i, j)
+        got = WorkloadSolution.from_row(solutions[:, i, j].tolist())
+        assert repr(got) == repr(solve_workload(p))
+        assert repr(tuple(table[i, j].tolist())) == repr(latency_components(p, int(p.w_cap)))
+
+
+class TestEdgeArrays:
+    @given(edge_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference_bitwise(self, x):
+        assert_matches_scalar_reference(x)
+
+    @pytest.mark.parametrize("name", list(NAMED_EDGES))
+    def test_named_cases_match_scalar_reference(self, name):
+        p = NAMED_EDGES[name]
+        x = edge_arrays_of(
+            vs=np.array([[p.mode is SensingMode.VS]]),
+            **{k: getattr(p, k) for k in EDGE_FIELDS},
+            **{k: getattr(p, k) for k in SCALAR_FIELDS + ("coupled",)},
+        )
+        assert x.problem(0, 0) == p
+        assert_matches_scalar_reference(x)
+
+    @pytest.mark.parametrize("name", EDGE_FIELDS + SCALAR_FIELDS)
+    def test_invalid_inputs_rejected(self, name):
+        base = dict(
+            vs=np.array([[True, False]]), t_gen=0.9, t_cons=0.7, bandwidth_hz=4e6,
+            compute_cps=1e9, eta=2.0, s_dl=1e6, s_ul=1e6, kappa=1e7, w_cap=20.0,
+            tau_s=0.01, sigma=1e4, rho=2.0, coupled=True,
+        )
+        edge_arrays_of(**base)
+        bad = np.array([[1.0, -1.0]]) if name in EDGE_FIELDS else -1.0
+        with pytest.raises(InvalidProblem, match=name):
+            edge_arrays_of(**{**base, name: bad})
+        if name == "eta":
+            with pytest.raises(InvalidProblem, match="eta"):
+                edge_arrays_of(**{**base, "eta": np.array([[1.0, 0.0]])})

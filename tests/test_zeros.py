@@ -192,7 +192,7 @@ class TestClaimConversion:
             if sol.w_star == 0:
                 continue
             pool = cfg.build()
-            gen, cons = claims_for_solution(0, 1, scaled, sol, pool, cfg)
+            gen, cons = claims_for_solution(0, 1, scaled.mode, sol, pool, cfg)
             for claim in gen:
                 pool.try_allocate(claim)
             fresh = cfg.build()
@@ -214,7 +214,7 @@ class TestClaimConversion:
             )
             sol = solve_workload(p)
             try:
-                got = claims_for_solution(0, 1, p, sol, cfg.build(), cfg)
+                got = claims_for_solution(0, 1, p.mode, sol, cfg.build(), cfg)
             except CapacityExceeded:
                 got = None
             assert got == scratch_pool_plan(0, 1, p, sol, cfg)
@@ -240,7 +240,7 @@ class TestClaimConversion:
         )
         sol = solve_workload(p)
         pool_cfg = PoolConfig()
-        gen, cons = claims_for_solution(0, 1, p, sol, pool_cfg.build(), pool_cfg)
+        gen, cons = claims_for_solution(0, 1, p.mode, sol, pool_cfg.build(), pool_cfg)
         assert gen == [] and cons == []
 
 
