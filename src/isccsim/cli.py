@@ -109,9 +109,9 @@ def _enum_safe(data: dict) -> dict:
 # -- shared episode plumbing -----------------------------------------------------
 
 
-def _schedule_for(cfg: RunConfig, slots: int | None = None):
+def _schedule_for(cfg: RunConfig):
     mode = Mode.ZEROS if cfg.mode == "zeros" else Mode.SERIAL
-    return plan_pipeline(cfg.rounds, slots if slots is not None else cfg.slots, mode)
+    return plan_pipeline(cfg.rounds, cfg.slots, mode)
 
 
 def _run_policy_episode(name: str, cfg: RunConfig, seed: int, schedule,
@@ -190,6 +190,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "violations": len(trace.violations),
             "audit_ok": audit["ok"],
             "infeasible_edges": trace.infeasible_edges,
+            "peak_cell_use": audit["max_cell_utilization"],
         })
         utilization.append({"seed": seed, "frames": list(trace.utilization)})
     gains = np.array([p["cumulative_gain"] for p in per_seed])

@@ -94,10 +94,9 @@ class RunConfig:
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(**self.scenario)
 
-    def pool_config(self, slots: int | None = None) -> PoolConfig:
+    def pool_config(self) -> PoolConfig:
         overrides = {k: v for k, v in self.pool.items() if k != "num_slots"}
-        return PoolConfig(num_slots=slots if slots is not None else self.slots,
-                          **overrides)
+        return PoolConfig(num_slots=self.slots, **overrides)
 
     def sensing_params(self) -> SensingParams:
         return SensingParams(**self.sensing)

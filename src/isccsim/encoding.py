@@ -3,7 +3,7 @@
 Layout: for each client a block of (freq residual fraction, comp residual
 fraction, x, y, per-model spectral efficiency), then all client-model gain
 weights. Length N*(2+2+M) + N*M. Every feature is normalized into [0, 1]
-with constants recorded alongside the vector.
+by the episode's `EncodingNorms`, which a saved policy records.
 """
 
 from __future__ import annotations
@@ -28,27 +28,6 @@ class EncodingNorms:
 
     def to_dict(self) -> dict:
         return {"eta_norm": self.eta_norm, "gain_norm": self.gain_norm}
-
-
-@dataclass
-class StateEncoding:
-    vector: np.ndarray
-    num_clients: int
-    num_models: int
-    norms: EncodingNorms
-
-    @property
-    def client_block_size(self) -> int:
-        return 2 + 2 + self.num_models
-
-    def client_slice(self, i: int) -> np.ndarray:
-        b = self.client_block_size
-        return self.vector[i * b : (i + 1) * b]
-
-    def weights_slice(self, i: int) -> np.ndarray:
-        base = self.num_clients * self.client_block_size
-        m = self.num_models
-        return self.vector[base + i * m : base + (i + 1) * m]
 
 
 def layout_length(num_clients: int, num_models: int) -> int:
@@ -76,7 +55,7 @@ def encode_state(
     residual_fractions: list[tuple[float, float]],
     graph: GainGraph,
     norms: EncodingNorms,
-) -> StateEncoding:
+) -> np.ndarray:
     """Pure function of (scenario, residuals, graph)."""
     n = len(scenario.clients)
     m = len(graph.model_ids)
@@ -97,4 +76,4 @@ def encode_state(
     vector = np.concatenate([blocks.reshape(-1), weights.reshape(-1)])
     if not np.all(np.isfinite(vector)):
         raise ValueError("non-finite state feature")
-    return StateEncoding(vector, n, m, norms)
+    return vector

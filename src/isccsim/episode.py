@@ -8,7 +8,9 @@ round's download/compute/upload claims; the solver's coupled flag models
 the resulting bandwidth contention.
 Consumption claims are planned at decision time against an empty frame and
 emitted into the following frame, which is empty when they arrive, so they
-always fit; a consumption claim that does not is an internal error.
+always fit. Generation claims are poured onto the residuals the solver was
+given, so they fit too: any planned claim that does not is a program fault
+and raises ``InvariantBroken``. A round's gains are the chosen edges' weights.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import StateEncoding, default_norms, encode_state
+from .encoding import default_norms, encode_state
 from .gain import GainGraph, SensingParams, build_gain_graph
 from .network import Scenario, SensingMode, clone_scenario, step_mobility
 from .pool import (
@@ -45,7 +47,7 @@ class Observation:
     round_index: int
     scenario: Scenario
     graph: GainGraph
-    state: StateEncoding
+    state: np.ndarray  # the fixed-layout vector of `encode_state`
 
 
 @dataclass
@@ -113,7 +115,6 @@ def claims_for_solution(
     mode: SensingMode,
     sol: WorkloadSolution,
     pool: UniversalResourcePool,
-    pool_cfg: PoolConfig,
 ) -> tuple[list[Claim], list[Claim]]:
     """Turn a solution into (generation claims, consumption claims).
 
@@ -121,12 +122,12 @@ def claims_for_solution(
     are planned against the next frame, which starts empty: DL and UL take
     disjoint slot ranges and COMP the other grid, so each is poured onto
     full lanes and none changes another's pour. Raises CapacityExceeded if
-    anything fails to fit, which the caller records as an infeasible pair.
+    anything fails to fit.
     """
     if not sol.feasible or sol.w_star == 0:
         return [], []
-    dt = pool_cfg.slot_duration
-    length = pool_cfg.num_slots
+    dt = pool.slot_duration
+    length = pool.num_slots
 
     gen: list[Claim] = []
     s1 = slots_needed(sol.t_sens, dt)
@@ -188,11 +189,6 @@ class RoundEnv:
         self.scenario: Scenario | None = None
         self.trace: EpisodeTrace | None = None
 
-    def spawn_eval(self) -> "RoundEnv":
-        """Independent copy pinned to the first scenario (episode index 0)."""
-        first = self.scenario_factory(0)
-        return RoundEnv(lambda _i: first, self.schedule, self.pool_cfg, self.sensing)
-
     # -- episode lifecycle ---------------------------------------------------
 
     def reset(self) -> Observation:
@@ -224,29 +220,24 @@ class RoundEnv:
 
         r = self.round_index
         graph = obs.graph
-        solutions, weights = graph.chosen(assignment)
-        gains, workloads, feasible, claims = [], [], [], []
-        for i, client in enumerate(self.scenario.clients):
-            sol = solutions[i]
-            pool = self.bank.pools[i]
-            try:
+        solutions, gains = graph.chosen(assignment)
+        claims: list[Claim] = []
+        try:
+            for i, client in enumerate(self.scenario.clients):
+                pool = self.bank.pools[i]
                 gen, cons = claims_for_solution(
-                    client.client_id, r, client.sensing_mode, sol, pool, self.pool_cfg
+                    client.client_id, r, client.sensing_mode, solutions[i], pool
                 )
                 for claim in gen:
                     pool.try_allocate(claim)
                 self.pending[i].extend(cons)
-                ok = sol.feasible
                 claims.extend(gen)
                 claims.extend(cons)
-            except CapacityExceeded:
-                pool.release_round(r)
-                ok = False
-            gains.append(weights[i] if ok and sol.w_star > 0 else 0.0)
-            workloads.append(sol.w_star if ok else 0)
-            feasible.append(ok)
+        except CapacityExceeded as err:
+            raise _misplaced(client.client_id, r, err) from err
         self.trace.rounds.append(RoundRecord(
-            r, list(assignment), gains, workloads, feasible, claims, graph.infeasible_edges
+            r, list(assignment), gains, [s.w_star for s in solutions],
+            [s.feasible for s in solutions], claims, graph.infeasible_edges,
         ))
         reward = float(sum(gains))
 
@@ -270,16 +261,11 @@ class RoundEnv:
 
     def _emit_pending(self) -> None:
         for pool, queued in zip(self.bank.pools, self.pending):
-            for claim in queued:
-                try:
+            try:
+                for claim in queued:
                     pool.try_allocate(claim)
-                except CapacityExceeded as err:
-                    # Planned against an empty frame and emitted into one,
-                    # so it fits unless the planning or the pools are wrong.
-                    raise InvariantBroken(
-                        f"consumption claim of client {claim.client_id} "
-                        f"round {claim.round_index} does not fit its empty frame"
-                    ) from err
+            except CapacityExceeded as err:
+                raise _misplaced(claim.client_id, claim.round_index, err) from err
             queued.clear()
 
     def _close_frame(self) -> None:
@@ -314,6 +300,13 @@ class RoundEnv:
         state = encode_state(sc, fracs, graph, self.norms)
         self._current_obs = Observation(self.round_index, sc, graph, state)
         return self._current_obs
+
+
+def _misplaced(client_id: int, round_index: int, err: CapacityExceeded) -> InvariantBroken:
+    """A claim planned to fit its frame did not: the planning or the pools are wrong."""
+    return InvariantBroken(
+        f"claim of client {client_id} round {round_index} does not fit its frame: {err}"
+    )
 
 
 def run_episode(

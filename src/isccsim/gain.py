@@ -159,12 +159,6 @@ def num_models(scenario: Scenario) -> int:
     return len(scenario.edges) * len(scenario.edges[0].model_mixtures)
 
 
-def model_edge_variant(scenario: Scenario, model_id: int) -> tuple[int, int]:
-    """Map a flat model index to (edge index, variant index)."""
-    variants = len(scenario.edges[0].model_mixtures)
-    return model_id // variants, model_id % variants
-
-
 def build_gain_graph(
     scenario: Scenario,
     t_gen: float,

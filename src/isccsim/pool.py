@@ -7,6 +7,7 @@ per grid; each client's ``UniversalResourcePool`` works on its row."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -144,8 +145,15 @@ class ResourceGrid:
         return slice(*claim.slot_range), cols
 
     def fits(self, claim: Claim) -> bool:
-        peak = float(self.used[self.cells(claim)].max())
-        return peak + claim.amount_per_cell <= self.cell_capacity + EPS
+        """Whether the claim fits on top of its cells' peak usage.
+
+        The slack is EPS, or 16 ulps of the capacity where that is more: an
+        amount poured onto a cell's residual, or a full cell's amount on the
+        residue a release left, can round above a large capacity.
+        """
+        total = float(self.used[self.cells(claim)].max()) + claim.amount_per_cell
+        cap = self.cell_capacity
+        return total <= cap + EPS or total <= cap + 16 * math.ulp(cap)
 
     def apply(self, claim: Claim, sign: float) -> None:
         """Add (sign > 0) or remove (sign < 0) a claim's amount on its cells.
@@ -272,8 +280,6 @@ class UniversalResourcePool:
     def _pour(
         self, grid: ResourceGrid, slot_range: tuple[int, int], per_slot_demand: float
     ) -> list[tuple[tuple[int, ...], float]] | None:
-        if per_slot_demand <= EPS:
-            return []
         return pour_lanes(grid.residual(slot_range).min(axis=0).tolist(), per_slot_demand)
 
     def _grid(self, kind: GridKind) -> ResourceGrid:
@@ -286,7 +292,10 @@ def pour_lanes(
     """Pack a per-slot demand onto lanes with the given availability.
 
     Returns (lanes, amount_per_cell) groups, lowest-index lanes first, or None
-    when the demand does not fit.
+    when the demand does not fit. A shortfall of at most EPS, or EPS times
+    the demand where that is more, is float round-off and still fits: a
+    rate derived from the lanes' capacity comes back from rate times slot
+    duration a few ulps above it.
     """
     if per_slot_demand <= EPS:
         return []
@@ -299,7 +308,7 @@ def pour_lanes(
         if take > EPS:
             takes[lane] = take
             remaining -= take
-    if remaining > EPS:
+    if remaining > EPS and remaining > EPS * per_slot_demand:
         return None
     # Group consecutive lanes with equal take into one rectangle.
     groups: list[tuple[tuple[int, ...], float]] = []

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import EncodingNorms, LayoutMismatch
-from .episode import RoundEnv
+from .encoding import EncodingNorms, LayoutMismatch, layout_length
+from .episode import RoundEnv, run_episode
 from .mlp import Adam, Mlp, interleave_grads, mlp_params, polyak_update
 from .policies import Policy
 
@@ -128,7 +128,7 @@ class SacAgent:
         self.num_models = num_models
         self.config = config
         self.block = 4 + num_models
-        expected = num_clients * self.block + num_clients * num_models
+        expected = layout_length(num_clients, num_models)
         if state_dim != expected:
             raise LayoutMismatch(
                 f"state of length {state_dim} does not decompose into "
@@ -372,7 +372,7 @@ class SacPolicy(Policy):
         self.agent = agent
 
     def decide(self, obs) -> list[int]:
-        vec = obs.state.vector
+        vec = obs.state
         if vec.size != self.agent.state_dim:
             raise LayoutMismatch(
                 f"trained for state length {self.agent.state_dim}, "
@@ -404,7 +404,7 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
     obs = env.reset()
     num_clients = len(obs.scenario.clients)
     num_models = len(obs.graph.model_ids)
-    state_dim = obs.state.vector.size
+    state_dim = obs.state.size
     agent = SacAgent(state_dim, num_clients, num_models, config, rng_init)
     buffer = ReplayBuffer(config.replay_capacity, state_dim, num_clients)
 
@@ -420,14 +420,14 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
         episode_gain = 0.0
         done = False
         while not done and steps < config.total_steps:
-            state = obs.state.vector.copy()
+            state = obs.state.copy()
             if steps < config.warmup_steps:
                 action = [int(a) for a in
                           rng_act.integers(0, num_models, size=num_clients)]
             else:
                 action = agent.act(state, rng_act)
             obs, reward, done = env.step(action)
-            next_state = np.zeros_like(state) if done else obs.state.vector.copy()
+            next_state = np.zeros_like(state) if done else obs.state.copy()
             buffer.push(state, action, reward, next_state, done)
             steps += 1
             episode_gain += reward
@@ -463,15 +463,9 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
 
 def evaluate(env: RoundEnv, agent: SacAgent) -> float:
     """Greedy rollout on a fresh copy of the environment's first scenario."""
-    probe = env.spawn_eval()
-    policy = SacPolicy(agent)
-    obs = probe.reset()
-    total = 0.0
-    done = False
-    while not done:
-        obs, reward, done = probe.step(policy.decide(obs))
-        total += reward
-    return total
+    return run_episode(
+        env.scenario_factory(0), SacPolicy(agent), env.schedule, env.pool_cfg, env.sensing
+    ).cumulative_gain
 
 
 def load_policy(path: str) -> SacPolicy:

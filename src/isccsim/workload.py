@@ -74,10 +74,6 @@ class WorkloadSolution(NamedTuple):
     t_ul: float
     feasible: bool
 
-    @property
-    def latencies(self) -> tuple[float, float, float, float]:
-        return (self.t_sens, self.t_dl, self.t_cp, self.t_ul)
-
     @classmethod
     def from_row(cls, row: list[float]) -> "WorkloadSolution":
         """One edge of `solve_edges`' solution array, as a list of floats it

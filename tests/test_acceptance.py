@@ -179,7 +179,7 @@ def test_criterion_6_gradients_match_finite_differences():
                    plan_pipeline(TINY_ROUNDS, 9, Mode.ZEROS),
                    PoolConfig(), SensingParams())
     obs = env.reset()
-    agent = SacAgent(obs.state.vector.size, 3, 2, SacConfig(),
+    agent = SacAgent(obs.state.size, 3, 2, SacConfig(),
                      np.random.default_rng(0))
     rng = np.random.default_rng(42)
     for net in (agent.actor, agent.critic1, agent.critic2,

@@ -115,6 +115,9 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     assert summary["command"] == "simulate"
     assert len(summary["results"]["per_seed"]) == 2
     assert summary["results"]["audit_all_ok"] is True
+    assert all(0.0 < row["peak_cell_use"] <= 1.0 + 1e-9 for row in summary["results"]["per_seed"])
+    assert main(["simulate", "--config", cfg, "--policy", "greedy"]) == 0
+    assert json.dumps(read_summary(out)["results"]) == json.dumps(summary["results"])
 
 
 def test_simulate_counts_infeasible_edges(tmp_path):

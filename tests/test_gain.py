@@ -14,7 +14,6 @@ from isccsim.gain import (
     build_gain_graph,
     gain,
     kl_matrix,
-    model_edge_variant,
     num_models,
     similarity,
 )
@@ -215,8 +214,8 @@ class TestGainGraph:
             assert graph.sensed_counts[i] == len(sensed)
             for m in graph.model_ids:
                 e = graph.edge(i, m)
-                e_idx, variant = model_edge_variant(sc, m)
-                q = np.array(sc.edges[e_idx].model_mixtures[variant])
+                mixtures = sc.edges[sc.model_arrays().edge_of_model[m]].model_mixtures
+                q = np.array(mixtures[m % len(mixtures)])
                 assert e.similarity == similarity(p, q)
                 assert e.problem.w_cap == float(len(sensed) * sensing.samples_per_target)
 
@@ -258,7 +257,7 @@ class TestGainGraph:
         for i, client in enumerate(sc.clients):
             for m in graph.model_ids:
                 e = graph.edge(i, m)
-                e_idx, _ = model_edge_variant(sc, m)
+                e_idx = sc.model_arrays().edge_of_model[m]
                 assert graph.weights[i, m] == e.weight
                 assert graph.etas[i, m] == spectral_efficiency(client, sc.edges[e_idx], sc.channel)
                 assert graph.etas[i, m] == e.problem.eta

@@ -18,6 +18,7 @@ from isccsim.pool import (
     PoolConfig,
     Process,
     new_pool,
+    pour_lanes,
 )
 
 
@@ -244,6 +245,26 @@ class TestPour:
     def test_zero_demand(self):
         pool = default_pool()
         assert pool.pour_bandwidth((0, 9), 0.0) == []
+
+    @pytest.mark.parametrize("lanes, cap, dt", [(1, 1e8, 0.3), (2, 5e7, 0.3)])
+    def test_full_rate_round_trip_fits(self, lanes, cap, dt):
+        """The amount of the lanes' full rate, lanes * cap / dt, comes back
+        1.5e-8 above lanes * cap: round-off, so it fits; a real excess does not."""
+        demand = (lanes * cap / dt) * dt
+        assert demand > lanes * cap + EPS
+        assert pour_lanes([cap] * lanes, demand) == [(tuple(range(lanes)), cap)]
+        assert pour_lanes([cap] * lanes, lanes * cap * (1 + 1e-6)) is None
+        assert pour_lanes([cap] * lanes, EPS / 2) == []
+
+    def test_pour_onto_large_partly_used_cell_allocates(self):
+        """Usage plus the poured residual rounds an ulp (7.5e-9) above this
+        cell's capacity, which still fits."""
+        pool = new_pool(9, 1, 1, 0.3, 195355265.17129013, 5e7)
+        pool.try_allocate(freq_claim([0], (0, 3), 24344237.630573))
+        groups = pool.pour_bandwidth((0, 3), pool.rect_bandwidth_hz((0, 3)))
+        assert groups is not None
+        for lanes, amount in groups:
+            pool.try_allocate(freq_claim(lanes, (0, 3), amount, rnd=2))
 
 
 @st.composite

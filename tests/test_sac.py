@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_scenarios
 from isccsim.encoding import LayoutMismatch, default_norms, encode_state, layout_length
 from isccsim.episode import RoundEnv
-from isccsim.gain import SensingParams, build_gain_graph, model_edge_variant
+from isccsim.gain import SensingParams, build_gain_graph
 from isccsim.mlp import Mlp, gradient_check, scalar_gradient_check
 from isccsim.network import ScenarioConfig, generate_scenario, spectral_efficiency
 from isccsim.policies import RandomPolicy
@@ -50,7 +50,7 @@ def fresh_agent(env, rng_seed=0, **overrides):
     n = len(obs.scenario.clients)
     m = len(obs.graph.model_ids)
     config = SacConfig(**overrides)
-    agent = SacAgent(obs.state.vector.size, n, m, config,
+    agent = SacAgent(obs.state.size, n, m, config,
                      np.random.default_rng(rng_seed))
     return agent, obs
 
@@ -84,11 +84,11 @@ def test_zero_residuals_encode_to_zero_features():
     obs = env.reset()
     state = encode_state(
         obs.scenario, [(0.0, 0.0)] * len(obs.scenario.clients),
-        obs.graph, obs.state.norms,
+        obs.graph, env.norms,
     )
-    for i in range(len(obs.scenario.clients)):
-        block = state.client_slice(i)
-        assert block[0] == 0.0 and block[1] == 0.0
+    n, m = len(obs.scenario.clients), len(obs.graph.model_ids)
+    blocks = state[: n * (4 + m)].reshape(n, 4 + m)
+    assert np.all(blocks[:, :2] == 0.0)
 
 
 def test_permuting_models_permutes_feature_blocks():
@@ -109,14 +109,14 @@ def test_permuting_models_permutes_feature_blocks():
         problems=problems,
     )
     fracs = [(0.5, 0.5)] * len(obs.scenario.clients)
-    base = encode_state(obs.scenario, fracs, graph, obs.state.norms)
-    moved = encode_state(obs.scenario, fracs, swapped, obs.state.norms)
-    for i in range(len(obs.scenario.clients)):
-        b0 = base.client_slice(i)
-        b1 = moved.client_slice(i)
-        assert np.array_equal(b0[:4], b1[:4])
-        assert np.array_equal(b0[4:][perm], b1[4:])
-        assert np.array_equal(base.weights_slice(i)[perm], moved.weights_slice(i))
+    base = encode_state(obs.scenario, fracs, graph, env.norms)
+    moved = encode_state(obs.scenario, fracs, swapped, env.norms)
+    n = len(obs.scenario.clients)
+    split = n * (4 + m)
+    b0, b1 = base[:split].reshape(n, 4 + m), moved[:split].reshape(n, 4 + m)
+    assert np.array_equal(b0[:, :4], b1[:, :4])
+    assert np.array_equal(b0[:, 4:][:, perm], b1[:, 4:])
+    assert np.array_equal(base[split:].reshape(n, m)[:, perm], moved[split:].reshape(n, m))
 
 
 def reference_encoding(scenario, fracs, graph, norms):
@@ -125,7 +125,7 @@ def reference_encoding(scenario, fracs, graph, norms):
     blocks = []
     for i, client in enumerate(scenario.clients):
         etas = [
-            spectral_efficiency(client, scenario.edges[model_edge_variant(scenario, m)[0]],
+            spectral_efficiency(client, scenario.edges[scenario.model_arrays().edge_of_model[m]],
                                 scenario.channel)
             for m in graph.model_ids
         ]
@@ -152,8 +152,8 @@ def test_encoding_matches_per_client_reference(sc, seed):
     norms = default_norms(sc.channel, max(1, len(sc.targets)), sensing.samples_per_target)
     state = encode_state(sc, fracs, graph, norms)
     expected = reference_encoding(sc, fracs, graph, norms)
-    assert state.vector.dtype == expected.dtype
-    assert state.vector.tobytes() == expected.tobytes()
+    assert state.dtype == expected.dtype
+    assert state.tobytes() == expected.tobytes()
 
 
 # -- actor forward ------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_encoding_matches_per_client_reference(sc, seed):
 def test_fresh_actor_is_uniform_with_full_entropy():
     env = tiny_env()
     agent, obs = fresh_agent(env)
-    probs, logp = agent.policy(obs.state.vector.reshape(1, -1))
+    probs, logp = agent.policy(obs.state.reshape(1, -1))
     m = agent.num_models
     assert np.allclose(probs, 1.0 / m)
     entropy = -(probs * logp).sum(axis=2)
@@ -200,8 +200,8 @@ def test_sampling_is_reproducible():
     env = tiny_env()
     agent, obs = fresh_agent(env)
     randomize(agent, np.random.default_rng(6))
-    a1 = agent.act(obs.state.vector, np.random.default_rng(9))
-    a2 = agent.act(obs.state.vector, np.random.default_rng(9))
+    a1 = agent.act(obs.state, np.random.default_rng(9))
+    a2 = agent.act(obs.state, np.random.default_rng(9))
     assert a1 == a2
 
 

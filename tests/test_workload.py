@@ -255,7 +255,7 @@ class TestSolutionInvariants:
         sol = solve_workload(p)
         assert sol.w_star >= 0
         assert sol.w_star <= p.w_cap
-        assert min(sol.latencies) >= 0.0
+        assert min(sol.t_sens, sol.t_dl, sol.t_cp, sol.t_ul) >= 0.0
         if sol.feasible:
             assert sol.t_sens <= p.t_gen + 1e-6
             assert sol.t_dl + sol.t_cp + sol.t_ul <= p.t_cons + 1e-6

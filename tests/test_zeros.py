@@ -22,8 +22,16 @@ from isccsim.episode import (
 )
 from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, generate_scenario, sense_targets
-from isccsim.policies import GreedyGainPolicy, RandomPolicy
-from isccsim.pool import CapacityExceeded, Claim, GridKind, PoolConfig, Process, new_pool
+from isccsim.policies import GreedyGainPolicy, RandomPolicy, make_policy
+from isccsim.pool import (
+    CapacityExceeded,
+    Claim,
+    GridKind,
+    PoolConfig,
+    Process,
+    UniversalResourcePool,
+    new_pool,
+)
 from isccsim.schedule import (
     Mode,
     ScheduleError,
@@ -192,7 +200,7 @@ class TestClaimConversion:
             if sol.w_star == 0:
                 continue
             pool = cfg.build()
-            gen, cons = claims_for_solution(0, 1, scaled.mode, sol, pool, cfg)
+            gen, cons = claims_for_solution(0, 1, scaled.mode, sol, pool)
             for claim in gen:
                 pool.try_allocate(claim)
             fresh = cfg.build()
@@ -214,7 +222,7 @@ class TestClaimConversion:
             )
             sol = solve_workload(p)
             try:
-                got = claims_for_solution(0, 1, p.mode, sol, cfg.build(), cfg)
+                got = claims_for_solution(0, 1, p.mode, sol, cfg.build())
             except CapacityExceeded:
                 got = None
             assert got == scratch_pool_plan(0, 1, p, sol, cfg)
@@ -240,7 +248,7 @@ class TestClaimConversion:
         )
         sol = solve_workload(p)
         pool_cfg = PoolConfig()
-        gen, cons = claims_for_solution(0, 1, p.mode, sol, pool_cfg.build(), pool_cfg)
+        gen, cons = claims_for_solution(0, 1, p.mode, sol, pool_cfg.build())
         assert gen == [] and cons == []
 
 
@@ -431,3 +439,95 @@ class TestEpisode:
         assert consumption_window(9, 0.1) == pytest.approx(0.7)
         assert consumption_window(5, 0.1) == pytest.approx(0.3)
         assert consumption_window(2, 0.1) == 0.0
+
+
+def placed_episode(scenario, policy, schedule, pool_cfg):
+    """Run an episode step by step; return the trace and, per round, the
+    (solutions, weights) its gain graph gives the decision."""
+    env = RoundEnv(lambda _: scenario, schedule, pool_cfg, SensingParams())
+    obs, done, chosen = env.reset(), False, []
+    while not done:
+        decisions = policy.decide(obs)
+        chosen.append(obs.graph.chosen(decisions))
+        obs, _, done = env.step(decisions)
+    return env.trace, chosen
+
+
+def assert_rounds_read_graph(trace, chosen):
+    for rec, (solutions, weights) in zip(trace.rounds, chosen, strict=True):
+        assert rec.gains == weights
+        assert rec.workloads == [s.w_star for s in solutions]
+        assert rec.feasible == [s.feasible for s in solutions]
+
+
+class TestPlacement:
+    """Every planned claim is placed, or the episode raises: a round records
+    exactly the chosen edges of its gain graph."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("pool_cfg", [
+        PoolConfig(slot_duration=0.3),
+        PoolConfig(comp_lanes=1, cycles_per_lane_slot=1e8, slot_duration=0.3),
+    ])
+    def test_full_compute_claims_fit(self, pool_cfg, mode):
+        """At 0.3 s slots a full-compute rate comes back out of the
+        rate-to-amount round trip 1.5e-8 cycles above the lanes' capacity;
+        it still fits, so no solver-feasible pair is voided."""
+        trace, chosen = placed_episode(
+            generate_scenario(ScenarioConfig(), 0), GreedyGainPolicy(),
+            plan_pipeline(5, pool_cfg.num_slots, mode), pool_cfg,
+        )
+        assert trace.cumulative_gain > 0
+        assert_rounds_read_graph(trace, chosen)
+
+    def test_generation_claim_that_does_not_fit_is_internal_error(self, monkeypatch):
+        """A generation claim the pool refuses raises; the pair is not voided."""
+
+        def refuse(pool, claim):
+            raise CapacityExceeded("refused")
+
+        monkeypatch.setattr(UniversalResourcePool, "try_allocate", refuse)
+        env = RoundEnv(lambda _: tiny_scenario(1), plan_pipeline(2, 9, Mode.ZEROS),
+                       PoolConfig(), SensingParams())
+        obs = env.reset()
+        with pytest.raises(InvariantBroken):
+            env.step(GreedyGainPolicy().decide(obs))
+
+    @given(
+        st.builds(
+            ScenarioConfig,
+            area_m=st.sampled_from([150.0, 300.0]),
+            num_clients=st.integers(1, 5),
+            num_targets=st.integers(0, 30),
+            num_edges=st.integers(1, 3),
+            num_classes=st.integers(2, 4),
+            num_models=st.integers(1, 2),
+            vs_radius_m=st.floats(20.0, 150.0),
+            ws_radius_m=st.floats(20.0, 200.0),
+        ),
+        st.builds(
+            PoolConfig,
+            freq_lanes=st.integers(1, 5),
+            comp_lanes=st.integers(1, 5),
+            slot_duration=st.sampled_from([0.05, 0.07, 0.1, 0.3]),
+            hz_per_lane=st.floats(1e5, 1e9),
+            cycles_per_lane_slot=st.floats(5e6, 3e10),
+        ),
+        st.sampled_from(["random", "greedy", "ml-c", "mp-tsc"]),
+        st.sampled_from(list(Mode)),
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_episodes_place_every_claim(
+        self, scenario_cfg, pool_cfg, policy, mode, rounds, seed
+    ):
+        schedule = plan_pipeline(rounds, pool_cfg.num_slots, mode)
+        trace, chosen = placed_episode(
+            generate_scenario(scenario_cfg, seed), make_policy(policy, seed), schedule, pool_cfg
+        )
+        report = audit_trace(trace, schedule, pool_cfg)
+        assert report["ok"], report["failures"]
+        assert trace.violations == []
+        assert sum(trace.rewards) == trace.cumulative_gain
+        assert_rounds_read_graph(trace, chosen)
