@@ -11,6 +11,11 @@ emitted into the following frame, which is empty when they arrive, so they
 always fit. Generation claims are poured onto the residuals the solver was
 given, so they fit too: any planned claim that does not is a program fault
 and raises ``InvariantBroken``. A round's gains are the chosen edges' weights.
+
+A round is planned for every client at once (`plan_round`): its claims
+become one bank load per phase and one `ClaimTable`, so placing, releasing
+and checking them are array operations over all clients.
+`claims_for_solution` is the one-client reference definition.
 """
 
 from __future__ import annotations
@@ -23,14 +28,21 @@ from .encoding import default_norms, encode_state
 from .gain import GainGraph, SensingParams, build_gain_graph
 from .network import Scenario, SensingMode, clone_scenario, step_mobility
 from .pool import (
+    GRID_KINDS,
+    PROCESS_ORDER,
     CapacityExceeded,
     Claim,
+    ClaimTable,
     GridKind,
+    OutOfHorizon,
     PoolBank,
     PoolConfig,
     Process,
     UniversalResourcePool,
+    fit_bound,
+    lane_runs,
     pour_lanes,
+    pour_rows,
 )
 from .schedule import Mode, RoundSchedule, ScheduleError, Violation, slots_needed, validate_cstc
 from .workload import WorkloadSolution
@@ -57,8 +69,12 @@ class RoundRecord:
     gains: list[float]
     workloads: list[int]
     feasible: list[bool]
-    claims: list[Claim]
+    table: ClaimTable  # the round's claims, client-major: generation, then DL, COMP, UL
     infeasible_edges: int = 0  # gain-graph edges the round's decision saw infeasible
+
+    @property
+    def claims(self) -> list[Claim]:
+        return self.table.claims()
 
 
 @dataclass
@@ -81,6 +97,9 @@ class EpisodeTrace:
     @property
     def rewards(self) -> list[float]:
         return [float(sum(rec.gains)) for rec in self.rounds]
+
+    def claim_table(self) -> ClaimTable:
+        return ClaimTable.concat([rec.table for rec in self.rounds])
 
     def all_claims(self) -> list[Claim]:
         return [c for rec in self.rounds for c in rec.claims]
@@ -169,6 +188,106 @@ def claims_for_solution(
     return gen, cons
 
 
+# Process codes: positions in `PROCESS_ORDER`, the compulsory serial order.
+_SENS, _DL, _COMP, _UL = range(4)
+_TIME_FREQ, _TIME_COMP, _NONE = (GRID_KINDS.index(g) for g in GridKind)
+_GRID_OF = np.array([_TIME_FREQ, _TIME_FREQ, _TIME_COMP, _TIME_FREQ])  # by process code
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """One round's claims for every client, as bank loads and as a table."""
+
+    gen: np.ndarray                      # (N, slots, freq lanes) sensing load
+    cons: tuple[np.ndarray, np.ndarray]  # (freq, comp) DL/UL and COMP load
+    table: ClaimTable
+    bad: np.ndarray                      # (N,) rows whose plan does not fit a frame
+
+
+def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
+               solutions: np.ndarray, bank: PoolBank) -> RoundPlan:
+    """`claims_for_solution` for every row of a (9, N) solution array at once.
+
+    Slot counts, pours and lane groups run the scalar code's float operations
+    row by row, so the table holds exactly the per-client claims in client
+    order, and the loads put exactly their amounts on their cells. Sensing
+    is poured onto the bank's live residual over slots [0, s1), consumption
+    onto full lanes. A row without a feasible, nonzero workload claims
+    nothing; a plan that does not fit flags its row in `bad`.
+    """
+    n, length, freq_lanes = bank.time_freq.shape
+    comp_lanes = bank.time_comp.shape[2]
+    lanes = max(freq_lanes, comp_lanes)
+    freq, comp, dt = bank.empty.time_freq, bank.empty.time_comp, bank.empty.slot_duration
+    active = (solutions[-1] == 1.0) & (solutions[0] != 0.0)
+
+    # (N, 4) arrays by process code. `slots_needed` of t_sens, t_dl,
+    # t_dl + t_cp and t_dl + t_cp + t_ul, then `plan_cons_slots`: process p
+    # holds slots [start[:, p], end[:, p]). A phase of zero time adds
+    # nothing to the sum, so its end is the one before it.
+    ends = np.where(active[:, None], solutions[4:8].T, 0.0)
+    ends[:, _COMP] += ends[:, _DL]
+    ends[:, _UL] += ends[:, _COMP]
+    end = np.where(ends > 0.0, np.ceil(ends / dt - 1e-9), 0.0).astype(np.int64)
+    if (end[:, _SENS] > length).any():
+        raise OutOfHorizon(f"sensing needs {end[:, _SENS].max()} slots, frame has {length}")
+    has = (solutions[6:8].T > 0.0) & active[:, None]
+    end[:, _COMP] = np.maximum(end[:, _DL] + has[:, 0], end[:, _COMP])
+    end[:, _UL] = np.maximum(end[:, _COMP] + has[:, 1], end[:, _UL])
+    start = np.zeros((n, 4), dtype=np.int64)
+    start[:, _COMP:] = end[:, _DL:_UL]
+    present = end > start
+
+    # One pour per process over stacked rows: sensing on the live residual,
+    # DL and UL on full frequency lanes, COMP on full compute lanes. A pour
+    # the scalar code skips gets no demand.
+    slot = np.arange(length)
+    avail = np.zeros((n, 4, lanes))
+    resid = np.where((slot < end[:, _SENS, None])[:, :, None],
+                     freq.cell_capacity - bank.time_freq, np.inf)
+    avail[:, _SENS, :freq_lanes] = np.maximum(resid.min(axis=1), 0.0)
+    avail[:, _DL::2, :freq_lanes] = freq.cell_capacity
+    avail[:, _COMP, :comp_lanes] = comp.cell_capacity
+    camera = vs & present[:, _SENS]
+    present[:, _SENS] ^= camera
+    demand = np.where(present, solutions[[1, 2, 3, 2]].T * dt, 0.0)
+    cells, ok = pour_rows(avail.reshape(4 * n, lanes), demand.ravel())
+    bad = ~ok.reshape(n, 4).all(axis=1) | (end[:, _UL] > length)
+
+    inside = (slot >= start[:, :, None]) & (slot < end[:, :, None])
+    load = np.where(inside[:, :, :, None], cells.reshape(n, 4, 1, lanes), 0.0)
+    gen = load[:, _SENS, :, :freq_lanes]
+    cons = (load[:, _DL, :, :freq_lanes] + load[:, _UL, :, :freq_lanes],
+            load[:, _COMP, :, :comp_lanes])
+
+    # Client-major table rows. Camera sensing is a time-only claim: it is
+    # marked as a group of lane 0 with amount -1, then given no lanes and
+    # no amount.
+    cells[::4, 0] -= camera
+    runs, l0, l1 = lane_runs(cells)
+    row, process = np.divmod(runs, 4)
+    amount = cells[runs, l0]
+    timed = amount < 0.0
+    table = ClaimTable(
+        client_ids[row], np.full(len(row), round_index), process,
+        _GRID_OF[process] + timed * (_NONE - _TIME_FREQ), start.ravel()[runs],
+        end.ravel()[runs], l0, l1 - timed, np.maximum(amount, 0.0),
+    )
+    return RoundPlan(gen, cons, table, bad)
+
+
+def _decisions(assignment, n: int, m: int) -> list[int]:
+    """A round's decision as plain ints, each a model index in [0, m)."""
+    decisions = []
+    for a in assignment:
+        if isinstance(a, (bool, np.bool_)) or not isinstance(a, (int, np.integer)):
+            raise ValueError(f"assignment entries must be integer model indices, got {a!r}")
+        decisions.append(int(a))
+    if len(decisions) != n or any(not 0 <= a < m for a in decisions):
+        raise ValueError(f"assignment must give each of {n} clients a model in [0,{m})")
+    return decisions
+
+
 class RoundEnv:
     """Step-level environment: one step = one round's matching decision."""
 
@@ -199,8 +318,12 @@ class RoundEnv:
             max_targets=max(1, len(self.scenario.targets)),
             samples_per_target=self.sensing.samples_per_target,
         )
-        self.bank = PoolBank(self.pool_cfg, len(self.scenario.clients))
-        self.pending: list[list[Claim]] = [[] for _ in self.scenario.clients]
+        self.client_ids = np.array([c.client_id for c in self.scenario.clients], dtype=np.int64)
+        self.vs = self.scenario.model_arrays().vs[:, 0]
+        self.rows = np.arange(len(self.client_ids))
+        self.bank = PoolBank(self.pool_cfg, len(self.client_ids))
+        self.loads: dict[int, tuple] = {}  # round -> the (freq, comp) load it has in the bank
+        self.queued: tuple | None = None   # (round, load) for the next frame to open
         self.round_index = 1
         self.frame = 1
         self.trace = EpisodeTrace(
@@ -212,37 +335,23 @@ class RoundEnv:
         """Apply one round's decision; returns (next_obs, team reward, done)."""
         if self.trace is None:
             raise RuntimeError("call reset() first")
-        obs = self._current_obs
-        n = len(self.scenario.clients)
-        m = len(obs.graph.model_ids)
-        if len(assignment) != n or any(not 0 <= a < m for a in assignment):
-            raise ValueError(f"assignment must give each of {n} clients a model in [0,{m})")
+        graph = self._current_obs.graph
+        decisions = _decisions(assignment, len(self.client_ids), len(graph.model_ids))
 
         r = self.round_index
-        graph = obs.graph
-        solutions, gains = graph.chosen(assignment)
-        claims: list[Claim] = []
-        try:
-            for i, client in enumerate(self.scenario.clients):
-                pool = self.bank.pools[i]
-                gen, cons = claims_for_solution(
-                    client.client_id, r, client.sensing_mode, solutions[i], pool
-                )
-                for claim in gen:
-                    pool.try_allocate(claim)
-                self.pending[i].extend(cons)
-                claims.extend(gen)
-                claims.extend(cons)
-        except CapacityExceeded as err:
-            raise _misplaced(client.client_id, r, err) from err
+        solutions = graph.solutions[:, self.rows, decisions]
+        gains = graph.weights[self.rows, decisions].tolist()
+        plan = plan_round(r, self.client_ids, self.vs, solutions, self.bank)
+        self._place(r, (plan.gen, None), plan.bad)
+        self.queued = (r, plan.cons)
         self.trace.rounds.append(RoundRecord(
-            r, list(assignment), gains, [s.w_star for s in solutions],
-            [s.feasible for s in solutions], claims, graph.infeasible_edges,
+            r, decisions, gains, solutions[0].astype(int).tolist(),
+            (solutions[-1] == 1.0).tolist(), plan.table, graph.infeasible_edges,
         ))
         reward = float(sum(gains))
 
-        # Close each frame and open the next with the pending consumption
-        # claims, until the next round's generation frame opens or, after
+        # Close each frame and open the next with the queued consumption
+        # load, until the next round's generation frame opens or, after
         # the last round, the schedule's last frame has closed.
         sched = self.schedule
         done = r == sched.num_rounds
@@ -253,34 +362,42 @@ class RoundEnv:
             self._emit_pending()
         self.round_index += 1
         if done:
-            self.trace.violations = validate_cstc(sched, self.trace.all_claims())
+            self.trace.violations = validate_cstc(sched, self.trace.claim_table())
             return None, reward, True
         return self._observe(), reward, False
 
     # -- internals -------------------------------------------------------
 
+    def _place(self, round_index: int, load: tuple, planned_bad: np.ndarray | None = None) -> None:
+        """Put a round's load on the bank; a row that does not fit is a program fault."""
+        bad = self.bank.misfits(*load)
+        if planned_bad is not None:
+            bad |= planned_bad
+        if bad.any():
+            raise InvariantBroken(
+                f"claim of client {self.client_ids[bad.argmax()]} round {round_index} "
+                "does not fit its frame"
+            )
+        self.bank.add(*load)
+        self.loads[round_index] = load
+
     def _emit_pending(self) -> None:
-        for pool, queued in zip(self.bank.pools, self.pending):
-            try:
-                for claim in queued:
-                    pool.try_allocate(claim)
-            except CapacityExceeded as err:
-                raise _misplaced(claim.client_id, claim.round_index, err) from err
-            queued.clear()
+        if self.queued is not None:
+            self._place(*self.queued)
+            self.queued = None
 
     def _close_frame(self) -> None:
         f_frac, c_frac = self.bank.residual_fraction()
+        n = len(f_frac)
         self.trace.utilization.append(
             {
                 "frame": self.frame,
-                "freq_used": float(np.mean(1.0 - f_frac)),
-                "comp_used": float(np.mean(1.0 - c_frac)),
+                "freq_used": float((1.0 - f_frac).sum() / n),  # np.mean's sum and division
+                "comp_used": float((1.0 - c_frac).sum() / n),
             }
         )
-        rounds = self.schedule.rounds_in_frame(self.frame)
-        for pool in self.bank.pools:
-            for rnd in rounds:
-                pool.release_round(rnd)
+        for rnd in self.schedule.rounds_in_frame(self.frame):
+            self.bank.release(*self.loads.pop(rnd))
         step_mobility(self.scenario, self.schedule.cr_length * self.pool_cfg.slot_duration)
 
     def _observe(self) -> Observation:
@@ -302,13 +419,6 @@ class RoundEnv:
         return self._current_obs
 
 
-def _misplaced(client_id: int, round_index: int, err: CapacityExceeded) -> InvariantBroken:
-    """A claim planned to fit its frame did not: the planning or the pools are wrong."""
-    return InvariantBroken(
-        f"claim of client {client_id} round {round_index} does not fit its frame: {err}"
-    )
-
-
 def run_episode(
     scenario: Scenario,
     policy,
@@ -325,48 +435,80 @@ def run_episode(
     return env.trace
 
 
+def _cells(rows, s0, s1, l0, l1, num_slots: int, num_lanes: int):
+    """Flat bank indices of each claim's cells, claim after claim, and the
+    claim each cell belongs to."""
+    width = l1 - l0
+    count = (s1 - s0) * width
+    claim = np.repeat(np.arange(len(count)), count)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    slot = s0[claim] + offset // width[claim]
+    lane = l0[claim] + offset % width[claim]
+    return (rows[claim] * num_slots + slot) * num_lanes + lane, claim
+
+
 def audit_trace(
     trace: EpisodeTrace, schedule: RoundSchedule, pool_cfg: PoolConfig
 ) -> dict:
-    """Replay a trace's claims frame by frame on one bank of pools.
+    """Replay a trace's claim table frame by frame on one bank.
 
-    Confirms no cell was ever over capacity and that releasing every round
-    restores the empty-pool residuals.
+    Each frame adds every claim to its cells in claim order, then takes them
+    off again and checks that the bank is empty. Amounts are >= 0 and float
+    addition is monotone, so a cell ends the frame within `fit_bound` exactly
+    when every claim on it fitted on top of the ones before, and the frame's
+    peak is its final usage. A claim outside its grid or with a negative
+    amount is a failure and is not placed.
     """
-    by_frame: dict[int, list[Claim]] = {}
-    rows: dict[int, int] = {}
-    for claim in trace.all_claims():
-        by_frame.setdefault(schedule.frame_of(claim), []).append(claim)
-        rows.setdefault(claim.client_id, len(rows))
-    bank = PoolBank(pool_cfg, len(rows))
-    client_of_row = list(rows)
+    claims = trace.claim_table()
+    frames = schedule.claim_windows(claims)[:, 0]
+    ids, rows = np.unique(claims.client_id, return_inverse=True)
+    bank = PoolBank(pool_cfg, len(ids))
+    grids = ((_TIME_FREQ, bank.time_freq, bank.empty.time_freq),
+             (_TIME_COMP, bank.time_comp, bank.empty.time_comp))
+    grid, s0, s1, l0, l1, amount = (claims.grid, claims.s0, claims.s1, claims.l0, claims.l1,
+                                    claims.amount)
+    # A time-only claim has no lanes and no amount; a grid claim has lanes
+    # of its grid. Every claim lies within the frame's slots.
+    timed = grid == _NONE
+    lanes = np.array([g.num_lanes for _, _, g in grids] + [0])[grid]
+    bad = ((s0 < 0) | (s1 > pool_cfg.num_slots) | (s1 <= s0) | (l0 < 0) | (l1 > lanes)
+           | ~(amount >= 0.0) | np.where(timed, (l1 != l0) | (amount != 0.0), l1 <= l0))
 
     failures: list[str] = []
     max_util = 0.0
-    for frame in sorted(by_frame):
-        rounds: dict[int, set[int]] = {}
-        for claim in by_frame[frame]:
-            rounds.setdefault(claim.client_id, set()).add(claim.round_index)
-            try:
-                bank.pools[rows[claim.client_id]].try_allocate(claim)
-            except CapacityExceeded:
-                failures.append(
-                    f"frame {frame} client {claim.client_id} round {claim.round_index} "
-                    f"{claim.process.value} over capacity"
-                )
-        max_util = max(max_util, bank.peak_use())
-        for client_id, client_rounds in rounds.items():
-            for rnd in client_rounds:
-                bank.pools[rows[client_id]].release_round(rnd)
+    frame_list = np.unique(frames).tolist()
+    for frame in frame_list:
+        here = frames == frame
         failures.extend(
-            f"frame {frame} client {client_of_row[row]} release left residue"
+            f"frame {frame} client {claims.client_id[k]} round {claims.round_index[k]} "
+            f"{PROCESS_ORDER[claims.process[k]].value} claim outside its grid or malformed"
+            for k in np.flatnonzero(here & bad)
+        )
+        placed = []
+        for code, used, g in grids:
+            k = np.flatnonzero(here & (grid == code) & ~bad)
+            cells, claim = _cells(rows[k], s0[k], s1[k], l0[k], l1[k], g.num_slots, g.num_lanes)
+            amounts = amount[k][claim]
+            np.add.at(used.reshape(-1), cells, amounts)
+            placed.append((used, cells, amounts))
+        max_util = max(max_util, bank.peak_use())
+        for code, used, g in grids:
+            over = ~(used <= fit_bound(g.cell_capacity))
+            failures.extend(
+                f"frame {frame} client {ids[row]} {GRID_KINDS[code].value} over capacity"
+                for row in np.flatnonzero(over.any(axis=(1, 2)))
+            )
+        for used, cells, amounts in placed:
+            np.subtract.at(used.reshape(-1), cells, amounts)
+        failures.extend(
+            f"frame {frame} client {ids[row]} release left residue"
             for row in bank.residue_rows()
         )
         bank.time_freq.fill(0.0)
         bank.time_comp.fill(0.0)
     return {
         "ok": not failures,
-        "frames_checked": len(by_frame),
+        "frames_checked": len(frame_list),
         "max_cell_utilization": max_util,
         "failures": failures,
     }

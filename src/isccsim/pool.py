@@ -3,12 +3,14 @@ time x compute) that sensing, communication, and computing draw on without
 distinction. Allocation is claim-based and conservation-checked.
 
 A ``PoolBank`` keeps every client's cell usage in one (N, slots, lanes) array
-per grid; each client's ``UniversalResourcePool`` works on its row."""
+per grid and places or releases a whole round's load on all rows at once; a
+``ClaimTable`` records those claims as columns. ``UniversalResourcePool`` is
+the claim-level reference API, one claim at a time on one client's grids."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -104,6 +106,74 @@ class Claim:
         return self.slot_range[1] - self.slot_range[0]
 
 
+# A `ClaimTable`'s process codes are positions in the compulsory serial
+# order, its grid codes positions in `GRID_KINDS`.
+PROCESS_ORDER = (Process.SENS, Process.COMM_DL, Process.COMP, Process.COMM_UL)
+GRID_KINDS = tuple(GridKind)
+
+
+@dataclass(frozen=True)
+class ClaimTable:
+    """Claims as columns of equal length; row k is the claim
+
+    ``Claim(client_id[k], round_index[k], PROCESS_ORDER[process[k]],
+    GRID_KINDS[grid[k]], (s0[k], s1[k]), tuple(range(l0[k], l1[k])),
+    amount[k])``. Every claim the episode makes is one rectangle of cells:
+    a slot range times a contiguous, ascending run of lanes.
+    """
+
+    client_id: np.ndarray
+    round_index: np.ndarray
+    process: np.ndarray
+    grid: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
+    l0: np.ndarray
+    l1: np.ndarray
+    amount: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.amount)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def of(cls, claims: list[Claim]) -> "ClaimTable":
+        """The table of checked claims whose lanes are ascending runs."""
+        rows = []
+        for c in claims:
+            c.check()
+            l0 = c.lanes[0] if c.lanes else 0
+            if c.lanes != tuple(range(l0, l0 + len(c.lanes))):
+                raise MalformedClaim(f"lanes {c.lanes} are not an ascending run")
+            rows.append((c.client_id, c.round_index, PROCESS_ORDER.index(c.process),
+                         GRID_KINDS.index(c.grid), *c.slot_range, l0, l0 + len(c.lanes)))
+        ints = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+        return cls(*ints, np.array([c.amount_per_cell for c in claims], dtype=float))
+
+    @classmethod
+    def concat(cls, tables: list["ClaimTable"]) -> "ClaimTable":
+        if not tables:
+            return cls.of([])
+        return cls(*map(np.concatenate, zip(*(t.columns() for t in tables))))
+
+    def claims(self) -> list[Claim]:
+        """The rows as `Claim` objects, built on each call."""
+        return [
+            Claim(c, r, PROCESS_ORDER[p], GRID_KINDS[g], (s0, s1), tuple(range(l0, l1)), a)
+            for c, r, p, g, s0, s1, l0, l1, a in zip(*(col.tolist() for col in self.columns()))
+        ]
+
+
+def fit_bound(cell_capacity: float) -> float:
+    """The highest usage a cell may reach: its capacity plus EPS, or plus 16
+    ulps where that is more, since an amount poured onto a cell's residual,
+    or a full cell's amount on the residue a release left, can round above a
+    large capacity."""
+    return max(cell_capacity + EPS, cell_capacity + 16 * math.ulp(cell_capacity))
+
+
 @dataclass
 class ResourceGrid:
     """One slotted capacity plane with per-cell usage bookkeeping."""
@@ -145,15 +215,9 @@ class ResourceGrid:
         return slice(*claim.slot_range), cols
 
     def fits(self, claim: Claim) -> bool:
-        """Whether the claim fits on top of its cells' peak usage.
-
-        The slack is EPS, or 16 ulps of the capacity where that is more: an
-        amount poured onto a cell's residual, or a full cell's amount on the
-        residue a release left, can round above a large capacity.
-        """
+        """Whether the claim fits on top of its cells' peak usage."""
         total = float(self.used[self.cells(claim)].max()) + claim.amount_per_cell
-        cap = self.cell_capacity
-        return total <= cap + EPS or total <= cap + 16 * math.ulp(cap)
+        return total <= fit_bound(self.cell_capacity)
 
     def apply(self, claim: Claim, sign: float) -> None:
         """Add (sign > 0) or remove (sign < 0) a claim's amount on its cells.
@@ -329,6 +393,48 @@ def pour_lanes(
     return groups
 
 
+def pour_rows(
+    lane_avail: np.ndarray, per_slot_demand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`pour_lanes` for every row of (K, L) availabilities and (K,) demands.
+
+    Returns (cells, ok): ``cells[k, l]`` is the amount per cell of the group
+    holding lane l in row k's pour, 0 off every group, and ``ok[k]`` whether
+    the demand fits. Each row runs `pour_lanes`' float operations in its
+    order: the ``remaining -= take`` sequence over the lanes, and a group
+    that continues while a lane's take is within EPS of the group's first.
+    A take is at most the remaining demand, so a take above EPS also means
+    the demand was not yet poured; a lane with no take (0) is never within
+    EPS of a group's amount (above EPS), so it ends the group.
+    """
+    cells = np.empty(lane_avail.shape)
+    remaining = per_slot_demand
+    run = 0.0  # the amount of the group the previous lane belongs to, 0 if none
+    for lane in range(lane_avail.shape[1]):
+        take = np.minimum(remaining, lane_avail[:, lane])
+        take = np.where(take > EPS, take, 0.0)
+        remaining = remaining - take
+        run = np.where(np.abs(take - run) <= EPS, run, take) if lane else take
+        cells[:, lane] = run
+    ok = (remaining <= EPS) | (remaining <= EPS * per_slot_demand)
+    return cells, ok
+
+
+def lane_runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The groups of nonzero cells as (row, first lane, end lane), row-major.
+
+    Adjacent lanes of one `pour_rows` group hold the same amount, and a
+    group that starts next to another starts because its amount differs.
+    """
+    padded = np.zeros((len(cells), cells.shape[1] + 2))
+    padded[:, 1:-1] = cells
+    change = padded[:, 1:] != padded[:, :-1]
+    member = cells != 0.0
+    rows, first = np.nonzero(member & change[:, :-1])
+    _, last = np.nonzero(member & change[:, 1:])
+    return rows, first, last + 1
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Shape of every client's per-frame resource pool."""
@@ -378,10 +484,12 @@ def new_pool(
 class PoolBank:
     """Every client's pool, each grid's cell usage held in one (N, slots, lanes) array.
 
-    ``pools[i]`` is row i's claim-level API: its grids' ``used`` arrays are
-    views of row i, so its claims land in the bank, and the all-client
-    reductions below read them without a per-pool call. Each reduction equals
-    the per-pool method of the same name, row by row.
+    A load is one (N, slots, lanes) array of amounts per grid (None for a
+    grid it leaves alone): a round's claims of one phase, whose rectangles
+    within a row touch disjoint cells. Adding or subtracting it over the bank
+    gives every cell the float operation the claim-level path applies to it.
+    The all-client reductions equal the per-pool methods of the same name,
+    row by row.
     """
 
     def __init__(self, cfg: PoolConfig, num_pools: int):
@@ -390,14 +498,44 @@ class PoolBank:
         f, c = self.empty.time_freq, self.empty.time_comp
         self.time_freq = np.zeros((num_pools, f.num_slots, f.num_lanes))
         self.time_comp = np.zeros((num_pools, c.num_slots, c.num_lanes))
-        self.pools = [
-            UniversalResourcePool(
-                ResourceGrid(f.num_slots, f.num_lanes, f.cell_capacity, self.time_freq[i]),
-                ResourceGrid(c.num_slots, c.num_lanes, c.cell_capacity, self.time_comp[i]),
-                cfg.slot_duration,
-            )
-            for i in range(num_pools)
-        ]
+
+    def _grids(self, freq: np.ndarray | None, comp: np.ndarray | None):
+        for used, load, grid in ((self.time_freq, freq, self.empty.time_freq),
+                                 (self.time_comp, comp, self.empty.time_comp)):
+            if load is not None:
+                yield used, load, grid.cell_capacity
+
+    def misfits(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> np.ndarray:
+        """Rows the load would lift above `fit_bound` in some cell.
+
+        Rounding is monotone, so a cell's usage plus the amount is at most
+        the bound exactly when the claim's peak usage plus the amount is.
+        """
+        bad = np.zeros(len(self.time_freq), dtype=bool)
+        for used, load, cap in self._grids(freq, comp):
+            bound = fit_bound(cap)
+            total = used + load
+            if total.size and not total.max() <= bound:  # NaN does not fit either
+                bad |= ~(total <= bound).all(axis=(1, 2))
+        return bad
+
+    def add(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> None:
+        """Place a load that `misfits` found to fit in every row."""
+        for used, load, _ in self._grids(freq, comp):
+            used += load
+
+    def release(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> None:
+        """Take a placed load off the bank, as `ResourceGrid.apply` does per claim.
+
+        Rounding noise within EPS of a cell is clipped to 0; a cell taken
+        deeper below 0 raises PhantomRelease without touching the bank.
+        """
+        grids = [(used, used - load, cap) for used, load, cap in self._grids(freq, comp)]
+        for _, left, cap in grids:
+            if (left < -EPS * cap).any():
+                raise PhantomRelease("a release takes cells below 0")
+        for used, left, _ in grids:
+            np.maximum(left, 0.0, out=used)
 
     def rect_bandwidth_hz(self) -> np.ndarray:
         """Each row's ``rect_bandwidth_hz`` over the whole frame."""

@@ -11,8 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .pool import Claim, Process
+import numpy as np
+
+from .pool import PROCESS_ORDER, Claim, ClaimTable, Process
+
+_SENS = PROCESS_ORDER.index(Process.SENS)
 
 
 class Mode(Enum):
@@ -57,6 +62,19 @@ class RoundSchedule:
         w = self.for_round(claim.round_index)
         return w.gen_frame if claim.process is Process.SENS else w.cons_frame
 
+    @cached_property
+    def _phase_windows(self) -> np.ndarray:
+        """(rounds, 2, 3): each round's (frame, first slot, end slot) per phase."""
+        return np.array([((w.gen_frame, *w.gen_slots), (w.cons_frame, *w.cons_slots))
+                         for w in self.windows])
+
+    def claim_windows(self, claims: ClaimTable) -> np.ndarray:
+        """(claims, 3): the (frame, first slot, end slot) of each claim's phase."""
+        rnd = claims.round_index
+        if len(rnd) and not 1 <= rnd.min() <= rnd.max() <= self.num_rounds:
+            raise ScheduleError(f"claim rounds outside 1..{self.num_rounds}")
+        return self._phase_windows[rnd - 1, (claims.process != _SENS).view(np.int8)]
+
 
 def plan_pipeline(num_rounds: int, cr_length: int, mode: Mode) -> RoundSchedule:
     """Place each round's generation and consumption windows onto frames.
@@ -94,49 +112,46 @@ class Violation:
     slots: tuple[int, ...]
 
 
-# The compulsory serial order inside one round.
-_ORDER = (Process.SENS, Process.COMM_DL, Process.COMP, Process.COMM_UL)
-
-
-def validate_cstc(schedule: RoundSchedule, claims: list[Claim]) -> list[Violation]:
-    """Check the compulsory serial timing constraints over a claim set.
+def validate_cstc(schedule: RoundSchedule, claims: ClaimTable) -> list[Violation]:
+    """Check the compulsory serial timing constraints over a claim table.
 
     Per (client, round): every claim inside its scheduled window, and in
     absolute slots max(SENS) < min(DL), max(DL) < min(COMP),
-    max(COMP) < min(UL) for each adjacent pair actually present.
+    max(COMP) < min(UL) for each adjacent pair actually present. Owners come
+    in (client, round) order, each with its window violations in claim order
+    before its order violations.
     """
-    length = schedule.cr_length
-    by_owner: dict[tuple[int, int], list[Claim]] = {}
-    for claim in claims:
-        by_owner.setdefault((claim.client_id, claim.round_index), []).append(claim)
+    if not len(claims):
+        return []
+    process, s0, s1 = claims.process, claims.s0, claims.s1
+    frame, w0, w1 = schedule.claim_windows(claims).T
+    outside = (s0 < w0) | (s1 > w1)
+    base = (frame - 1) * schedule.cr_length
 
-    violations = []
-    for (client_id, rnd), owned in sorted(by_owner.items()):
-        w = schedule.for_round(rnd)
-        spans: dict[Process, tuple[int, int]] = {}
-        for claim in owned:
-            window = w.gen_slots if claim.process is Process.SENS else w.cons_slots
-            frame = schedule.frame_of(claim)
-            s0, s1 = claim.slot_range
-            if s0 < window[0] or s1 > window[1]:
-                violations.append(
-                    Violation(rnd, client_id, "window", (claim.process.value,), (s0, s1))
-                )
-            abs0 = (frame - 1) * length + s0
-            abs1 = (frame - 1) * length + s1 - 1  # last occupied slot
-            lo, hi = spans.get(claim.process, (abs0, abs1))
-            spans[claim.process] = (min(lo, abs0), max(hi, abs1))
-        present = [p for p in _ORDER if p in spans]
-        for earlier, later in zip(present, present[1:]):
-            if spans[earlier][1] >= spans[later][0]:
-                violations.append(
-                    Violation(
-                        rnd, client_id, "order",
-                        (earlier.value, later.value),
-                        (spans[earlier][1], spans[later][0]),
-                    )
-                )
-    return violations
+    # Claims sorted by (client, round, process): each run of one key is one
+    # process of one owner, spanning absolute slots [first, last].
+    owner = claims.client_id * schedule.num_rounds + (claims.round_index - 1)
+    key = owner * len(PROCESS_ORDER) + process
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    first = np.minimum.reduceat((base + s0)[order], start)
+    last = np.maximum.reduceat((base + s1 - 1)[order], start)  # last occupied slot
+    span_owner, span_process = np.divmod(key[start], len(PROCESS_ORDER))
+    clash = (span_owner[1:] == span_owner[:-1]) & (last[:-1] >= first[1:])
+
+    found = []  # ((owner, 0 window / 1 order, position), violation)
+    for k in np.flatnonzero(outside).tolist():
+        c, r = divmod(int(owner[k]), schedule.num_rounds)
+        found.append(((c, r, 0, k), Violation(
+            r + 1, c, "window", (PROCESS_ORDER[process[k]].value,), (int(s0[k]), int(s1[k])))))
+    for j in np.flatnonzero(clash).tolist():
+        c, r = divmod(int(span_owner[j]), schedule.num_rounds)
+        earlier, later = (PROCESS_ORDER[p].value for p in span_process[j:j + 2])
+        found.append(((c, r, 1, j), Violation(
+            r + 1, c, "order", (earlier, later), (int(last[j]), int(first[j + 1])))))
+    found.sort(key=lambda item: item[0])
+    return [v for _, v in found]
 
 
 def slots_needed(duration_s: float, slot_duration: float) -> int:

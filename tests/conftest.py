@@ -9,11 +9,34 @@ from isccsim.network import (
     EdgeServer,
     SENSE_BLOCK,
     Scenario,
+    ScenarioConfig,
     SensingMode,
     Target,
     distance_m,
 )
+from isccsim.pool import PoolConfig
 from isccsim.workload import WorkloadProblem
+
+# Small generated scenarios and pool shapes for whole-episode property tests.
+EPISODE_SCENARIOS = st.builds(
+    ScenarioConfig,
+    area_m=st.sampled_from([150.0, 300.0]),
+    num_clients=st.integers(1, 5),
+    num_targets=st.integers(0, 30),
+    num_edges=st.integers(1, 3),
+    num_classes=st.integers(2, 4),
+    num_models=st.integers(1, 2),
+    vs_radius_m=st.floats(20.0, 150.0),
+    ws_radius_m=st.floats(20.0, 200.0),
+)
+EPISODE_POOLS = st.builds(
+    PoolConfig,
+    freq_lanes=st.integers(1, 5),
+    comp_lanes=st.integers(1, 5),
+    slot_duration=st.sampled_from([0.05, 0.07, 0.1, 0.3]),
+    hz_per_lane=st.floats(1e5, 1e9),
+    cycles_per_lane_slot=st.floats(5e6, 3e10),
+)
 
 
 def random_problem(rng: np.random.Generator) -> WorkloadProblem:

@@ -1,0 +1,436 @@
+"""The round-level claim path against the claim-level reference API.
+
+`RoundEnv` plans, places and releases every client's claims as arrays, and
+`validate_cstc` and `audit_trace` read them as one `ClaimTable`. These tests
+replay the same episodes one claim at a time with `claims_for_solution`,
+`UniversalResourcePool.try_allocate` and `release_round`, and keep the
+per-claim CSTC check as the reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import EPISODE_POOLS, EPISODE_SCENARIOS
+from isccsim import episode
+from isccsim.episode import (
+    EpisodeTrace,
+    RoundEnv,
+    RoundRecord,
+    audit_trace,
+    claims_for_solution,
+    plan_round,
+    run_episode,
+)
+from isccsim.gain import SensingParams
+from isccsim.network import ScenarioConfig, SensingMode, generate_scenario
+from isccsim.policies import GreedyGainPolicy, make_policy
+from isccsim.pool import (
+    CapacityExceeded,
+    Claim,
+    ClaimTable,
+    GridKind,
+    MalformedClaim,
+    PoolBank,
+    PoolConfig,
+    Process,
+    ResourceGrid,
+    UniversalResourcePool,
+    lane_runs,
+    pour_lanes,
+    pour_rows,
+)
+from isccsim.schedule import Mode, Violation, plan_pipeline, validate_cstc
+from isccsim.workload import WorkloadSolution
+
+
+class ClaimLevelEpisode:
+    """An episode's claim life cycle one claim at a time, on one pool per client."""
+
+    def __init__(self, scenario, pool_cfg):
+        self.clients = scenario.clients
+        self.pools = [pool_cfg.build() for _ in self.clients]
+        self.pending = [[] for _ in self.clients]
+
+    def place_round(self, round_index, solutions):
+        claims = []
+        for client, pool, sol, queue in zip(self.clients, self.pools, solutions, self.pending):
+            gen, cons = claims_for_solution(
+                client.client_id, round_index, client.sensing_mode, sol, pool
+            )
+            for claim in gen:
+                pool.try_allocate(claim)
+            queue.extend(cons)
+            claims += gen + cons
+        return claims
+
+    def open_frame(self):
+        for pool, queue in zip(self.pools, self.pending):
+            for claim in queue:
+                pool.try_allocate(claim)
+            queue.clear()
+
+    def close_frame(self, rounds):
+        for pool in self.pools:
+            for rnd in rounds:
+                pool.release_round(rnd)
+
+    def grids(self):
+        return (np.stack([p.time_freq.used for p in self.pools]),
+                np.stack([p.time_comp.used for p in self.pools]))
+
+
+def lockstep_episode(scenario, policy, schedule, pool_cfg):
+    """Run `RoundEnv` and the claim-level path side by side; return the
+    trace and how many bank comparisons were made."""
+    env = RoundEnv(lambda _: scenario, schedule, pool_cfg, SensingParams())
+    ref = ClaimLevelEpisode(scenario, pool_cfg)
+    close, emit = env._close_frame, env._emit_pending
+    checks = []
+
+    def same_bank():
+        freq, comp = ref.grids()
+        assert env.bank.time_freq.tobytes() == freq.tobytes()
+        assert env.bank.time_comp.tobytes() == comp.tobytes()
+        checks.append(env.frame)
+
+    def close_frame():
+        same_bank()  # the frame's load, generation placed last
+        rounds = schedule.rounds_in_frame(env.frame)
+        close()
+        ref.close_frame(rounds)
+        same_bank()
+
+    def emit_pending():
+        emit()
+        ref.open_frame()
+        same_bank()
+
+    env._close_frame, env._emit_pending = close_frame, emit_pending
+    obs, done = env.reset(), False
+    while not done:
+        decisions = policy.decide(obs)
+        expected = ref.place_round(obs.round_index, obs.graph.chosen(decisions)[0])
+        obs, _, done = env.step(decisions)
+        assert env.trace.rounds[-1].claims == expected
+    return env.trace, len(checks)
+
+
+class TestRoundLevelPath:
+    @given(
+        EPISODE_SCENARIOS,
+        EPISODE_POOLS,
+        st.sampled_from(["random", "greedy", "ml-c", "mp-tsc"]),
+        st.sampled_from(list(Mode)),
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+    )
+    @example(
+        ScenarioConfig(area_m=150.0, num_clients=3, num_targets=7, num_edges=1, num_classes=2,
+                       num_models=1, vs_radius_m=20.0, ws_radius_m=51.0),
+        PoolConfig(freq_lanes=1, comp_lanes=1, slot_duration=0.05, hz_per_lane=2937743.0,
+                   cycles_per_lane_slot=42155604.0),
+        "random", Mode.ZEROS, 2, 1,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rounds_match_claim_level_path(
+        self, scenario_cfg, pool_cfg, policy, mode, rounds, seed
+    ):
+        """Every round records the claim-level path's claims, in its order,
+        and the bank equals the per-client pools byte for byte after every
+        frame opens and closes. In the example, frame 2's one frequency lane
+        holds round 1's consumption under round 2's sensing, and releasing
+        the rounds in the other order leaves different bits."""
+        schedule = plan_pipeline(rounds, pool_cfg.num_slots, mode)
+        trace, checks = lockstep_episode(
+            generate_scenario(scenario_cfg, seed), make_policy(policy, seed), schedule, pool_cfg
+        )
+        assert checks == 3 * schedule.total_frames
+        assert len(trace.rounds) == rounds
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_reference_scenario_matches_claim_level_path(self, mode):
+        pool_cfg = PoolConfig()
+        trace, _ = lockstep_episode(
+            generate_scenario(ScenarioConfig(), 3), GreedyGainPolicy(),
+            plan_pipeline(4, pool_cfg.num_slots, mode), pool_cfg,
+        )
+        assert len(trace.all_claims()) > 100
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_episode_builds_no_claim_objects(self, mode, monkeypatch):
+        """The runtime and the audit use the round-level path only."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("claim-level call on the round-level path")
+
+        monkeypatch.setattr(episode, "claims_for_solution", refuse)
+        monkeypatch.setattr(UniversalResourcePool, "try_allocate", refuse)
+        monkeypatch.setattr(UniversalResourcePool, "release_round", refuse)
+        monkeypatch.setattr(Claim, "__init__", refuse)
+        schedule = plan_pipeline(3, 9, mode)
+        trace = run_episode(generate_scenario(ScenarioConfig(num_clients=20), 5),
+                            GreedyGainPolicy(), schedule, PoolConfig(), SensingParams())
+        report = audit_trace(trace, schedule, PoolConfig())
+        assert report["ok"], report["failures"]
+        assert trace.violations == []
+        assert len(trace.claim_table()) > 20
+
+
+@st.composite
+def planned_rounds(draw):
+    """A pool shape, live usage of the bank and random per-client solutions,
+    including sensing windows that end before the frame does."""
+    cfg = draw(EPISODE_POOLS)
+    n = draw(st.integers(1, 6))
+    bank = PoolBank(cfg, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for used, cap in ((bank.time_freq, bank.empty.time_freq.cell_capacity),
+                      (bank.time_comp, bank.empty.time_comp.cell_capacity)):
+        scale = rng.choice([0.0, 0.0, 0.3, 0.5, 1.0], size=used.shape)
+        used[:] = cap * scale * rng.random(used.shape)
+    frame_s = cfg.num_slots * cfg.slot_duration
+    band = cfg.freq_lanes * cfg.hz_per_lane
+    rows = []
+    for _ in range(n):
+        times = [0.0 if rng.random() < 0.2 else frame_s * rng.uniform(0.0, 0.6) for _ in range(4)]
+        rows.append([
+            float(rng.integers(0, 3) and rng.integers(1, 100)),
+            band * rng.uniform(0.0, 1.1), band * rng.uniform(0.0, 1.1),
+            cfg.comp_lanes * cfg.cycles_per_lane_slot / cfg.slot_duration * rng.uniform(0.0, 1.1),
+            frame_s * rng.uniform(0.0, 1.0), *times[1:],
+            float(rng.random() < 0.9),
+        ])
+    vs = rng.random(n) < 0.4
+    return bank, np.array(rows).T, vs
+
+
+@given(planned_rounds())
+@settings(max_examples=300, deadline=None)
+def test_plan_round_matches_claims_for_solution(case):
+    """Row by row, `plan_round` plans what `claims_for_solution` plans on
+    that client's pool, flags exactly the rows it refuses, and its loads put
+    the claims' amounts on their cells."""
+    bank, solutions, vs = case
+    n = len(vs)
+    ids = np.arange(10, 10 + n)
+    plan = plan_round(4, ids, vs, solutions, bank)
+    claims = plan.table.claims()
+    for i in range(n):
+        pool = row_pool(bank, bank.time_freq[i], bank.time_comp[i])
+        mode = SensingMode.VS if vs[i] else SensingMode.WS
+        sol = WorkloadSolution.from_row(solutions[:, i].tolist())
+        try:
+            gen, cons = claims_for_solution(int(ids[i]), 4, mode, sol, pool)
+        except CapacityExceeded:
+            assert plan.bad[i]
+            continue
+        assert not plan.bad[i]
+        assert [c for c in claims if c.client_id == ids[i]] == gen + cons
+        for claim in gen:
+            pool.try_allocate(claim)
+        assert np.array_equal(bank.time_freq[i] + plan.gen[i], pool.time_freq.used)
+        empty = row_pool(bank, 0.0 * bank.time_freq[i], 0.0 * bank.time_comp[i])
+        for claim in cons:
+            empty.try_allocate(claim)
+        assert np.array_equal(plan.cons[0][i], empty.time_freq.used)
+        assert np.array_equal(plan.cons[1][i], empty.time_comp.used)
+
+
+def row_pool(bank, freq_used, comp_used):
+    """A claim-level pool of the bank's shape holding copies of the given cells."""
+    f, c = bank.empty.time_freq, bank.empty.time_comp
+    return UniversalResourcePool(
+        ResourceGrid(f.num_slots, f.num_lanes, f.cell_capacity, freq_used.copy()),
+        ResourceGrid(c.num_slots, c.num_lanes, c.cell_capacity, comp_used.copy()),
+        bank.empty.slot_duration,
+    )
+
+
+@st.composite
+def pours(draw):
+    lanes = draw(st.integers(1, 6))
+    cap = draw(st.sampled_from([1.0, 1e5, 5e7, 3e10]))
+    rows = draw(st.integers(1, 8))
+    avail = [
+        [cap * draw(st.sampled_from([0.0, 1e-12, 0.25, 0.5, 0.5 + 1e-15, 1.0]))
+         for _ in range(lanes)] for _ in range(rows)
+    ]
+    demand = [cap * draw(st.floats(0.0, lanes + 0.5, allow_nan=False)) for _ in range(rows)]
+    return np.array(avail), np.array(demand)
+
+
+@given(pours())
+@example((np.array([[1.0, 1.0 - 6e-10, 1.0 - 12e-10, 0.0, 1.0]]), np.array([4.0])))
+@settings(max_examples=200, deadline=None)
+def test_pour_rows_match_pour_lanes(case):
+    """Row by row, the same groups, amounts and fit verdict as `pour_lanes`;
+    the example drifts by less than EPS per lane, so it checks that a group
+    compares each lane with its first."""
+    avail, demand = case
+    cells, ok = pour_rows(avail, demand)
+    rows, first, end = lane_runs(cells)
+    for k in range(len(demand)):
+        groups = pour_lanes(avail[k].tolist(), float(demand[k]))
+        assert ok[k] == (groups is not None)
+        if groups is None:
+            continue
+        mine = [(tuple(range(f, e)), float(cells[k, f]))
+                for r, f, e in zip(rows, first, end) if r == k]
+        assert mine == groups
+
+
+def test_claim_table_round_trip():
+    claims = [
+        Claim(4, 2, Process.SENS, GridKind.NONE, (0, 3), (), 0.0),
+        Claim(4, 2, Process.COMM_DL, GridKind.TIME_FREQ, (0, 2), (1, 2, 3), 7.5),
+        Claim(9, 1, Process.COMP, GridKind.TIME_COMP, (2, 4), (0,), 1e7),
+    ]
+    table = ClaimTable.of(claims)
+    assert table.claims() == claims
+    assert ClaimTable.concat([table, ClaimTable.of([])]).claims() == claims
+    assert ClaimTable.concat([]).claims() == []
+    with pytest.raises(MalformedClaim):
+        ClaimTable.of([Claim(0, 1, Process.COMM_UL, GridKind.TIME_FREQ, (0, 1), (2, 1), 1.0)])
+
+
+# -- the audit catches what it exists to catch -------------------------------------
+
+
+def forged_trace(mode, rounds, claims):
+    """A trace whose rounds record the given claims, which no episode made."""
+    records = [
+        RoundRecord(r, [0], [0.0], [0], [True],
+                    ClaimTable.of([c for c in claims if c.round_index == r]))
+        for r in range(1, rounds + 1)
+    ]
+    return EpisodeTrace(mode, rounds, 9, records)
+
+
+def audit_failures(mode, rounds, claims):
+    report = audit_trace(forged_trace(mode, rounds, claims), plan_pipeline(rounds, 9, mode),
+                         PoolConfig())
+    assert report["ok"] is not bool(report["failures"])
+    return report["failures"]
+
+
+CAP = PoolConfig().hz_per_lane * PoolConfig().slot_duration
+QUIET = Claim(3, 1, Process.COMM_DL, GridKind.TIME_FREQ, (0, 2), (0, 1), 0.5 * CAP)
+
+
+class TestAuditFaults:
+    def test_cell_over_capacity_within_one_claim(self):
+        """One client, one round: a DL claim of 1.5 cells' worth."""
+        over = Claim(7, 1, Process.COMM_DL, GridKind.TIME_FREQ, (0, 2), (1, 2), 1.5 * CAP)
+        failures = audit_failures(Mode.SERIAL, 1, [QUIET, over])
+        assert failures
+        assert all("frame 2 client 7 " in f for f in failures)
+
+    def test_claims_that_only_overflow_together(self):
+        """Round 1's upload and round 2's sensing share frame 2 under ZEROS;
+        each fits alone, not both."""
+        ul = Claim(7, 1, Process.COMM_UL, GridKind.TIME_FREQ, (4, 6), (2,), 0.6 * CAP)
+        sens = Claim(7, 2, Process.SENS, GridKind.TIME_FREQ, (0, 9), (2, 3), 0.6 * CAP)
+        assert audit_failures(Mode.ZEROS, 2, [QUIET, ul]) == []
+        assert audit_failures(Mode.ZEROS, 2, [QUIET, sens]) == []
+        failures = audit_failures(Mode.ZEROS, 2, [QUIET, ul, sens])
+        assert failures
+        assert all("frame 2 client 7 " in f for f in failures)
+
+    def test_claim_outside_its_frame(self):
+        """An upload that runs past the 9-slot frame."""
+        late = Claim(7, 1, Process.COMM_UL, GridKind.TIME_FREQ, (7, 12), (0,), 0.1 * CAP)
+        failures = audit_failures(Mode.SERIAL, 1, [QUIET, late])
+        assert failures
+        assert all("frame 2 client 7 " in f for f in failures)
+
+
+# -- the per-claim CSTC check as reference -------------------------------------------
+
+_ORDER = (Process.SENS, Process.COMM_DL, Process.COMP, Process.COMM_UL)
+
+
+def reference_validate_cstc(schedule, claims):
+    """The per-claim CSTC check the array version replaces."""
+    length = schedule.cr_length
+    by_owner = {}
+    for claim in claims:
+        by_owner.setdefault((claim.client_id, claim.round_index), []).append(claim)
+
+    violations = []
+    for (client_id, rnd), owned in sorted(by_owner.items()):
+        w = schedule.for_round(rnd)
+        spans = {}
+        for claim in owned:
+            window = w.gen_slots if claim.process is Process.SENS else w.cons_slots
+            frame = schedule.frame_of(claim)
+            s0, s1 = claim.slot_range
+            if s0 < window[0] or s1 > window[1]:
+                violations.append(
+                    Violation(rnd, client_id, "window", (claim.process.value,), (s0, s1))
+                )
+            abs0 = (frame - 1) * length + s0
+            abs1 = (frame - 1) * length + s1 - 1
+            lo, hi = spans.get(claim.process, (abs0, abs1))
+            spans[claim.process] = (min(lo, abs0), max(hi, abs1))
+        present = [p for p in _ORDER if p in spans]
+        for earlier, later in zip(present, present[1:]):
+            if spans[earlier][1] >= spans[later][0]:
+                violations.append(
+                    Violation(
+                        rnd, client_id, "order",
+                        (earlier.value, later.value),
+                        (spans[earlier][1], spans[later][0]),
+                    )
+                )
+    return violations
+
+
+_GRID = {Process.COMM_DL: GridKind.TIME_FREQ, Process.COMM_UL: GridKind.TIME_FREQ,
+         Process.COMP: GridKind.TIME_COMP}
+
+
+@st.composite
+def claim_sets(draw):
+    """Claims of a few clients and rounds in any order, with slot ranges that
+    may leave their 9-slot window or overlap their neighbours in the order."""
+    rounds = draw(st.integers(1, 4))
+    claims = []
+    for _ in range(draw(st.integers(0, 24))):
+        process = draw(st.sampled_from(_ORDER))
+        s0 = draw(st.integers(0, 10))
+        s1 = draw(st.integers(s0 + 1, 12))
+        grid = _GRID.get(process) or draw(st.sampled_from([GridKind.TIME_FREQ, GridKind.NONE]))
+        lanes, amount = ((), 0.0) if grid is GridKind.NONE else ((0,), 1.0)
+        claims.append(Claim(draw(st.sampled_from([0, 2, 5])), draw(st.integers(1, rounds)),
+                            process, grid, (s0, s1), lanes, amount))
+    return rounds, claims
+
+
+@given(claim_sets(), st.sampled_from(list(Mode)))
+@settings(max_examples=300, deadline=None)
+def test_validate_cstc_matches_per_claim_reference(case, mode):
+    rounds, claims = case
+    schedule = plan_pipeline(rounds, 9, mode)
+    assert validate_cstc(schedule, ClaimTable.of(claims)) == \
+        reference_validate_cstc(schedule, claims)
+
+
+def test_validate_cstc_reports_both_kinds_in_reference_order():
+    schedule = plan_pipeline(2, 9, Mode.ZEROS)
+    claims = [
+        Claim(5, 2, Process.COMM_UL, GridKind.TIME_FREQ, (0, 2), (0,), 1.0),
+        Claim(5, 2, Process.COMP, GridKind.TIME_COMP, (1, 3), (0,), 1.0),
+        Claim(5, 2, Process.SENS, GridKind.NONE, (4, 11), (), 0.0),
+        Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (3, 5), (0,), 1.0),
+        Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (7, 10), (1,), 1.0),
+    ]
+    got = validate_cstc(schedule, ClaimTable.of(claims))
+    assert got == reference_validate_cstc(schedule, claims)
+    assert [(v.client_id, v.kind, v.processes) for v in got] == [
+        (0, "window", ("comm_dl",)),
+        (5, "window", ("sens",)),
+        (5, "order", ("sens", "comp")),
+        (5, "order", ("comp", "comm_ul")),
+    ]

@@ -142,7 +142,7 @@ def test_simulate_counts_infeasible_edges(tmp_path):
 def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     """A fault of the program, here negative residuals the pools could never
     report, is not a usage error: exit 5, with the error in summary.json."""
-    monkeypatch.setattr(PoolBank, "rect_bandwidth_hz", lambda self: np.full(len(self.pools), -1.0))
+    monkeypatch.setattr(PoolBank, "rect_bandwidth_hz", lambda self: np.full(len(self.time_freq), -1.0))
     rc = main(["simulate", "--config", tiny_config(tmp_path), "--policy", "greedy"])
     assert rc == 5
     assert "program fault: InvalidProblem" in capsys.readouterr().err

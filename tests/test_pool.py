@@ -388,23 +388,40 @@ def bank_histories(draw):
     return cfg, n, steps
 
 
+def claim_load(bank, claim):
+    """A claim as a bank load: its amount on its cells of its client's row."""
+    grid = bank.time_freq if claim.grid is GridKind.TIME_FREQ else bank.time_comp
+    load = np.zeros_like(grid)
+    load[claim.client_id, slice(*claim.slot_range), list(claim.lanes)] = claim.amount_per_cell
+    return (load, None) if claim.grid is GridKind.TIME_FREQ else (None, load)
+
+
 class TestBank:
     @given(bank_histories())
     @settings(max_examples=200, deadline=None)
     def test_bank_reductions_equal_per_pool_methods(self, history):
-        """Bank rows and separately built pools agree bit for bit after any history."""
+        """The bank's batch operations, fed one claim at a time, and separately
+        built pools agree bit for bit after any history."""
         cfg, n, steps = history
         bank = PoolBank(cfg, n)
         pools = [cfg.build() for _ in range(n)]
+        placed = [[] for _ in range(n)]  # per client, (round, load) in ledger order
         for kind, client, arg in steps:
-            for p in (bank.pools[client], pools[client]):
-                if kind == "release":
-                    p.release_round(arg)
-                    continue
-                try:
-                    p.try_allocate(arg)
-                except CapacityExceeded:
-                    pass
+            if kind == "release":
+                pools[client].release_round(arg)
+                for _, load in [x for x in placed[client] if x[0] == arg]:
+                    bank.release(*load)
+                placed[client] = [x for x in placed[client] if x[0] != arg]
+                continue
+            load = claim_load(bank, arg)
+            try:
+                pools[client].try_allocate(arg)
+            except CapacityExceeded:
+                assert bank.misfits(*load).tolist() == [i == client for i in range(n)]
+                continue
+            assert not bank.misfits(*load).any()
+            bank.add(*load)
+            placed[client].append((arg.round_index, load))
         for i, p in enumerate(pools):
             assert np.array_equal(bank.time_freq[i], p.time_freq.used)
             assert np.array_equal(bank.time_comp[i], p.time_comp.used)
@@ -424,10 +441,20 @@ class TestBank:
         ]
         assert bank.residue_rows().tolist() == residue
 
-    def test_rows_are_views(self):
+    def test_load_touches_only_its_row(self):
         bank = PoolBank(PoolConfig(), 3)
-        bank.pools[1].try_allocate(freq_claim([1, 2], (0, 9), 1e5))
+        bank.add(*claim_load(bank, freq_claim([1, 2], (0, 9), 1e5, client=1)))
         assert bank.time_freq[1, :, 1:3].min() == 1e5
         assert bank.time_freq[[0, 2]].max() == 0.0
         assert bank.rect_bandwidth_hz().tolist() == [4e6, 2e6, 4e6]
         assert bank.empty.claims == []
+
+    def test_release_below_zero_is_phantom(self):
+        bank = PoolBank(PoolConfig(), 2)
+        load = claim_load(bank, comp_claim([0], (0, 4), 2e7, client=1))
+        bank.add(*load)
+        bank.release(*load)
+        before = bank.time_comp.copy()
+        with pytest.raises(PhantomRelease):
+            bank.release(*load)
+        assert np.array_equal(bank.time_comp, before)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_problem
+from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, random_problem
 from isccsim.episode import (
     EpisodeTrace,
     InvariantBroken,
@@ -26,10 +26,11 @@ from isccsim.policies import GreedyGainPolicy, RandomPolicy, make_policy
 from isccsim.pool import (
     CapacityExceeded,
     Claim,
+    ClaimTable,
     GridKind,
+    PoolBank,
     PoolConfig,
     Process,
-    UniversalResourcePool,
     new_pool,
 )
 from isccsim.schedule import (
@@ -122,7 +123,7 @@ class TestValidateCstc:
             Claim(0, 1, Process.COMP, GridKind.TIME_COMP, (2, 5), (0,), 1.0),
             Claim(0, 1, Process.COMM_UL, GridKind.TIME_FREQ, (5, 7), (0,), 1.0),
         ]
-        assert validate_cstc(s, claims) == []
+        assert validate_cstc(s, ClaimTable.of(claims)) == []
 
     def test_ordering_violation(self):
         s = self.schedule()
@@ -130,7 +131,7 @@ class TestValidateCstc:
             Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (3, 5), (0,), 1.0),
             Claim(0, 1, Process.COMP, GridKind.TIME_COMP, (0, 3), (0,), 1.0),
         ]
-        out = validate_cstc(s, claims)
+        out = validate_cstc(s, ClaimTable.of(claims))
         assert len(out) == 1
         assert out[0].kind == "order"
         assert out[0].processes == ("comm_dl", "comp")
@@ -138,7 +139,7 @@ class TestValidateCstc:
     def test_window_violation(self):
         s = self.schedule()
         claims = [Claim(0, 1, Process.SENS, GridKind.NONE, (4, 12), (), 0.0)]
-        out = validate_cstc(s, claims)
+        out = validate_cstc(s, ClaimTable.of(claims))
         assert [v.kind for v in out] == ["window"]
 
     def test_sens_may_touch_last_gen_slot(self):
@@ -148,7 +149,7 @@ class TestValidateCstc:
             Claim(0, 1, Process.SENS, GridKind.NONE, (0, 9), (), 0.0),
             Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (0, 1), (0,), 1.0),
         ]
-        assert validate_cstc(s, claims) == []
+        assert validate_cstc(s, ClaimTable.of(claims)) == []
 
     def test_independent_clients_not_cross_checked(self):
         s = self.schedule()
@@ -157,7 +158,7 @@ class TestValidateCstc:
             Claim(1, 1, Process.COMM_DL, GridKind.TIME_FREQ, (5, 7), (0,), 1.0),
         ]
         # UL before DL, but on different clients: no violation.
-        assert validate_cstc(s, claims) == []
+        assert validate_cstc(s, ClaimTable.of(claims)) == []
 
 
 class TestSlotsNeeded:
@@ -366,7 +367,7 @@ class TestEpisode:
                 for x in (17722.67404746588, 82277.32556446739)]
         dl = Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (0, 1), (0,), cap)
         trace = EpisodeTrace(Mode.SERIAL, 1, 9,
-                             [RoundRecord(1, [0], [0.0], [0], [True], sens + [dl])])
+                             [RoundRecord(1, [0], [0.0], [0], [True], ClaimTable.of(sens + [dl]))])
         report = audit_trace(trace, plan_pipeline(1, 9, Mode.SERIAL), PoolConfig())
         assert report["ok"], report["failures"]
         assert report["frames_checked"] == 2
@@ -413,12 +414,15 @@ class TestEpisode:
         sc = tiny_scenario(1)
         env = RoundEnv(lambda _: sc, plan_pipeline(2, 9, Mode.SERIAL),
                        PoolConfig(), SensingParams())
-        env.reset()
-        cap = env.bank.empty.time_freq.cell_capacity
-        env.pending[0].append(Claim(sc.clients[0].client_id, 1, Process.COMM_DL,
-                                    GridKind.TIME_FREQ, (0, 2), (1, 2), 1.5 * cap))
-        with pytest.raises(InvariantBroken):
-            env.step([0] * len(sc.clients))
+        obs = env.reset()
+        decisions = GreedyGainPolicy().decide(obs)
+        assert obs.graph.chosen(decisions)[0][0].t_cp > 0
+        # Client 0's compute lanes stay full through frame 1, which only
+        # senses, so its COMP claim finds no room when frame 2 opens.
+        env.bank.time_comp[0] = env.bank.empty.time_comp.cell_capacity
+        with pytest.raises(InvariantBroken, match=f"client {sc.clients[0].client_id} round 1"):
+            env.step(decisions)
+        assert env.frame == 2
 
     def test_bad_assignment_rejected(self):
         sc = tiny_scenario(1)
@@ -429,6 +433,25 @@ class TestEpisode:
             env.step([0])  # too few entries
         with pytest.raises(ValueError):
             env.step([99] * len(sc.clients))
+
+    def test_non_integer_assignment_rejected(self):
+        """A bool or a float is not a model index, even where it equals one;
+        numpy integers are, and the record keeps plain ints."""
+        sc = tiny_scenario(1)
+        env = RoundEnv(lambda _: sc, plan_pipeline(2, 9, Mode.ZEROS),
+                       PoolConfig(), SensingParams())
+        env.reset()
+        n = len(sc.clients)
+        with pytest.raises(ValueError):
+            env.step([True] + [0] * (n - 1))
+        with pytest.raises(ValueError):
+            env.step(np.zeros(n, dtype=bool))
+        with pytest.raises(ValueError):
+            env.step([0.0] * n)
+        assert env.trace.rounds == []
+        env.step(np.zeros(n, dtype=np.int64))
+        assert env.trace.rounds[0].decisions == [0] * n
+        assert all(type(d) is int for d in env.trace.rounds[0].decisions)
 
     def test_pool_horizon_must_match_frame(self):
         with pytest.raises(ScheduleError):
@@ -483,36 +506,20 @@ class TestPlacement:
     def test_generation_claim_that_does_not_fit_is_internal_error(self, monkeypatch):
         """A generation claim the pool refuses raises; the pair is not voided."""
 
-        def refuse(pool, claim):
-            raise CapacityExceeded("refused")
+        def refuse(bank, freq, comp=None):
+            return np.ones(len(bank.time_freq), dtype=bool)
 
-        monkeypatch.setattr(UniversalResourcePool, "try_allocate", refuse)
+        monkeypatch.setattr(PoolBank, "misfits", refuse)
         env = RoundEnv(lambda _: tiny_scenario(1), plan_pipeline(2, 9, Mode.ZEROS),
                        PoolConfig(), SensingParams())
         obs = env.reset()
         with pytest.raises(InvariantBroken):
             env.step(GreedyGainPolicy().decide(obs))
+        assert env.trace.rounds == []
 
     @given(
-        st.builds(
-            ScenarioConfig,
-            area_m=st.sampled_from([150.0, 300.0]),
-            num_clients=st.integers(1, 5),
-            num_targets=st.integers(0, 30),
-            num_edges=st.integers(1, 3),
-            num_classes=st.integers(2, 4),
-            num_models=st.integers(1, 2),
-            vs_radius_m=st.floats(20.0, 150.0),
-            ws_radius_m=st.floats(20.0, 200.0),
-        ),
-        st.builds(
-            PoolConfig,
-            freq_lanes=st.integers(1, 5),
-            comp_lanes=st.integers(1, 5),
-            slot_duration=st.sampled_from([0.05, 0.07, 0.1, 0.3]),
-            hz_per_lane=st.floats(1e5, 1e9),
-            cycles_per_lane_slot=st.floats(5e6, 3e10),
-        ),
+        EPISODE_SCENARIOS,
+        EPISODE_POOLS,
         st.sampled_from(["random", "greedy", "ml-c", "mp-tsc"]),
         st.sampled_from(list(Mode)),
         st.integers(1, 3),
