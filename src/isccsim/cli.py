@@ -263,8 +263,6 @@ def robustness_scenario() -> tuple[Scenario, SensingParams]:
     wider bandwidth and faster compute."""
     client = Client(
         client_id=0,
-        position=(60.0, 100.0),
-        velocity=(0.0, 0.0),
         sensing_mode=SensingMode.VS,
         sensing_radius_m=300.0,
         dl_bits=(5e5,),
@@ -278,6 +276,7 @@ def robustness_scenario() -> tuple[Scenario, SensingParams]:
     scenario = Scenario(
         area_m=200.0, clients=[client], edges=[edge], targets=targets,
         num_classes=4, channel=ChannelParams(),
+        positions=[(60.0, 100.0)], velocities=[(0.0, 0.0)],
     )
     return scenario, SensingParams(tau_s=0.02, samples_per_target=2)
 

@@ -63,15 +63,9 @@ def encode_state(
         raise LayoutMismatch("client count changed mid-episode")
     if graph.etas.shape != (n, m):
         raise LayoutMismatch("model count changed mid-episode")
-    positions = np.array([c.position for c in scenario.clients], dtype=float).reshape(n, 2)
-    blocks = np.concatenate(
-        [
-            np.array(residual_fractions, dtype=float).reshape(n, 2),
-            positions / scenario.area_m,
-            graph.etas / norms.eta_norm,
-        ],
-        axis=1,
-    )
+    blocks = np.concatenate([np.array(residual_fractions, dtype=float).reshape(n, 2),
+                             scenario.positions / scenario.area_m,
+                             graph.etas / norms.eta_norm], axis=1)
     weights = graph.weights / norms.gain_norm
     vector = np.concatenate([blocks.reshape(-1), weights.reshape(-1)])
     if not np.all(np.isfinite(vector)):

@@ -1,13 +1,14 @@
 """Subnetwork scenario: mobile clients, edge servers, sensing targets.
 
 Positions live in a square area. Channel quality follows a distance power
-law; sensing coverage is a closed disc around the client.
+law; sensing coverage is a closed disc around the client. Client positions
+and velocities live in (N, 2) arrays, the rest of a client in its record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -34,8 +35,6 @@ class ChannelParams:
 @dataclass(frozen=True)
 class Client:
     client_id: int
-    position: tuple[float, float]
-    velocity: tuple[float, float]
     sensing_mode: SensingMode
     sensing_radius_m: float
     # Per-model task sizes for one learning round.
@@ -80,26 +79,36 @@ class Scenario:
     targets: list[Target]
     num_classes: int
     channel: ChannelParams
+    # (N, 2) arrays, row i for clients[i], copied into every new scenario.
+    positions: np.ndarray
+    velocities: np.ndarray
     time_s: float = 0.0
-    # Targets never move, so their arrays are built on first use and shared
-    # by every clone of the scenario.
-    _target_arrays: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # Targets and sensing radii never change, so their arrays are built on
+    # first use and shared by every clone of the scenario.
+    _sense_arrays: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
     # Likewise client task sizes, sensing modes and the edges' models.
     _model_arrays: ModelArrays | None = field(default=None, repr=False, compare=False)
 
-    def target_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (T, 2) target positions and (T, K) class one-hot."""
-        if self._target_arrays is None:
+    def __post_init__(self) -> None:
+        n = len(self.clients)
+        self.positions = np.array(self.positions, dtype=float).reshape(n, 2)
+        self.velocities = np.array(self.velocities, dtype=float).reshape(n, 2)
+
+    def sense_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only (T, 2) target positions, (T, K) class one-hot, (N,)
+        squared sensing radii and (N,) `SENSE_BAND` half-widths."""
+        if self._sense_arrays is None:
             t = len(self.targets)
             xy = np.array([tg.position for tg in self.targets], dtype=float).reshape(t, 2)
             onehot = np.zeros((t, self.num_classes))
             onehot[np.arange(t), np.array([tg.class_id for tg in self.targets], dtype=int)] = 1.0
-            xy.flags.writeable = False
-            onehot.flags.writeable = False
-            self._target_arrays = (xy, onehot)
-        return self._target_arrays
+            r2 = np.square([c.sensing_radius_m for c in self.clients], dtype=float)
+            # An infinite band re-decides all of a client's pairs.
+            band = np.where((r2 >= _TINY) & (r2 <= SENSE_R2_MAX), SENSE_BAND * r2, np.inf)
+            self._sense_arrays = (xy, onehot, r2, band)
+            for a in self._sense_arrays:
+                a.flags.writeable = False
+        return self._sense_arrays
 
     def model_arrays(self) -> ModelArrays:
         """Read-only per-edge constants, mixtures validated once."""
@@ -158,8 +167,8 @@ class ScenarioConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
 
     def __post_init__(self) -> None:
-        if self.num_edges < 1 or self.num_models < 1 or self.num_classes < 2:
-            raise ValueError("need at least one edge, one model and two classes")
+        if min(self.num_clients, self.num_edges, self.num_models) < 1 or self.num_classes < 2:
+            raise ValueError("need at least one client, one edge, one model and two classes")
         if min(self.num_clients, self.num_targets, self.v_max_mps, self.vs_radius_m,
                self.ws_radius_m, self.dl_bits_base, self.ul_bits_base, self.cycles_base) < 0:
             raise ValueError("counts, speeds, radii and task sizes must be >= 0")
@@ -172,19 +181,19 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA51C]))
     area = config.area_m
 
-    clients = []
+    clients, positions, velocities = [], [], []
     for i in range(config.num_clients):
-        pos = tuple(rng.uniform(0.0, area, size=2))
+        positions.append(rng.uniform(0.0, area, size=2))
         speed = rng.uniform(0.0, config.v_max_mps)
         heading = rng.uniform(0.0, 2.0 * math.pi)
-        vel = (speed * math.cos(heading), speed * math.sin(heading))
+        velocities.append((speed * math.cos(heading), speed * math.sin(heading)))
         mode = SensingMode.VS if i % 2 == 0 else SensingMode.WS
         radius = config.vs_radius_m if mode is SensingMode.VS else config.ws_radius_m
         # Model variants get progressively heavier: index m scales the base.
         dl = tuple(config.dl_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
         ul = tuple(config.ul_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
         cyc = tuple(config.cycles_base * (1.0 + 0.5 * m) for m in range(config.num_models))
-        clients.append(Client(i, pos, vel, mode, radius, dl, ul, cyc))
+        clients.append(Client(i, mode, radius, dl, ul, cyc))
 
     edges = []
     grid = math.ceil(math.sqrt(config.num_edges))
@@ -211,11 +220,12 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         for t in range(config.num_targets)
     ]
 
-    return Scenario(area, clients, edges, targets, config.num_classes, config.channel)
+    return Scenario(area, clients, edges, targets, config.num_classes, config.channel,
+                    positions, velocities)
 
 
 def clone_scenario(scenario: Scenario) -> Scenario:
-    """Independent copy; client records are immutable so sharing is safe."""
+    """Independent copy; only the positions and velocities are not shared."""
     return Scenario(
         area_m=scenario.area_m,
         clients=list(scenario.clients),
@@ -223,50 +233,40 @@ def clone_scenario(scenario: Scenario) -> Scenario:
         targets=scenario.targets,
         num_classes=scenario.num_classes,
         channel=scenario.channel,
+        positions=scenario.positions,
+        velocities=scenario.velocities,
         time_s=scenario.time_s,
-        _target_arrays=scenario.target_arrays(),
+        _sense_arrays=scenario.sense_arrays(),
         _model_arrays=scenario.model_arrays(),
     )
 
 
 def step_mobility(scenario: Scenario, dt: float) -> Scenario:
-    """Advance client positions by dt seconds, reflecting at the boundary."""
-    area = scenario.area_m
-    moved = []
-    for c in scenario.clients:
-        x = c.position[0] + c.velocity[0] * dt
-        y = c.position[1] + c.velocity[1] * dt
-        vx, vy = c.velocity
-        x, vx = _reflect(x, vx, area)
-        y, vy = _reflect(y, vy, area)
-        moved.append(replace(c, position=(x, y), velocity=(vx, vy)))
-    scenario.clients = moved
+    """Advance client positions by dt seconds, reflecting at the boundary.
+
+    Each coordinate is folded into [0, 2*area) and the upper half mirrored.
+    np.remainder is Python's float % (fmod, then the divisor's sign).
+    """
+    pos, vel = scenario.positions, scenario.velocities
+    period = 2.0 * scenario.area_m
+    pos += vel * dt
+    np.remainder(pos, period, out=pos)
+    mirrored = pos > scenario.area_m
+    np.subtract(period, pos, out=pos, where=mirrored)
+    np.negative(vel, out=vel, where=mirrored)
     scenario.time_s += dt
     return scenario
-
-
-def _reflect(coord: float, vel: float, area: float) -> tuple[float, float]:
-    # Fold the coordinate into [0, 2*area) and mirror the upper half.
-    coord = coord % (2.0 * area)
-    if coord > area:
-        return 2.0 * area - coord, -vel
-    return coord, vel
 
 
 def distance_m(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def spectral_efficiency(client: Client, edge: EdgeServer, channel: ChannelParams) -> float:
-    """Link rate per Hz between a client and an edge, bits/s/Hz."""
-    d = max(distance_m(client.position, edge.position), channel.min_distance_m)
-    snr = (
-        channel.tx_power_w
-        * channel.reference_gain
-        * d ** (-channel.path_loss_exp)
-        / channel.noise_power_w
-    )
-    return math.log2(1.0 + snr)
+def spectral_efficiency(pos: tuple[float, float], edge: EdgeServer, ch: ChannelParams) -> float:
+    """Link rate per Hz from a client at `pos` to an edge, bits/s/Hz."""
+    d = max(distance_m(pos, edge.position), ch.min_distance_m)
+    return math.log2(1.0 + ch.tx_power_w * ch.reference_gain * d ** (-ch.path_loss_exp)
+                     / ch.noise_power_w)
 
 
 def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
@@ -289,46 +289,53 @@ def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
             )
             for ex, ey in edges
         ]
-        for cx, cy in (c.position for c in scenario.clients)
+        for cx, cy in scenario.positions.tolist()
     ]
     return np.array(rows, dtype=float).reshape(len(scenario.clients), len(edges))
 
 
-def sense_targets(client: Client, targets: list[Target]) -> list[Target]:
-    """Targets within the client's sensing disc (boundary inclusive)."""
-    return [
-        t
-        for t in targets
-        if distance_m(client.position, t.position) <= client.sensing_radius_m
-    ]
+def sense_targets(pos: tuple[float, float], radius: float, targets: list[Target]) -> list[Target]:
+    """Targets within the sensing disc at `pos` (boundary inclusive)."""
+    return [t for t in targets if distance_m(pos, t.position) <= radius]
 
 
 # Clients sensed per block: bounds the (block, T) temporaries of one pass.
 SENSE_BLOCK = 32
+# Relative half-width of the band around r^2 where `distance_m` re-decides
+# the squared test. With u = 2^-53, d^2 and r*r are within 2u and u of the
+# exact squares and math.hypot within 2u of the distance, so the two tests
+# agree wherever |d^2 - r^2| > 8u r^2, if r^2 is normal (a subnormal square
+# then errs by under u r^2) and at most SENSE_R2_MAX (an overflowing d^2 is
+# then outside by both). Other clients have all their pairs re-decided.
+SENSE_BAND = 2.0**-40
+SENSE_R2_MAX = 2.0**1000
+_TINY = np.finfo(float).tiny
 
 
 def sensed_class_counts(scenario: Scenario) -> np.ndarray:
     """(N, K) class counts of the targets each client senses, in one pass.
 
-    Equals counting the classes of `sense_targets` for every client. np.hypot
-    and math.hypot can differ in the last bit, so a distance within a few
-    ulps of the radius is decided by `distance_m`, as in `sense_targets`.
+    Equals counting the classes of `sense_targets` for every client. The
+    pass compares squared distances with squared radii, and decides the
+    pairs that test cannot (see `SENSE_BAND`) by `distance_m`.
     """
-    target_xy, onehot = scenario.target_arrays()
-    n = len(scenario.clients)
-    xy = np.array([c.position for c in scenario.clients], dtype=float).reshape(n, 2)
-    radius = np.array([c.sensing_radius_m for c in scenario.clients], dtype=float)
-    counts = np.empty((n, scenario.num_classes))
-    for lo in range(0, n, SENSE_BLOCK):
+    target_xy, onehot, r2, band = scenario.sense_arrays()
+    xy = scenario.positions
+    counts = np.empty((len(xy), scenario.num_classes))
+    for lo in range(0, len(xy), SENSE_BLOCK):
         block = slice(lo, lo + SENSE_BLOCK)
-        r = radius[block, None]
-        slack = 4.0 * np.spacing(r)
+        d2 = xy[block, 0, None] - target_xy[:, 0]
         dy = xy[block, 1, None] - target_xy[:, 1]
-        dist = np.hypot(xy[block, 0, None] - target_xy[:, 0], dy, out=dy)
-        inside = dist <= r
-        for i, t in zip(*np.nonzero((dist >= r - slack) & (dist <= r + slack))):
-            c = scenario.clients[lo + i]
-            inside[i, t] = distance_m(c.position, scenario.targets[t].position) <= c.sensing_radius_m
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        d2 -= r2[block, None]  # the sign of d^2 - r^2 is exact
+        inside = d2 <= 0.0
+        sure = np.abs(d2, out=d2) > band[block, None]  # False where d^2 is NaN
+        if not sure.all():
+            for i, t in zip(*np.nonzero(~sure)):
+                d = distance_m(xy[lo + i], scenario.targets[t].position)
+                inside[i, t] = d <= scenario.clients[lo + i].sensing_radius_m
         counts[block] = inside @ onehot
     return counts
 

@@ -38,7 +38,7 @@ class GreedyGainPolicy(Policy):
     name = "greedy"
 
     def decide(self, obs: Observation) -> list[int]:
-        return [int(np.argmax(row)) for row in obs.graph.weights]
+        return np.argmax(obs.graph.weights, axis=1).tolist()
 
 
 class _LatencyPolicy(Policy):
@@ -56,7 +56,7 @@ class _LatencyPolicy(Policy):
     def decide(self, obs: Observation) -> list[int]:
         # latency_table[:, :, k] order: t_sens, t_dl, t_cp, t_ul.
         score = obs.graph.latency_table[:, :, list(self.components)].sum(axis=2)
-        return [int(np.argmin(row)) for row in score]
+        return np.argmin(score, axis=1).tolist()
 
 
 class MlCPolicy(_LatencyPolicy):

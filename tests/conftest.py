@@ -76,15 +76,26 @@ def random_problem(rng: np.random.Generator) -> WorkloadProblem:
 _EXACT_ON_RADIUS = ((5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (-4, 3), (4, -3), (-3, -4))
 
 
+# Coordinate scales of `random_scenarios(extreme=True)`. Squares of 2^-540
+# grid steps underflow to zero, those of 2^-530 and 1e-160 coordinates are
+# subnormal, those of 2^505 and 2^515 coordinates overflow; 1e150 squares
+# stay finite but its grid is not exact in binary.
+EXTREME_SCALES = (2.0**-540, 2.0**-530, 1e-160, 1e150, 2.0**505, 2.0**515)
+
+
 @st.composite
-def random_scenarios(draw):
+def random_scenarios(draw, extreme=False):
     """Random scenarios that stress the array sensing pass.
 
     Client counts straddle the sensing block size and target counts include
     zero. Some targets sit exactly on a client's sensing radius: either at a
     3-4-5 offset from an integer position with an integer radius, or with
-    the client's radius set to its `distance_m` from the target, where
-    np.hypot may round one ulp away from math.hypot.
+    the client's radius set to its `distance_m` from the target, where the
+    squared distance may round away from the squared radius.
+
+    With `extreme`, every coordinate and radius is multiplied by one of
+    `EXTREME_SCALES`, about a fifth of the radii are zero, and a target
+    placed on a zero radius sits one grid step from its client.
     """
     n = draw(st.integers(1, 2 * SENSE_BLOCK + 3))
     t = draw(st.integers(0, 40))
@@ -93,28 +104,29 @@ def random_scenarios(draw):
     variants = draw(st.integers(1, 2))
     on_offset = draw(st.integers(0, t))
     on_distance = draw(st.integers(0, n)) if t else 0
+    scale = draw(st.sampled_from(EXTREME_SCALES)) if extreme else 1.0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     area = 300.0
 
-    positions = [(float(x), float(y)) for x, y in rng.integers(0, 301, size=(n, 2))]
-    radii = [5.0 * float(r) for r in rng.integers(1, 25, size=n)]
+    positions = [(float(x) * scale, float(y) * scale) for x, y in rng.integers(0, 301, size=(n, 2))]
+    steps = rng.integers(-5 if extreme else 1, 25, size=n)
+    radii = [5.0 * float(max(r, 0)) * scale for r in steps]
     targets = []
     for j in range(t):
         if j < on_offset:
             c = int(rng.integers(0, n))
             ox, oy = _EXACT_ON_RADIUS[int(rng.integers(0, len(_EXACT_ON_RADIUS)))]
-            scale = radii[c] / 5.0
-            pos = (positions[c][0] + ox * scale, positions[c][1] + oy * scale)
+            unit = radii[c] / 5.0 or scale / 5.0
+            pos = (positions[c][0] + ox * unit, positions[c][1] + oy * unit)
         else:
-            pos = tuple(float(v) for v in rng.uniform(0.0, area, size=2))
+            pos = tuple(float(v) * scale for v in rng.uniform(0.0, area, size=2))
         targets.append(Target(j, pos, int(rng.integers(0, k))))
     for c in range(on_distance):
         radii[c] = distance_m(positions[c], targets[int(rng.integers(0, t))].position)
 
     sizes = tuple(1e6 * (1.0 + v) for v in range(variants))
     clients = [
-        Client(i, positions[i], (0.0, 0.0),
-               SensingMode.VS if i % 2 == 0 else SensingMode.WS, radii[i], sizes, sizes, sizes)
+        Client(i, SensingMode.VS if i % 2 == 0 else SensingMode.WS, radii[i], sizes, sizes, sizes)
         for i in range(n)
     ]
     edges = []
@@ -124,4 +136,4 @@ def random_scenarios(draw):
             for _ in range(variants)
         )
         edges.append(EdgeServer(e, tuple(float(v) for v in rng.uniform(0.0, area, 2)), mixtures))
-    return Scenario(area, clients, edges, targets, k, ChannelParams())
+    return Scenario(area, clients, edges, targets, k, ChannelParams(), positions, [(0.0, 0.0)] * n)

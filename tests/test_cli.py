@@ -158,6 +158,7 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("sensing", "tau_s", -1.0),
     ("scenario", "dl_bits_base", -1.0),
     ("scenario", "num_classes", 1),
+    ("scenario", "num_clients", 0),
     ("pool", "hz_per_lane", 0.0),
     ("sac", "gamma", 1.5),
 ])

@@ -169,7 +169,7 @@ class TestGainGraph:
         sc = Scenario(
             sc.area_m, sc.clients,
             [EdgeServer(0, pos, (p_local,)), EdgeServer(1, pos, (skew,))],
-            sc.targets, sc.num_classes, sc.channel,
+            sc.targets, sc.num_classes, sc.channel, sc.positions, sc.velocities,
         )
         graph = self.build(sc)
         w = graph.weights[0]
@@ -208,7 +208,7 @@ class TestGainGraph:
         sensing = SensingParams()
         graph = self.build(sc, sensing)
         for i, client in enumerate(sc.clients):
-            sensed = sense_targets(client, sc.targets)
+            sensed = sense_targets(sc.positions[i], client.sensing_radius_m, sc.targets)
             counts = np.bincount([t.class_id for t in sensed], minlength=sc.num_classes)
             p = local_distribution(counts.astype(float), sensing.epsilon)
             assert graph.sensed_counts[i] == len(sensed)
@@ -254,12 +254,12 @@ class TestGainGraph:
         m_count = num_models(sc)
         assert graph.weights.shape == graph.etas.shape == (n, m_count)
         assert graph.latency_table.shape == (n, m_count, 4)
-        for i, client in enumerate(sc.clients):
+        for i, position in enumerate(sc.positions):
             for m in graph.model_ids:
                 e = graph.edge(i, m)
                 e_idx = sc.model_arrays().edge_of_model[m]
                 assert graph.weights[i, m] == e.weight
-                assert graph.etas[i, m] == spectral_efficiency(client, sc.edges[e_idx], sc.channel)
+                assert graph.etas[i, m] == spectral_efficiency(position, sc.edges[e_idx], sc.channel)
                 assert graph.etas[i, m] == e.problem.eta
                 expected = latency_components(e.problem, int(e.problem.w_cap))
                 assert tuple(graph.latency_table[i, m].tolist()) == expected

@@ -103,6 +103,36 @@ def test_latency_tie_takes_lowest_index():
     assert MlCPolicy().decide(stub_obs(table=table)) == [0, 0]
 
 
+def test_ties_take_lowest_index_in_every_row():
+    weights = [[0.3, 0.5, 0.5], [0.7, 0.7, 0.7], [0.0, 0.1, 0.1], [0.2, 0.1, 0.2]]
+    assert GreedyGainPolicy().decide(stub_obs(weights=weights)) == [1, 0, 1, 0]
+    table = np.zeros((4, 3, 4))
+    table[:, :, 1] = np.array(weights)
+    assert MlCPolicy().decide(stub_obs(table=table)) == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("mode", [Mode.ZEROS, Mode.SERIAL])
+@pytest.mark.parametrize("num_models", [1, 2])
+def test_decisions_match_per_row_loop_on_reference_scenarios(mode, num_models):
+    """One argmax/argmin over the model axis picks what a per-client loop
+    over the rows picks, as Python ints, on every round."""
+    cfg = ScenarioConfig(num_models=num_models)
+    for seed in range(3):
+        env = RoundEnv(lambda _i: generate_scenario(cfg, seed), plan_pipeline(5, 9, mode),
+                       PoolConfig(), SensingParams())
+        obs, done = env.reset(), False
+        while not done:
+            greedy = GreedyGainPolicy().decide(obs)
+            assert greedy == [int(np.argmax(row)) for row in obs.graph.weights]
+            assert all(type(a) is int for a in greedy)
+            for cls in (MlCPolicy, MlCcPolicy, MlSccPolicy):
+                score = obs.graph.latency_table[:, :, list(cls.components)].sum(axis=2)
+                picks = cls().decide(obs)
+                assert picks == [int(np.argmin(row)) for row in score]
+                assert all(type(a) is int for a in picks)
+            obs, _, done = env.step(greedy)
+
+
 # -- heuristics on real observations ----------------------------------------
 
 

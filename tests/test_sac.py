@@ -123,15 +123,15 @@ def reference_encoding(scenario, fracs, graph, norms):
     """The state vector concatenated one client block at a time from
     per-edge values (spectral efficiency, edge weight)."""
     blocks = []
-    for i, client in enumerate(scenario.clients):
+    for i, position in enumerate(scenario.positions):
         etas = [
-            spectral_efficiency(client, scenario.edges[scenario.model_arrays().edge_of_model[m]],
+            spectral_efficiency(position, scenario.edges[scenario.model_arrays().edge_of_model[m]],
                                 scenario.channel)
             for m in graph.model_ids
         ]
         blocks.append(np.concatenate([
             list(fracs[i]),
-            np.array(client.position) / scenario.area_m,
+            position / scenario.area_m,
             np.array(etas) / norms.eta_norm,
         ]))
     weights = np.array([

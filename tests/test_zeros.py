@@ -325,10 +325,13 @@ class TestEpisode:
 
     def test_caller_scenario_untouched(self):
         sc = tiny_scenario(2)
-        positions = [c.position for c in sc.clients]
-        run_episode(sc, GreedyGainPolicy(), plan_pipeline(3, 9, Mode.ZEROS),
-                    PoolConfig(), SensingParams())
-        assert [c.position for c in sc.clients] == positions
+        positions, velocities = sc.positions.copy(), sc.velocities.copy()
+        trace = run_episode(sc, GreedyGainPolicy(), plan_pipeline(3, 9, Mode.ZEROS),
+                            PoolConfig(), SensingParams())
+        assert trace.rounds and np.any(sc.velocities != 0.0)
+        assert np.array_equal(sc.positions, positions)
+        assert np.array_equal(sc.velocities, velocities)
+        assert sc.time_s == 0.0
 
     def test_zero_targets_zero_gain(self):
         trace = self.run(Mode.ZEROS, num_targets=0)
@@ -403,7 +406,9 @@ class TestEpisode:
                        PoolConfig(), SensingParams())
         obs, done, seen = env.reset(), False, []
         while not done:
-            expected = [len(sense_targets(c, obs.scenario.targets)) for c in obs.scenario.clients]
+            sc_now = obs.scenario
+            expected = [len(sense_targets(p, c.sensing_radius_m, sc_now.targets))
+                        for p, c in zip(sc_now.positions, sc_now.clients)]
             assert obs.graph.sensed_counts == expected
             seen.append(expected)
             obs, _, done = env.step([0] * len(sc.clients))
