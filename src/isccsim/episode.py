@@ -278,12 +278,13 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
 
 def _decisions(assignment, n: int, m: int) -> list[int]:
     """A round's decision as plain ints, each a model index in [0, m)."""
-    decisions = []
-    for a in assignment:
-        if isinstance(a, (bool, np.bool_)) or not isinstance(a, (int, np.integer)):
-            raise ValueError(f"assignment entries must be integer model indices, got {a!r}")
-        decisions.append(int(a))
-    if len(decisions) != n or any(not 0 <= a < m for a in decisions):
+    decisions = assignment.tolist() if isinstance(assignment, np.ndarray) else list(assignment)
+    types = set(map(type, decisions))
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
+        raise ValueError(f"assignment entries must be integer model indices, got {types}")
+    if types != {int}:
+        decisions = list(map(int, decisions))
+    if len(decisions) != n or decisions and not 0 <= min(decisions) <= max(decisions) < m:
         raise ValueError(f"assignment must give each of {n} clients a model in [0,{m})")
     return decisions
 

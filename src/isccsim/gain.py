@@ -172,7 +172,8 @@ def build_gain_graph(
     residuals is an (N, 2) array or list of client i's (bandwidth Hz,
     compute cycles/s) budget for the round. One sensing pass and one
     `solve_edges` pass cover every edge; exp, log1p and the spectral
-    efficiencies run on `math`, as their scalar definitions do. A pure
+    efficiencies' transcendentals run on `math` over flat lists, as their
+    scalar definitions do, and the arithmetic around them in numpy. A pure
     function: identical inputs give identical graphs.
     """
     n = len(scenario.clients)
@@ -184,9 +185,10 @@ def build_gain_graph(
 
     counts = sensed_class_counts(scenario)
     sensed = counts.sum(axis=1)
-    kl = _kl(local_distribution(counts, sensing.epsilon), models.mixtures).ravel().tolist()
-    sims = [math.exp(-v) for v in kl]
-    if sims and not (min(sims) > 0.0 and max(sims) <= 1.0 + 1e-12):
+    neg_kl = -_kl(local_distribution(counts, sensing.epsilon), models.mixtures)
+    sims = np.fromiter(map(math.exp, neg_kl.ravel().tolist()), float, neg_kl.size)
+    similarities = sims.reshape(n, m_count)
+    if sims.size and not (sims.min() > 0.0 and sims.max() <= 1.0 + 1e-12):
         raise ValueError("similarity outside (0, 1]")
 
     values = np.empty((len(EDGE_FIELDS), n, m_count))
@@ -199,8 +201,8 @@ def build_gain_graph(
         values, models.vs, t_gen, t_cons, sensing.tau_s, sensing.sigma, sensing.rho, coupled
     )
     solutions = solve_edges(problems)
-    weights = [s * math.log1p(w) for s, w in zip(sims, solutions[0].ravel().tolist())]
-    similarities, weights = np.array((sims, weights)).reshape(2, n, m_count)
+    log1p_w = np.fromiter(map(math.log1p, solutions[0].ravel().tolist()), float, sims.size)
+    weights = similarities * log1p_w.reshape(n, m_count)
     return GainGraph(
         client_ids=[c.client_id for c in scenario.clients],
         model_ids=list(range(m_count)),

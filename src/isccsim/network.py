@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -95,17 +96,20 @@ class Scenario:
         self.velocities = np.array(self.velocities, dtype=float).reshape(n, 2)
 
     def sense_arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only (T, 2) target positions, (T, K) class one-hot, (N,)
-        squared sensing radii and (N,) `SENSE_BAND` half-widths."""
+        """Read-only target x, target y, (T, K) class one-hot and each
+        target's index in `targets`, all in x order; then the (N,) sensing
+        radii, their squares and their `SENSE_BAND` half-widths."""
         if self._sense_arrays is None:
             t = len(self.targets)
             xy = np.array([tg.position for tg in self.targets], dtype=float).reshape(t, 2)
+            order = np.argsort(xy[:, 0], kind="stable")
             onehot = np.zeros((t, self.num_classes))
-            onehot[np.arange(t), np.array([tg.class_id for tg in self.targets], dtype=int)] = 1.0
-            r2 = np.square([c.sensing_radius_m for c in self.clients], dtype=float)
+            onehot[np.arange(t), np.array([self.targets[j].class_id for j in order], dtype=int)] = 1.0
+            radii = np.array([c.sensing_radius_m for c in self.clients], dtype=float)
+            r2 = np.square(radii)
             # An infinite band re-decides all of a client's pairs.
             band = np.where((r2 >= _TINY) & (r2 <= SENSE_R2_MAX), SENSE_BAND * r2, np.inf)
-            self._sense_arrays = (xy, onehot, r2, band)
+            self._sense_arrays = (xy[order, 0], xy[order, 1], onehot, order, radii, r2, band)
             for a in self._sense_arrays:
                 a.flags.writeable = False
         return self._sense_arrays
@@ -272,26 +276,18 @@ def spectral_efficiency(pos: tuple[float, float], edge: EdgeServer, ch: ChannelP
 def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
     """(N, E) `spectral_efficiency` of every client to every edge server.
 
-    Evaluated on `math` in the scalar definition's order, so each entry
-    equals it bit for bit.
+    `hypot`, `**` and `log2` run on Python floats and the rest in numpy,
+    in the scalar definition's order: each entry equals it bit for bit.
     """
     ch = scenario.channel
-    power_gain = ch.tx_power_w * ch.reference_gain
-    exponent = -ch.path_loss_exp
-    edges = [e.position for e in scenario.edges]
-    rows = [
-        [
-            math.log2(
-                1.0
-                + power_gain
-                * max(math.hypot(cx - ex, cy - ey), ch.min_distance_m) ** exponent
-                / ch.noise_power_w
-            )
-            for ex, ey in edges
-        ]
-        for cx, cy in scenario.positions.tolist()
-    ]
-    return np.array(rows, dtype=float).reshape(len(scenario.clients), len(edges))
+    edges = np.array([e.position for e in scenario.edges], dtype=float).reshape(-1, 2)
+    dx, dy = (scenario.positions[:, None] - edges).transpose(2, 0, 1).reshape(2, -1).tolist()
+    d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+    d = np.where(ch.min_distance_m > d, ch.min_distance_m, d)  # max(d, min_distance_m)
+    power = np.fromiter(map(pow, d.tolist(), repeat(-ch.path_loss_exp)), float, d.size)
+    snr = ch.tx_power_w * ch.reference_gain * power / ch.noise_power_w
+    log2 = np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, d.size)
+    return log2.reshape(len(scenario.positions), len(edges))
 
 
 def sense_targets(pos: tuple[float, float], radius: float, targets: list[Target]) -> list[Target]:
@@ -317,15 +313,33 @@ def sensed_class_counts(scenario: Scenario) -> np.ndarray:
 
     Equals counting the classes of `sense_targets` for every client. The
     pass compares squared distances with squared radii, and decides the
-    pairs that test cannot (see `SENSE_BAND`) by `distance_m`.
+    pairs that test cannot (see `SENSE_BAND`) by `distance_m`. With more
+    than one block, clients go in x order and each block of `SENSE_BLOCK`
+    is tested only against the x-sorted targets within its reach in x
+    (sort and sweep): the block's largest radius plus 2^-50 max(|x|, r), a
+    few ulps, so that `distance_m` puts every target left out beyond the
+    radius. A block with a non-finite bound tests every target.
     """
-    target_xy, onehot, r2, band = scenario.sense_arrays()
+    tx, ty, onehot, order, radii, r2, band = scenario.sense_arrays()
     xy = scenario.positions
-    counts = np.empty((len(xy), scenario.num_classes))
-    for lo in range(0, len(xy), SENSE_BLOCK):
-        block = slice(lo, lo + SENSE_BLOCK)
-        d2 = xy[block, 0, None] - target_xy[:, 0]
-        dy = xy[block, 1, None] - target_xy[:, 1]
+    n = len(xy)
+    spans = [(0, len(tx))]
+    if n > SENSE_BLOCK:
+        rows = np.argsort(xy[:, 0], kind="stable")
+        xy, radii, r2, band = xy[rows], radii[rows], r2[rows], band[rows]
+        starts = np.arange(0, n, SENSE_BLOCK)
+        x_lo, x_hi = xy[starts, 0], xy[np.minimum(starts + SENSE_BLOCK, n) - 1, 0]
+        reach = np.maximum.reduceat(radii, starts)
+        reach += 2.0**-50 * np.maximum(np.maximum(np.abs(x_lo), np.abs(x_hi)), reach)
+        left, right = x_lo - reach, x_hi + reach
+        finite = np.isfinite(left) & np.isfinite(right)
+        spans = zip(np.where(finite, np.searchsorted(tx, left, "left"), 0).tolist(),
+                    np.where(finite, np.searchsorted(tx, right, "right"), len(tx)).tolist())
+    counts = np.empty((n, scenario.num_classes))
+    for lo, (first, last) in zip(range(0, n, SENSE_BLOCK), spans):
+        block, hits = slice(lo, lo + SENSE_BLOCK), slice(first, last)
+        d2 = xy[block, 0, None] - tx[hits]
+        dy = xy[block, 1, None] - ty[hits]
         d2 *= d2
         dy *= dy
         d2 += dy
@@ -334,9 +348,11 @@ def sensed_class_counts(scenario: Scenario) -> np.ndarray:
         sure = np.abs(d2, out=d2) > band[block, None]  # False where d^2 is NaN
         if not sure.all():
             for i, t in zip(*np.nonzero(~sure)):
-                d = distance_m(xy[lo + i], scenario.targets[t].position)
-                inside[i, t] = d <= scenario.clients[lo + i].sensing_radius_m
-        counts[block] = inside @ onehot
+                d = distance_m(xy[lo + i], scenario.targets[order[first + t]].position)
+                inside[i, t] = d <= radii[lo + i]
+        counts[block] = inside @ onehot[hits]
+    if n > SENSE_BLOCK:
+        counts[rows] = counts.copy()
     return counts
 
 

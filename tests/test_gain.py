@@ -231,6 +231,21 @@ class TestGainGraph:
         assert built == [] and sum(map(sum, (r.workloads for r in trace.rounds))) > 0
         assert len(self.build(sc).edges) == len(built) == 3 * 4
 
+    @pytest.mark.parametrize("mode", [Mode.ZEROS, Mode.SERIAL])
+    def test_episode_solves_each_edge_once_per_round(self, monkeypatch, mode):
+        """Solver calls per episode are exactly N·M·R, which is why no run
+        records a solver-call counter."""
+        import isccsim.gain as gain_module
+
+        solved = []
+        solve = gain_module.solve_edges
+        monkeypatch.setattr(gain_module, "solve_edges",
+                            lambda p: solved.append(p.values[0].size) or solve(p))
+        sc = small_scenario(num_clients=5, num_models=2)
+        run_episode(sc, GreedyGainPolicy(), plan_pipeline(4, 9, mode), PoolConfig(),
+                    SensingParams())
+        assert solved == [5 * 8] * 4
+
     def test_serializes(self):
         import json
 

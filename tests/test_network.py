@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scenarios
 from isccsim.network import (
+    SENSE_BLOCK,
     ChannelParams,
     Client,
     EdgeServer,
@@ -41,6 +42,64 @@ def reflect_reference(coord, vel, area):
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def reference_counts(sc):
+    """(N, K) class counts of `sense_targets` for every client, as lists."""
+    return [
+        np.bincount([t.class_id for t in sense_targets(sc.positions[i], c.sensing_radius_m,
+                                                      sc.targets)],
+                    minlength=sc.num_classes).tolist()
+        for i, c in enumerate(sc.clients)
+    ]
+
+
+def on_circle_x(xc, r, side):
+    """The float x farthest to `side` (+1 or -1) of `xc` that `distance_m`
+    still puts within `r` of a client at `xc` in the same row."""
+    x, out = xc + side * r, side * math.inf
+    while abs(xc - x) > r:
+        x = math.nextafter(x, -out)
+    while abs(xc - math.nextafter(x, out)) <= r:
+        x = math.nextafter(x, out)
+    return x
+
+
+@st.composite
+def crowded_scenarios(draw):
+    """Several sensing blocks over hundreds of targets, so that the x cull
+    cuts: clustered clients and targets, targets on a client's circle in its
+    row (x = x_c +- r, dy = 0), repeated target x, clients far out in x
+    (where positions collapse onto a coarse float grid), and a stack of
+    zero-radius clients at x = 0 over targets on their point."""
+    n = draw(st.integers(2 * SENSE_BLOCK + 1, 4 * SENSE_BLOCK))
+    k = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 3e4, -7e8, 2.0**60]))
+    shared_radius = draw(st.booleans())
+    stack = draw(st.sampled_from([0, 0, 2 * SENSE_BLOCK]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(0.0, 300.0, size=(int(rng.integers(1, 5)), 2))
+
+    def cloud(count, spread):
+        near = centres[rng.integers(0, len(centres), count)] + rng.normal(0.0, spread, (count, 2))
+        return np.vstack([near, rng.uniform(-20.0, 320.0, (count, 2))])
+
+    xy = cloud((n + 1) // 2, 5.0)[:n]
+    radii = np.full(n, rng.uniform(1.0, 100.0)) if shared_radius else rng.uniform(0.0, 100.0, n)
+    xy[:, 0] += offset
+    xy[:stack], radii[:stack] = (0.0, 77.0), 0.0
+
+    txy = cloud(int(rng.integers(50, 150)), 8.0)
+    txy[:, 0] += offset
+    copies = rng.integers(0, len(txy), len(txy) // 4)
+    txy[-len(copies):, 0] = txy[copies, 0]
+    edge = [(on_circle_x(x, r, side), y) for (x, y), r, side in
+            zip(xy.tolist(), radii.tolist(), rng.choice([-1, 1], n)) if rng.random() < 0.4]
+    points = txy.tolist() + edge + [(0.0, 77.0)] * (3 if stack else 0)
+    targets = [Target(j, tuple(p), int(rng.integers(0, k))) for j, p in enumerate(points)]
+    clients = [Client(i, SensingMode.VS, r, (1e6,), (1e6,), (1e7,))
+               for i, r in enumerate(radii.tolist())]
+    return Scenario(300.0, clients, [], targets, k, ChannelParams(), xy, [(0.0, 0.0)] * n)
 
 
 class TestScenarioGeneration:
@@ -236,18 +295,28 @@ class TestSensing:
         zero and overflowing squares, no targets, and partial blocks."""
         counts = sensed_class_counts(sc)
         assert counts.shape == (len(sc.clients), sc.num_classes)
-        for i, client in enumerate(sc.clients):
-            sensed = [t.class_id for t in sense_targets(sc.positions[i], client.sensing_radius_m,
-                                                        sc.targets)]
-            assert counts[i].tolist() == np.bincount(sensed, minlength=sc.num_classes).tolist()
+        assert counts.tolist() == reference_counts(sc)
+
+    @given(crowded_scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_culled_pass_matches_reference(self, sc):
+        """With more than two blocks, each block sees only the targets in
+        its x reach; the counts stay exactly the reference's."""
+        assert sensed_class_counts(sc).tolist() == reference_counts(sc)
 
     def test_target_arrays_shared_by_clones(self):
-        sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=5), seed=1)
+        sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=50), seed=1)
         arrays = sc.sense_arrays()
         clone = clone_scenario(sc)
         assert all(a is b for a, b in zip(clone.sense_arrays(), arrays))
         assert not any(a.flags.writeable for a in arrays)
-        assert arrays[2].tolist() == [c.sensing_radius_m ** 2 for c in sc.clients]
+        tx, ty, onehot, order, radii, r2, _ = arrays
+        assert sorted(order.tolist()) == list(range(50))
+        assert np.all(np.diff(tx) >= 0.0)
+        assert [(x, y) for x, y in zip(tx, ty)] == [sc.targets[j].position for j in order]
+        assert onehot.argmax(axis=1).tolist() == [sc.targets[j].class_id for j in order]
+        assert radii.tolist() == [c.sensing_radius_m for c in sc.clients]
+        assert r2.tolist() == [c.sensing_radius_m ** 2 for c in sc.clients]
 
     def test_model_arrays_shared_by_clones(self):
         sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=5, num_models=2), seed=1)
@@ -258,14 +327,14 @@ class TestSensing:
         assert arrays.sizes[2, 0].tolist() == [c for _ in range(4) for c in sc.clients[0].cycles_per_sample]
         assert not any(a.flags.writeable for a in vars(arrays).values())
 
-    @given(random_scenarios())
-    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(random_scenarios(), random_scenarios(extreme=True)))
+    @settings(max_examples=60, deadline=None)
     def test_spectral_efficiencies_match_scalar_bitwise(self, sc):
         etas = spectral_efficiencies(sc)
         assert etas.shape == (len(sc.clients), len(sc.edges))
         for i, position in enumerate(sc.positions):
             for e, edge in enumerate(sc.edges):
-                assert etas[i, e] == spectral_efficiency(position, edge, sc.channel)
+                assert bits(etas[i, e]) == bits(spectral_efficiency(position, edge, sc.channel))
 
     def test_config_rejects_invalid_values(self):
         for bad in (dict(num_clients=0), dict(num_classes=1), dict(num_edges=0), dict(dl_bits_base=-1.0),

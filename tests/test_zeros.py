@@ -453,6 +453,8 @@ class TestEpisode:
             env.step(np.zeros(n, dtype=bool))
         with pytest.raises(ValueError):
             env.step([0.0] * n)
+        with pytest.raises(ValueError):
+            env.step([np.True_] + [0] * (n - 1))
         assert env.trace.rounds == []
         env.step(np.zeros(n, dtype=np.int64))
         assert env.trace.rounds[0].decisions == [0] * n
