@@ -109,9 +109,8 @@ def _enum_safe(data: dict) -> dict:
 # -- shared episode plumbing -----------------------------------------------------
 
 
-def _schedule_for(cfg: RunConfig):
-    mode = Mode.ZEROS if cfg.mode == "zeros" else Mode.SERIAL
-    return plan_pipeline(cfg.rounds, cfg.slots, mode)
+def _schedule_for(cfg: RunConfig, slots: int | None = None):
+    return plan_pipeline(cfg.rounds, cfg.slots if slots is None else slots, Mode(cfg.mode))
 
 
 def _run_policy_episode(name: str, cfg: RunConfig, seed: int, schedule,
@@ -293,12 +292,10 @@ def robustness_pool(slots: int, boosted: bool) -> PoolConfig:
 
 def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
                     pool_cfg: PoolConfig) -> dict:
-    mode = Mode.ZEROS if cfg.mode == "zeros" else Mode.SERIAL
-    schedule = plan_pipeline(cfg.rounds, slots, mode)
-    env = RoundEnv(lambda _i: scenario, schedule, pool_cfg, sensing)
-    obs = env.reset()
-    edge = obs.graph.edge(0, 0)
-    oracle_w = oracle_workload(edge.problem, grid=400)
+    schedule = _schedule_for(cfg, slots)
+    graph = RoundEnv(lambda _i: scenario, schedule, pool_cfg, sensing).reset().graph
+    problem = graph.problems.problem(0, 0)
+    oracle_w = oracle_workload(problem, grid=400)
     policy = make_policy("greedy")
     trace = run_episode(scenario, policy, schedule, pool_cfg, sensing)
     audit = audit_trace(trace, schedule, pool_cfg)
@@ -307,12 +304,11 @@ def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
         "total_frames": schedule.total_frames,
         "makespan_slots": makespan(schedule),
         "bandwidth_hz": pool_cfg.freq_lanes * pool_cfg.hz_per_lane,
-        "compute_cps": pool_cfg.comp_lanes * pool_cfg.cycles_per_lane_slot
-        / pool_cfg.slot_duration,
+        "compute_cps": pool_cfg.compute_cps,
         "cumulative_gain": trace.cumulative_gain,
         "per_round_workloads": [list(r.workloads) for r in trace.rounds],
-        "problem": _enum_safe(dataclasses.asdict(edge.problem)),
-        "w_star": edge.solution.w_star,
+        "problem": _enum_safe(dataclasses.asdict(problem)),
+        "w_star": int(graph.solutions[0, 0, 0]),
         "oracle_w_star": oracle_w,
         "claims": [claim_dict(c) for c in trace.all_claims()],
         "audit_ok": audit["ok"] and not trace.violations,

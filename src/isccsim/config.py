@@ -80,7 +80,7 @@ class RunConfig:
         # and never surfaces later as a fault of the program.
         for section, build in (
             ("scenario", self.scenario_config),
-            ("pool", lambda: self.pool_config().build()),
+            ("pool", self.pool_config),
             ("sensing", self.sensing_params),
             ("sac", lambda: self.sac_config().validate()),
         ):

@@ -218,7 +218,8 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     n, length, freq_lanes = bank.time_freq.shape
     comp_lanes = bank.time_comp.shape[2]
     lanes = max(freq_lanes, comp_lanes)
-    freq, comp, dt = bank.empty.time_freq, bank.empty.time_comp, bank.empty.slot_duration
+    cfg = bank.cfg
+    dt = cfg.slot_duration
     active = (solutions[-1] == 1.0) & (solutions[0] != 0.0)
 
     # (N, 4) arrays by process code. `slots_needed` of t_sens, t_dl,
@@ -244,10 +245,10 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     slot = np.arange(length)
     avail = np.zeros((n, 4, lanes))
     resid = np.where((slot < end[:, _SENS, None])[:, :, None],
-                     freq.cell_capacity - bank.time_freq, np.inf)
+                     cfg.freq_cell_capacity - bank.time_freq, np.inf)
     avail[:, _SENS, :freq_lanes] = np.maximum(resid.min(axis=1), 0.0)
-    avail[:, _DL::2, :freq_lanes] = freq.cell_capacity
-    avail[:, _COMP, :comp_lanes] = comp.cell_capacity
+    avail[:, _DL::2, :freq_lanes] = cfg.freq_cell_capacity
+    avail[:, _COMP, :comp_lanes] = cfg.comp_cell_capacity
     camera = vs & present[:, _SENS]
     present[:, _SENS] ^= camera
     demand = np.where(present, solutions[[1, 2, 3, 2]].T * dt, 0.0)
@@ -356,7 +357,7 @@ class RoundEnv:
         # the last round, the schedule's last frame has closed.
         sched = self.schedule
         done = r == sched.num_rounds
-        opens = sched.total_frames + 1 if done else sched.for_round(r + 1).gen_frame
+        opens = sched.total_frames + 1 if done else sched.gen_frame(r + 1)
         while self.frame < opens:
             self._close_frame()
             self.frame += 1
@@ -409,7 +410,7 @@ class RoundEnv:
 
         residuals = np.empty((len(sc.clients), 2))
         residuals[:, 0] = self.bank.rect_bandwidth_hz()
-        residuals[:, 1] = self.bank.empty.compute_cps
+        residuals[:, 1] = self.pool_cfg.compute_cps
         f_frac, c_frac = self.bank.residual_fraction()
         fracs = list(zip(f_frac.tolist(), c_frac.tolist()))
         graph = build_gain_graph(
@@ -461,17 +462,17 @@ def audit_trace(
     amount is a failure and is not placed.
     """
     claims = trace.claim_table()
-    frames = schedule.claim_windows(claims)[:, 0]
+    frames = schedule.claim_frames(claims)
     ids, rows = np.unique(claims.client_id, return_inverse=True)
     bank = PoolBank(pool_cfg, len(ids))
-    grids = ((_TIME_FREQ, bank.time_freq, bank.empty.time_freq),
-             (_TIME_COMP, bank.time_comp, bank.empty.time_comp))
+    grids = ((_TIME_FREQ, bank.time_freq, pool_cfg.freq_cell_capacity),
+             (_TIME_COMP, bank.time_comp, pool_cfg.comp_cell_capacity))
     grid, s0, s1, l0, l1, amount = (claims.grid, claims.s0, claims.s1, claims.l0, claims.l1,
                                     claims.amount)
     # A time-only claim has no lanes and no amount; a grid claim has lanes
     # of its grid. Every claim lies within the frame's slots.
     timed = grid == _NONE
-    lanes = np.array([g.num_lanes for _, _, g in grids] + [0])[grid]
+    lanes = np.array([pool_cfg.freq_lanes, pool_cfg.comp_lanes, 0])[grid]
     bad = ((s0 < 0) | (s1 > pool_cfg.num_slots) | (s1 <= s0) | (l0 < 0) | (l1 > lanes)
            | ~(amount >= 0.0) | np.where(timed, (l1 != l0) | (amount != 0.0), l1 <= l0))
 
@@ -486,15 +487,15 @@ def audit_trace(
             for k in np.flatnonzero(here & bad)
         )
         placed = []
-        for code, used, g in grids:
+        for code, used, _ in grids:
             k = np.flatnonzero(here & (grid == code) & ~bad)
-            cells, claim = _cells(rows[k], s0[k], s1[k], l0[k], l1[k], g.num_slots, g.num_lanes)
+            cells, claim = _cells(rows[k], s0[k], s1[k], l0[k], l1[k], *used.shape[1:])
             amounts = amount[k][claim]
             np.add.at(used.reshape(-1), cells, amounts)
             placed.append((used, cells, amounts))
         max_util = max(max_util, bank.peak_use())
-        for code, used, g in grids:
-            over = ~(used <= fit_bound(g.cell_capacity))
+        for code, used, cap in grids:
+            over = ~(used <= fit_bound(cap))
             failures.extend(
                 f"frame {frame} client {ids[row]} {GRID_KINDS[code].value} over capacity"
                 for row in np.flatnonzero(over.any(axis=(1, 2)))

@@ -75,30 +75,23 @@ class Mlp:
 
     # -- flat parameter view (serialization, finite differences) ----------
 
+    def params(self) -> list[np.ndarray]:
+        """Live parameter arrays, interleaved (w0, b0, w1, b1, ...)."""
+        return interleave(self.weights, self.biases)
+
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
-            parts.append(b)
-        return np.concatenate(parts)
+        return np.concatenate([p.reshape(-1) for p in self.params()])
 
     def set_flat(self, flat: np.ndarray) -> None:
         if flat.size != self.num_params:
             raise ValueError(f"expected {self.num_params} params, got {flat.size}")
-        k = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[k : k + w.size].reshape(w.shape).copy()
-            k += w.size
-            self.biases[i] = flat[k : k + b.size].copy()
-            k += b.size
+        old = self.params()
+        ends = np.cumsum([p.size for p in old])[:-1]
+        new = [part.reshape(p.shape).copy() for part, p in zip(np.split(flat, ends), old)]
+        self.weights, self.biases = new[::2], new[1::2]
 
     def flatten_grads(self, grads: tuple[list[np.ndarray], list[np.ndarray]]) -> np.ndarray:
-        grads_w, grads_b = grads
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.reshape(-1))
-            parts.append(gb)
-        return np.concatenate(parts)
+        return np.concatenate([g.reshape(-1) for g in interleave(*grads)])
 
     def clone(self) -> "Mlp":
         twin = Mlp.__new__(Mlp)
@@ -136,22 +129,9 @@ class Adam:
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
-def mlp_params(net: Mlp) -> list[np.ndarray]:
-    """Live parameter arrays, interleaved (w0, b0, w1, b1, ...)."""
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def interleave_grads(grads: tuple[list[np.ndarray], list[np.ndarray]]) -> list[np.ndarray]:
-    grads_w, grads_b = grads
-    out = []
-    for gw, gb in zip(grads_w, grads_b):
-        out.append(gw)
-        out.append(gb)
-    return out
+def interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-layer arrays in the flat order (w0, b0, w1, b1, ...)."""
+    return [a for pair in zip(weights, biases) for a in pair]
 
 
 def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:

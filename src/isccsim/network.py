@@ -98,7 +98,8 @@ class Scenario:
     def sense_arrays(self) -> tuple[np.ndarray, ...]:
         """Read-only target x, target y, (T, K) class one-hot and each
         target's index in `targets`, all in x order; then the (N,) sensing
-        radii, their squares and their `SENSE_BAND` half-widths."""
+        radii, their squares and their `SENSE_BAND` half-widths. A negative
+        or NaN radius raises ValueError."""
         if self._sense_arrays is None:
             t = len(self.targets)
             xy = np.array([tg.position for tg in self.targets], dtype=float).reshape(t, 2)
@@ -106,6 +107,8 @@ class Scenario:
             onehot = np.zeros((t, self.num_classes))
             onehot[np.arange(t), np.array([self.targets[j].class_id for j in order], dtype=int)] = 1.0
             radii = np.array([c.sensing_radius_m for c in self.clients], dtype=float)
+            if not (radii >= 0.0).all():
+                raise ValueError("sensing radii must be >= 0")
             r2 = np.square(radii)
             # An infinite band re-decides all of a client's pairs.
             band = np.where((r2 >= _TINY) & (r2 <= SENSE_R2_MAX), SENSE_BAND * r2, np.inf)
@@ -173,8 +176,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if min(self.num_clients, self.num_edges, self.num_models) < 1 or self.num_classes < 2:
             raise ValueError("need at least one client, one edge, one model and two classes")
-        if min(self.num_clients, self.num_targets, self.v_max_mps, self.vs_radius_m,
-               self.ws_radius_m, self.dl_bits_base, self.ul_bits_base, self.cycles_base) < 0:
+        if not all(v >= 0 for v in (self.num_clients, self.num_targets, self.v_max_mps,
+                                    self.vs_radius_m, self.ws_radius_m, self.dl_bits_base,
+                                    self.ul_bits_base, self.cycles_base)):  # NaN too
             raise ValueError("counts, speeds, radii and task sizes must be >= 0")
         if self.area_m <= 0 or not 0.0 <= self.dominant_share <= 1.0:
             raise ValueError("area must be > 0 and dominant_share in [0, 1]")

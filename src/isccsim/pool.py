@@ -437,7 +437,11 @@ def lane_runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Shape of every client's per-frame resource pool."""
+    """Shape and cell capacities of every client's per-frame resource pool.
+
+    Frequency cells hold hz_per_lane * slot_duration Hz*s; compute cells hold
+    cycles_per_lane_slot cycles.
+    """
 
     num_slots: int = 9
     freq_lanes: int = 4
@@ -446,14 +450,33 @@ class PoolConfig:
     hz_per_lane: float = 1e6
     cycles_per_lane_slot: float = 5e7
 
+    def __post_init__(self) -> None:
+        if self.num_slots < 1 or self.freq_lanes < 1 or self.comp_lanes < 1:
+            raise ConfigurationError("pool dimensions must be >= 1")
+        if self.slot_duration <= 0 or self.hz_per_lane <= 0 or self.cycles_per_lane_slot <= 0:
+            raise ConfigurationError("pool unit scalars must be > 0")
+        if self.freq_cell_capacity <= 0:
+            raise ConfigurationError("cell capacity must be > 0")
+
+    @property
+    def freq_cell_capacity(self) -> float:
+        return self.hz_per_lane * self.slot_duration
+
+    @property
+    def comp_cell_capacity(self) -> float:
+        return self.cycles_per_lane_slot
+
+    @property
+    def compute_cps(self) -> float:
+        """Total compute capacity of a pool, as a rate in cycles/s."""
+        return self.comp_lanes * self.cycles_per_lane_slot / self.slot_duration
+
     def build(self) -> "UniversalResourcePool":
-        return new_pool(
-            self.num_slots,
-            self.freq_lanes,
-            self.comp_lanes,
-            self.slot_duration,
-            self.hz_per_lane,
-            self.cycles_per_lane_slot,
+        """An empty claim-level pool of this shape."""
+        return UniversalResourcePool(
+            time_freq=ResourceGrid.empty(self.num_slots, self.freq_lanes, self.freq_cell_capacity),
+            time_comp=ResourceGrid.empty(self.num_slots, self.comp_lanes, self.comp_cell_capacity),
+            slot_duration=self.slot_duration,
         )
 
 
@@ -465,20 +488,10 @@ def new_pool(
     hz_per_lane: float,
     cycles_per_lane_slot: float,
 ) -> UniversalResourcePool:
-    """Build an empty pool.
-
-    Frequency cells hold hz_per_lane * slot_duration Hz*s; compute cells hold
-    cycles_per_lane_slot cycles.
-    """
-    if num_slots < 1 or freq_lanes < 1 or comp_lanes < 1:
-        raise ConfigurationError("pool dimensions must be >= 1")
-    if slot_duration <= 0 or hz_per_lane <= 0 or cycles_per_lane_slot <= 0:
-        raise ConfigurationError("pool unit scalars must be > 0")
-    return UniversalResourcePool(
-        time_freq=ResourceGrid.empty(num_slots, freq_lanes, hz_per_lane * slot_duration),
-        time_comp=ResourceGrid.empty(num_slots, comp_lanes, cycles_per_lane_slot),
-        slot_duration=slot_duration,
-    )
+    """An empty pool of the given `PoolConfig` fields."""
+    return PoolConfig(
+        num_slots, freq_lanes, comp_lanes, slot_duration, hz_per_lane, cycles_per_lane_slot
+    ).build()
 
 
 class PoolBank:
@@ -493,17 +506,15 @@ class PoolBank:
     """
 
     def __init__(self, cfg: PoolConfig, num_pools: int):
-        # The shape and capacities of every row; never allocated into.
-        self.empty = cfg.build()
-        f, c = self.empty.time_freq, self.empty.time_comp
-        self.time_freq = np.zeros((num_pools, f.num_slots, f.num_lanes))
-        self.time_comp = np.zeros((num_pools, c.num_slots, c.num_lanes))
+        self.cfg = cfg  # the shape and capacities of every row
+        self.time_freq = np.zeros((num_pools, cfg.num_slots, cfg.freq_lanes))
+        self.time_comp = np.zeros((num_pools, cfg.num_slots, cfg.comp_lanes))
 
     def _grids(self, freq: np.ndarray | None, comp: np.ndarray | None):
-        for used, load, grid in ((self.time_freq, freq, self.empty.time_freq),
-                                 (self.time_comp, comp, self.empty.time_comp)):
+        for used, load, cap in ((self.time_freq, freq, self.cfg.freq_cell_capacity),
+                                (self.time_comp, comp, self.cfg.comp_cell_capacity)):
             if load is not None:
-                yield used, load, grid.cell_capacity
+                yield used, load, cap
 
     def misfits(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> np.ndarray:
         """Rows the load would lift above `fit_bound` in some cell.
@@ -539,31 +550,28 @@ class PoolBank:
 
     def rect_bandwidth_hz(self) -> np.ndarray:
         """Each row's ``rect_bandwidth_hz`` over the whole frame."""
-        cap = self.empty.time_freq.cell_capacity
-        resid = np.maximum(cap - self.time_freq, 0.0)
-        return resid.min(axis=1).sum(axis=1) / self.empty.slot_duration
+        resid = np.maximum(self.cfg.freq_cell_capacity - self.time_freq, 0.0)
+        return resid.min(axis=1).sum(axis=1) / self.cfg.slot_duration
 
     def residual_fraction(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's (freq, comp) ``residual_fraction``, as two arrays."""
         return (
-            _free_fraction(self.time_freq, self.empty.time_freq.cell_capacity),
-            _free_fraction(self.time_comp, self.empty.time_comp.cell_capacity),
+            _free_fraction(self.time_freq, self.cfg.freq_cell_capacity),
+            _free_fraction(self.time_comp, self.cfg.comp_cell_capacity),
         )
 
     def peak_use(self) -> float:
         """Highest cell usage over every row and both grids, as a fraction of capacity."""
         return max(
-            float(self.time_freq.max() / self.empty.time_freq.cell_capacity),
-            float(self.time_comp.max() / self.empty.time_comp.cell_capacity),
+            float(self.time_freq.max() / self.cfg.freq_cell_capacity),
+            float(self.time_comp.max() / self.cfg.comp_cell_capacity),
         )
 
     def residue_rows(self) -> np.ndarray:
         """Rows holding any cell with |usage| above 1e-9 of its capacity."""
         return np.flatnonzero(
-            (np.abs(self.time_freq).max(axis=(1, 2))
-             > 1e-9 * self.empty.time_freq.cell_capacity)
-            | (np.abs(self.time_comp).max(axis=(1, 2))
-               > 1e-9 * self.empty.time_comp.cell_capacity)
+            (np.abs(self.time_freq).max(axis=(1, 2)) > 1e-9 * self.cfg.freq_cell_capacity)
+            | (np.abs(self.time_comp).max(axis=(1, 2)) > 1e-9 * self.cfg.comp_cell_capacity)
         )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import EncodingNorms, LayoutMismatch, layout_length
 from .episode import RoundEnv, run_episode
-from .mlp import Adam, Mlp, interleave_grads, mlp_params, polyak_update
+from .mlp import Adam, Mlp, interleave, polyak_update
 from .policies import Policy
 
 log = logging.getLogger("isccsim.sac")
@@ -283,11 +283,11 @@ class SacAgent:
         targets = self.critic_targets(batch)
         loss1, grads1 = self.critic_loss(self.critic1, batch, targets)
         loss2, grads2 = self.critic_loss(self.critic2, batch, targets)
-        self.opt_critic1.step(mlp_params(self.critic1), interleave_grads(grads1))
-        self.opt_critic2.step(mlp_params(self.critic2), interleave_grads(grads2))
+        self.opt_critic1.step(self.critic1.params(), interleave(*grads1))
+        self.opt_critic2.step(self.critic2.params(), interleave(*grads2))
 
         actor_loss, actor_grads, entropy = self.actor_loss(batch)
-        self.opt_actor.step(mlp_params(self.actor), interleave_grads(actor_grads))
+        self.opt_actor.step(self.actor.params(), interleave(*actor_grads))
 
         alpha_loss, alpha_grad = self.temperature_loss(self.log_alpha, entropy)
         self._alpha_param[0] = self.log_alpha
@@ -383,7 +383,6 @@ class SacPolicy(Policy):
 
 @dataclass
 class TrainResult:
-    policy: SacPolicy
     agent: SacAgent
     curve: list[dict] = field(default_factory=list)
     steps: int = 0
@@ -408,7 +407,7 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
     agent = SacAgent(state_dim, num_clients, num_models, config, rng_init)
     buffer = ReplayBuffer(config.replay_capacity, state_dim, num_clients)
 
-    result = TrainResult(policy=SacPolicy(agent), agent=agent)
+    result = TrainResult(agent=agent)
     # Before the first update the actor is the untouched uniform policy.
     losses = {"actor_loss": 0.0, "critic_loss": 0.0, "alpha": agent.alpha,
               "entropy": float(np.log(num_models))}
@@ -442,9 +441,9 @@ def train(env: RoundEnv, config: SacConfig) -> TrainResult:
             "episode": episode,
             "steps": steps,
             "cumulative_gain": episode_gain,
-            "actor_loss": losses.get("actor_loss", 0.0),
-            "critic_loss": losses.get("critic_loss", 0.0),
-            "alpha": losses.get("alpha", agent.alpha),
+            "actor_loss": losses["actor_loss"],
+            "critic_loss": losses["critic_loss"],
+            "alpha": losses["alpha"],
             "entropy": losses["entropy"],
         })
         episode += 1

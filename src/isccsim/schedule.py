@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from .pool import PROCESS_ORDER, Claim, ClaimTable, Process
+from .pool import PROCESS_ORDER, ClaimTable, Process
 
 _SENS = PROCESS_ORDER.index(Process.SENS)
 
@@ -30,72 +29,62 @@ class ScheduleError(ValueError):
 
 
 @dataclass(frozen=True)
-class RoundWindows:
-    round_index: int
-    gen_frame: int            # 1-based frame hosting the sensing phase
-    gen_slots: tuple[int, int]
-    cons_frame: int           # 1-based frame hosting dl/compute/ul
-    cons_slots: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class RoundSchedule:
+    """Where each round's phases fall, in closed form.
+
+    Round r generates in frame ``stride * (r - 1) + 1`` and consumes in the
+    frame after: stride 2 in serial mode, so every phase has a frame of its
+    own, and 1 in overlapped mode, so interior frames host one round's
+    consumption and the next round's generation. Both phases span the full
+    frame; they contend through pool capacity, not disjoint sub-windows.
+    """
+
     num_rounds: int
     cr_length: int  # slots per frame
     mode: Mode
-    windows: tuple[RoundWindows, ...]
+
+    def __post_init__(self) -> None:
+        if self.num_rounds < 1:
+            raise ScheduleError("num_rounds must be >= 1")
+        if self.cr_length < 2:
+            raise ScheduleError("cr_length must be >= 2")
+
+    @property
+    def stride(self) -> int:
+        return 2 if self.mode is Mode.SERIAL else 1
+
+    def gen_frame(self, round_index: int) -> int:
+        """The 1-based frame hosting a round's sensing phase."""
+        return self.stride * (round_index - 1) + 1
+
+    def cons_frame(self, round_index: int) -> int:
+        """The frame hosting a round's download, compute and upload."""
+        return self.gen_frame(round_index) + 1
 
     @property
     def total_frames(self) -> int:
-        last = self.windows[-1]
-        return max(last.gen_frame, last.cons_frame)
-
-    def for_round(self, round_index: int) -> RoundWindows:
-        return self.windows[round_index - 1]
+        return self.cons_frame(self.num_rounds)
 
     def rounds_in_frame(self, frame: int) -> list[int]:
-        """The rounds with a phase in `frame`, ascending."""
-        return [w.round_index for w in self.windows if frame in (w.gen_frame, w.cons_frame)]
+        """The rounds with a phase in `frame`, ascending: those that
+        generate in frame - 1 or in frame."""
+        s = self.stride
+        return [k // s + 1 for k in (frame - 2, frame - 1)
+                if k % s == 0 and 0 <= k // s < self.num_rounds]
 
-    def frame_of(self, claim: Claim) -> int:
-        """The frame a claim belongs to, implied by its round and process."""
-        w = self.for_round(claim.round_index)
-        return w.gen_frame if claim.process is Process.SENS else w.cons_frame
-
-    @cached_property
-    def _phase_windows(self) -> np.ndarray:
-        """(rounds, 2, 3): each round's (frame, first slot, end slot) per phase."""
-        return np.array([((w.gen_frame, *w.gen_slots), (w.cons_frame, *w.cons_slots))
-                         for w in self.windows])
-
-    def claim_windows(self, claims: ClaimTable) -> np.ndarray:
-        """(claims, 3): the (frame, first slot, end slot) of each claim's phase."""
+    def claim_frames(self, claims: ClaimTable) -> np.ndarray:
+        """(claims,): each claim's frame, its round's generation frame for
+        sensing and consumption frame otherwise."""
         rnd = claims.round_index
         if len(rnd) and not 1 <= rnd.min() <= rnd.max() <= self.num_rounds:
             raise ScheduleError(f"claim rounds outside 1..{self.num_rounds}")
-        return self._phase_windows[rnd - 1, (claims.process != _SENS).view(np.int8)]
+        return self.stride * (rnd - 1) + 1 + (claims.process != _SENS)
 
 
 def plan_pipeline(num_rounds: int, cr_length: int, mode: Mode) -> RoundSchedule:
-    """Place each round's generation and consumption windows onto frames.
-
-    Serial: gen of round r in frame 2r-1, cons in frame 2r. Overlapped:
-    gen in frame r, cons in frame r+1, so interior frames host one cons
-    and the next round's gen. Both phases span the full frame; they
-    contend through pool capacity, not disjoint sub-windows.
-    """
-    if num_rounds < 1:
-        raise ScheduleError("num_rounds must be >= 1")
-    if cr_length < 2:
-        raise ScheduleError("cr_length must be >= 2")
-    full = (0, cr_length)
-    windows = []
-    for r in range(1, num_rounds + 1):
-        if mode is Mode.SERIAL:
-            windows.append(RoundWindows(r, 2 * r - 1, full, 2 * r, full))
-        else:
-            windows.append(RoundWindows(r, r, full, r + 1, full))
-    return RoundSchedule(num_rounds, cr_length, mode, tuple(windows))
+    """The schedule of `num_rounds` rounds on frames of `cr_length` slots:
+    R rounds take 2R frames in serial mode and R + 1 overlapped."""
+    return RoundSchedule(num_rounds, cr_length, mode)
 
 
 def makespan(schedule: RoundSchedule) -> int:
@@ -115,7 +104,7 @@ class Violation:
 def validate_cstc(schedule: RoundSchedule, claims: ClaimTable) -> list[Violation]:
     """Check the compulsory serial timing constraints over a claim table.
 
-    Per (client, round): every claim inside its scheduled window, and in
+    Per (client, round): every claim inside its frame's slots, and in
     absolute slots max(SENS) < min(DL), max(DL) < min(COMP),
     max(COMP) < min(UL) for each adjacent pair actually present. Owners come
     in (client, round) order, each with its window violations in claim order
@@ -124,8 +113,8 @@ def validate_cstc(schedule: RoundSchedule, claims: ClaimTable) -> list[Violation
     if not len(claims):
         return []
     process, s0, s1 = claims.process, claims.s0, claims.s1
-    frame, w0, w1 = schedule.claim_windows(claims).T
-    outside = (s0 < w0) | (s1 > w1)
+    frame = schedule.claim_frames(claims)
+    outside = (s0 < 0) | (s1 > schedule.cr_length)
     base = (frame - 1) * schedule.cr_length
 
     # Claims sorted by (client, round, process): each run of one key is one

@@ -23,7 +23,7 @@ from isccsim.mlp import gradient_check, scalar_gradient_check
 from isccsim.network import ScenarioConfig, generate_scenario
 from isccsim.policies import exhaustive_optimal, make_policy
 from isccsim.pool import PoolConfig
-from isccsim.sac import SacAgent, SacConfig, train
+from isccsim.sac import SacAgent, SacConfig, SacPolicy, train
 from isccsim.schedule import Mode, makespan, plan_pipeline
 from isccsim.workload import oracle_workload, solve_workload
 
@@ -70,7 +70,7 @@ def tiny_training():
                            target_gain=0.95 * best.gain,
                            eval_interval_episodes=25)
         result = train(env, config)
-        trace = run_episode(scenario, result.policy, schedule, pool_cfg, sensing)
+        trace = run_episode(scenario, SacPolicy(result.agent), schedule, pool_cfg, sensing)
         runs.append((sac_seed, result, trace))
     return {"best": best, "runs": runs, "schedule": schedule,
             "pool_cfg": pool_cfg}

@@ -186,8 +186,8 @@ def planned_rounds(draw):
     n = draw(st.integers(1, 6))
     bank = PoolBank(cfg, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for used, cap in ((bank.time_freq, bank.empty.time_freq.cell_capacity),
-                      (bank.time_comp, bank.empty.time_comp.cell_capacity)):
+    for used, cap in ((bank.time_freq, cfg.freq_cell_capacity),
+                      (bank.time_comp, cfg.comp_cell_capacity)):
         scale = rng.choice([0.0, 0.0, 0.3, 0.5, 1.0], size=used.shape)
         used[:] = cap * scale * rng.random(used.shape)
     frame_s = cfg.num_slots * cfg.slot_duration
@@ -240,11 +240,11 @@ def test_plan_round_matches_claims_for_solution(case):
 
 def row_pool(bank, freq_used, comp_used):
     """A claim-level pool of the bank's shape holding copies of the given cells."""
-    f, c = bank.empty.time_freq, bank.empty.time_comp
+    cfg = bank.cfg
     return UniversalResourcePool(
-        ResourceGrid(f.num_slots, f.num_lanes, f.cell_capacity, freq_used.copy()),
-        ResourceGrid(c.num_slots, c.num_lanes, c.cell_capacity, comp_used.copy()),
-        bank.empty.slot_duration,
+        ResourceGrid(cfg.num_slots, cfg.freq_lanes, cfg.freq_cell_capacity, freq_used.copy()),
+        ResourceGrid(cfg.num_slots, cfg.comp_lanes, cfg.comp_cell_capacity, comp_used.copy()),
+        cfg.slot_duration,
     )
 
 
@@ -360,13 +360,12 @@ def reference_validate_cstc(schedule, claims):
 
     violations = []
     for (client_id, rnd), owned in sorted(by_owner.items()):
-        w = schedule.for_round(rnd)
         spans = {}
         for claim in owned:
-            window = w.gen_slots if claim.process is Process.SENS else w.cons_slots
-            frame = schedule.frame_of(claim)
+            sens = claim.process is Process.SENS
+            frame = schedule.gen_frame(rnd) if sens else schedule.cons_frame(rnd)
             s0, s1 = claim.slot_range
-            if s0 < window[0] or s1 > window[1]:
+            if s0 < 0 or s1 > length:
                 violations.append(
                     Violation(rnd, client_id, "window", (claim.process.value,), (s0, s1))
                 )

@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from isccsim import pool
 from isccsim.cli import _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
-from isccsim.episode import RoundEnv
-from isccsim.network import generate_scenario
+from isccsim.episode import RoundEnv, audit_trace, run_episode
+from isccsim.gain import GainGraph, SensingParams
+from isccsim.network import ScenarioConfig, generate_scenario
 from isccsim.policies import GreedyGainPolicy
-from isccsim.pool import PoolBank
+from isccsim.pool import PoolBank, PoolConfig
+from isccsim.schedule import Mode, plan_pipeline
 from isccsim.sac import CURVE_FIELDS, PARAMS_MAGIC, SacAgent
 
 TINY_SCENARIO = {
@@ -159,6 +162,7 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("scenario", "dl_bits_base", -1.0),
     ("scenario", "num_classes", 1),
     ("scenario", "num_clients", 0),
+    ("scenario", "vs_radius_m", float("nan")),
     ("pool", "hz_per_lane", 0.0),
     ("sac", "gamma", 1.5),
 ])
@@ -239,6 +243,25 @@ def test_compare_requires_two_policies(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     assert main(["compare", "--config", cfg, "--policy", "greedy"]) == 2
     assert "two" in capsys.readouterr().err
+
+
+def test_runtime_paths_build_no_reference_object(tmp_path, monkeypatch):
+    """The commands and an audited episode read `PoolConfig` and the gain
+    graph's arrays: none builds a claim-level pool or a `GainEdge`."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a runtime path built a reference object")
+
+    monkeypatch.setattr(PoolConfig, "build", refuse)
+    monkeypatch.setattr(pool, "new_pool", refuse)
+    monkeypatch.setattr(GainGraph, "edge", refuse)
+    cfg = tiny_config(tmp_path, seeds=[0])
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["oracle", "--config", cfg]) == 0
+    assert main(["robustness", "--rounds", "3", "--out", str(tmp_path / "rob")]) == 0
+    scenario = generate_scenario(ScenarioConfig(**TINY_SCENARIO), 0)
+    schedule = plan_pipeline(3, 9, Mode.SERIAL)
+    trace = run_episode(scenario, GreedyGainPolicy(), schedule, PoolConfig(), SensingParams())
+    assert audit_trace(trace, schedule, PoolConfig())["ok"]
 
 
 # -- robustness ---------------------------------------------------------------------

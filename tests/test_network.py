@@ -285,6 +285,17 @@ class TestSensing:
     def test_empty(self):
         assert sense_targets((0.0, 0.0), 1.0, []) == []
 
+    @pytest.mark.parametrize("radius", [-5.0, math.nan])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        """A client built directly may carry a radius `ScenarioConfig` rules
+        out: `sense_targets` senses nothing with it, and the array pass
+        raises rather than count the target 3 m away."""
+        sc = Scenario(10.0, [make_client(radius=radius)], [], [Target(0, (3.0, 0.0), 0)], 2,
+                      ChannelParams(), [(0.0, 0.0)], [(0.0, 0.0)])
+        assert sense_targets((0.0, 0.0), radius, sc.targets) == []
+        with pytest.raises(ValueError, match="sensing radii"):
+            sensed_class_counts(sc)
+
     # Squares of coordinates and radii beyond 1e154 overflow, which numpy reports.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

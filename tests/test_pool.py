@@ -65,6 +65,8 @@ class TestConstruction:
             new_pool(0, 4, 2, 0.1, 1e6, 5e7)
         with pytest.raises(ConfigurationError):
             new_pool(9, 4, 2, -0.1, 1e6, 5e7)
+        with pytest.raises(ConfigurationError, match="cell capacity"):
+            PoolConfig(slot_duration=1e-200, hz_per_lane=1e-200)  # the cells underflow to 0
 
 
 class TestAllocate:
@@ -447,7 +449,6 @@ class TestBank:
         assert bank.time_freq[1, :, 1:3].min() == 1e5
         assert bank.time_freq[[0, 2]].max() == 0.0
         assert bank.rect_bandwidth_hz().tolist() == [4e6, 2e6, 4e6]
-        assert bank.empty.claims == []
 
     def test_release_below_zero_is_phantom(self):
         bank = PoolBank(PoolConfig(), 2)

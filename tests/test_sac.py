@@ -513,7 +513,7 @@ def test_policy_rejects_foreign_layout():
     other = tiny_env(num_clients=3)
     obs = other.reset()
     with pytest.raises(LayoutMismatch):
-        result.policy.decide(obs)
+        SacPolicy(result.agent).decide(obs)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -28,6 +28,7 @@ from isccsim.pool import (
     Claim,
     ClaimTable,
     GridKind,
+    PROCESS_ORDER,
     PoolBank,
     PoolConfig,
     Process,
@@ -61,13 +62,13 @@ def tiny_scenario(seed=1, **kw):
 class TestPlanPipeline:
     def test_serial_placement(self):
         s = plan_pipeline(3, 9, Mode.SERIAL)
-        frames = [(w.gen_frame, w.cons_frame) for w in s.windows]
+        frames = [(s.gen_frame(r), s.cons_frame(r)) for r in range(1, 4)]
         assert frames == [(1, 2), (3, 4), (5, 6)]
         assert s.total_frames == 6
 
     def test_zeros_placement(self):
         s = plan_pipeline(3, 9, Mode.ZEROS)
-        frames = [(w.gen_frame, w.cons_frame) for w in s.windows]
+        frames = [(s.gen_frame(r), s.cons_frame(r)) for r in range(1, 4)]
         assert frames == [(1, 2), (2, 3), (3, 4)]
         assert s.total_frames == 4
 
@@ -82,8 +83,33 @@ class TestPlanPipeline:
     def test_gen_before_cons(self):
         for mode in Mode:
             s = plan_pipeline(4, 5, mode)
-            for w in s.windows:
-                assert w.gen_frame < w.cons_frame
+            for r in range(1, 5):
+                assert s.gen_frame(r) < s.cons_frame(r)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("rounds", range(1, 9))
+    def test_closed_forms(self, rounds, mode):
+        """Each round is listed in exactly its generation and consumption
+        frames, the last frame is the last round's consumption frame, and
+        each claim's frame is its round's frame for its phase."""
+        s = plan_pipeline(rounds, 9, mode)
+        assert s.total_frames == s.cons_frame(rounds)
+        listed = {f: s.rounds_in_frame(f) for f in range(s.total_frames + 3)}
+        assert all(r == sorted(r) for r in listed.values())
+        for r in range(1, rounds + 1):
+            assert s.gen_frame(r) == (2 * r - 1 if mode is Mode.SERIAL else r)
+            assert s.cons_frame(r) == s.gen_frame(r) + 1
+            assert {f for f, rs in listed.items() if r in rs} == {s.gen_frame(r), s.cons_frame(r)}
+        rnd, process = np.divmod(np.arange(4 * rounds), 4)
+        rnd += 1
+        zero = np.zeros_like(rnd)
+        table = ClaimTable(zero, rnd, process, zero, zero, zero + 1, zero, zero + 1, zero * 1.0)
+        expected = [s.gen_frame(r) if PROCESS_ORDER[p] is Process.SENS else s.cons_frame(r)
+                    for r, p in zip(rnd.tolist(), process.tolist())]
+        assert s.claim_frames(table).tolist() == expected
+        for outside in (0, rounds + 1):
+            with pytest.raises(ScheduleError):
+                s.claim_frames(replace(table, round_index=np.full(len(table), outside)))
 
     def test_invalid_dimensions(self):
         with pytest.raises(ScheduleError):
@@ -349,8 +375,9 @@ class TestEpisode:
         trace = self.run(Mode.ZEROS, rounds=5)
         schedule = plan_pipeline(5, 9, Mode.ZEROS)
         by_frame = {}
-        for claim in trace.all_claims():
-            by_frame.setdefault(schedule.frame_of(claim), set()).add(claim.round_index)
+        table = trace.claim_table()
+        for frame, rnd in zip(schedule.claim_frames(table).tolist(), table.round_index.tolist()):
+            by_frame.setdefault(frame, set()).add(rnd)
         for frame, rounds in by_frame.items():
             assert rounds <= {frame - 1, frame}
 
@@ -424,7 +451,7 @@ class TestEpisode:
         assert obs.graph.chosen(decisions)[0][0].t_cp > 0
         # Client 0's compute lanes stay full through frame 1, which only
         # senses, so its COMP claim finds no room when frame 2 opens.
-        env.bank.time_comp[0] = env.bank.empty.time_comp.cell_capacity
+        env.bank.time_comp[0] = env.bank.cfg.comp_cell_capacity
         with pytest.raises(InvariantBroken, match=f"client {sc.clients[0].client_id} round 1"):
             env.step(decisions)
         assert env.frame == 2
