@@ -42,9 +42,10 @@ class SensingParams:
     epsilon: float = 1e-3         # distribution smoothing
 
     def __post_init__(self) -> None:
-        if min(self.tau_s, self.sigma, self.rho, self.samples_per_target) < 0:
+        # Each check is written so that NaN fails it too.
+        if not all(x >= 0 for x in (self.tau_s, self.sigma, self.rho, self.samples_per_target)):
             raise ValueError("sensing constants must be >= 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episode import Observation, run_episode
+from .episode import Observation, RoundEnv
 from .gain import SensingParams
 from .network import Scenario
 from .pool import PoolConfig
@@ -33,7 +33,12 @@ class Policy:
 
 
 class GreedyGainPolicy(Policy):
-    """Each client takes the model with the largest gain-graph weight."""
+    """Each client takes the model with the largest gain-graph weight.
+
+    Optimal in serial mode, where every frame starts empty: a round's gain
+    graph then does not depend on earlier decisions, and each client's pool
+    is its own, so the per-client maximum of each round is the optimum.
+    """
 
     name = "greedy"
 
@@ -136,10 +141,21 @@ def exhaustive_optimal(
     sensing: SensingParams,
     num_models: int,
 ) -> OracleResult:
-    """Enumerate every decision sequence and simulate each one.
+    """Simulate every decision sequence and keep the best, as a depth-first
+    search over rounds.
 
-    Ties resolve to the lexicographically smallest sequence because the
-    enumeration is lexicographic and replacement is strict.
+    Each node is an episode after a prefix of rounds; its children are forks
+    of it, one per joint action, each stepped one round. A round prefix is
+    therefore simulated once, not once per sequence that extends it, and
+    every leaf's trace holds the records a rollout of its whole sequence
+    would. Children are visited in `itertools.product` order, so leaves come
+    in the lexicographic order of the round-major sequences, and ties
+    resolve to the smallest one because replacement is strict.
+
+    In serial mode every frame starts empty, so no round's gain graph
+    depends on earlier decisions and clients do not share pools: the
+    optimum is each client's largest weight each round, which is what
+    `GreedyGainPolicy` picks.
     """
     n = len(scenario.clients)
     r = schedule.num_rounds
@@ -147,20 +163,25 @@ def exhaustive_optimal(
     if count > EXHAUSTIVE_LIMIT:
         raise InstanceTooLarge(f"{num_models}^({n}*{r}) = {count} sequences")
 
+    joint = [list(a) for a in itertools.product(range(num_models), repeat=n)]
     best_gain = -1.0
-    best_seq: tuple[int, ...] = ()
-    for seq in itertools.product(range(num_models), repeat=n * r):
-        per_round = [list(seq[k * n : (k + 1) * n]) for k in range(r)]
-        trace = run_episode(
-            scenario, FixedSequencePolicy(per_round), schedule, pool_cfg, sensing
-        )
-        if trace.cumulative_gain > best_gain:
-            best_gain = trace.cumulative_gain
-            best_seq = seq
-    decisions = tuple(
-        tuple(best_seq[k * n : (k + 1) * n]) for k in range(r)
-    )
-    return OracleResult(decisions=decisions, gain=best_gain, sequences_tried=count)
+    best: tuple[tuple[int, ...], ...] = ()
+
+    def search(node: RoundEnv, prefix: tuple) -> None:
+        nonlocal best_gain, best
+        for action in joint:
+            child = node.fork()
+            _, _, done = child.step(action)
+            if not done:
+                search(child, (*prefix, tuple(action)))
+            elif child.trace.cumulative_gain > best_gain:
+                best_gain = child.trace.cumulative_gain
+                best = (*prefix, tuple(action))
+
+    root = RoundEnv(lambda _: scenario, schedule, pool_cfg, sensing)
+    root.reset()
+    search(root, ())
+    return OracleResult(decisions=best, gain=best_gain, sequences_tried=count)
 
 
 BASELINE_POLICIES = {

@@ -451,11 +451,13 @@ class PoolConfig:
     cycles_per_lane_slot: float = 5e7
 
     def __post_init__(self) -> None:
-        if self.num_slots < 1 or self.freq_lanes < 1 or self.comp_lanes < 1:
+        # Each check is written so that NaN fails it too.
+        if not all(d >= 1 for d in (self.num_slots, self.freq_lanes, self.comp_lanes)):
             raise ConfigurationError("pool dimensions must be >= 1")
-        if self.slot_duration <= 0 or self.hz_per_lane <= 0 or self.cycles_per_lane_slot <= 0:
+        units = (self.slot_duration, self.hz_per_lane, self.cycles_per_lane_slot)
+        if not all(u > 0 for u in units):
             raise ConfigurationError("pool unit scalars must be > 0")
-        if self.freq_cell_capacity <= 0:
+        if not self.freq_cell_capacity > 0:
             raise ConfigurationError("cell capacity must be > 0")
 
     @property
@@ -509,6 +511,13 @@ class PoolBank:
         self.cfg = cfg  # the shape and capacities of every row
         self.time_freq = np.zeros((num_pools, cfg.num_slots, cfg.freq_lanes))
         self.time_comp = np.zeros((num_pools, cfg.num_slots, cfg.comp_lanes))
+
+    def copy(self) -> "PoolBank":
+        """An independent bank with the same cell usage."""
+        bank = PoolBank.__new__(PoolBank)
+        bank.cfg = self.cfg
+        bank.time_freq, bank.time_comp = self.time_freq.copy(), self.time_comp.copy()
+        return bank
 
     def _grids(self, freq: np.ndarray | None, comp: np.ndarray | None):
         for used, load, cap in ((self.time_freq, freq, self.cfg.freq_cell_capacity),

@@ -1,8 +1,11 @@
 """Shared test helpers."""
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
+from isccsim.episode import run_episode
 from isccsim.network import (
     ChannelParams,
     Client,
@@ -14,8 +17,17 @@ from isccsim.network import (
     Target,
     distance_m,
 )
+from isccsim.policies import FixedSequencePolicy, OracleResult
 from isccsim.pool import PoolConfig
 from isccsim.workload import WorkloadProblem
+
+# The acceptance suite's tiny instance: 3 clients and 2 models, so 3 rounds
+# have 2^(3*3) = 512 decision sequences.
+TINY_SCENARIO = ScenarioConfig(
+    area_m=200.0, num_clients=3, num_targets=10, num_edges=2, num_classes=3,
+    num_models=1, v_max_mps=5.0, vs_radius_m=80.0, ws_radius_m=120.0,
+)
+TINY_ROUNDS = 3
 
 # Small generated scenarios and pool shapes for whole-episode property tests.
 EPISODE_SCENARIOS = st.builds(
@@ -37,6 +49,22 @@ EPISODE_POOLS = st.builds(
     hz_per_lane=st.floats(1e5, 1e9),
     cycles_per_lane_slot=st.floats(5e6, 3e10),
 )
+
+
+def brute_force_optimal(scenario, schedule, pool_cfg, sensing, num_models) -> OracleResult:
+    """The reference of `exhaustive_optimal`: one full episode per decision
+    sequence, in the lexicographic order of the round-major sequence, keeping
+    the first sequence with the largest cumulative gain."""
+    n = len(scenario.clients)
+    r = schedule.num_rounds
+    best_gain, best_seq = -1.0, ()
+    for seq in itertools.product(range(num_models), repeat=n * r):
+        per_round = [list(seq[k * n:(k + 1) * n]) for k in range(r)]
+        trace = run_episode(scenario, FixedSequencePolicy(per_round), schedule, pool_cfg, sensing)
+        if trace.cumulative_gain > best_gain:
+            best_gain, best_seq = trace.cumulative_gain, seq
+    decisions = tuple(tuple(best_seq[k * n:(k + 1) * n]) for k in range(r))
+    return OracleResult(decisions=decisions, gain=best_gain, sequences_tried=num_models ** (n * r))
 
 
 def random_problem(rng: np.random.Generator) -> WorkloadProblem:

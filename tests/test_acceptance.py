@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import TINY_ROUNDS, TINY_SCENARIO, random_problem
 from isccsim.cli import main
 from isccsim.episode import RoundEnv, audit_trace, run_episode
 from isccsim.gain import SensingParams
@@ -31,12 +31,6 @@ REFERENCE_SCENARIO = ScenarioConfig()  # 500 m, 50 clients, 100 targets
 REFERENCE_ROUNDS = 5
 REFERENCE_SEEDS = range(10)
 BASELINES = ("greedy", "ml-c", "ml-cc", "ml-scc", "mp-tsc", "random")
-
-TINY_SCENARIO = ScenarioConfig(
-    area_m=200.0, num_clients=3, num_targets=10, num_edges=2, num_classes=3,
-    num_models=1, v_max_mps=5.0, vs_radius_m=80.0, ws_radius_m=120.0,
-)
-TINY_ROUNDS = 3
 
 
 @pytest.fixture(scope="module")

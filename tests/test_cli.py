@@ -164,6 +164,8 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("scenario", "num_clients", 0),
     ("scenario", "vs_radius_m", float("nan")),
     ("pool", "hz_per_lane", 0.0),
+    ("pool", "slot_duration", float("nan")),
+    ("sensing", "epsilon", float("nan")),
     ("sac", "gamma", 1.5),
 ])
 def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value):

@@ -133,6 +133,12 @@ class TestGain:
             gain(1.5, 5)
 
 
+@pytest.mark.parametrize("field", ["tau_s", "sigma", "epsilon"])
+def test_sensing_params_reject_nan(field):
+    with pytest.raises(ValueError):
+        SensingParams(**{field: float("nan")})
+
+
 class TestGainGraph:
     def build(self, scenario, sensing=None):
         sensing = sensing or SensingParams()

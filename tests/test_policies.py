@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TINY_ROUNDS, TINY_SCENARIO, brute_force_optimal
 from isccsim.episode import RoundEnv, run_episode
 from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, SensingMode, generate_scenario
@@ -259,6 +260,27 @@ def test_exhaustive_rejects_oversized_instances():
     )
     with pytest.raises(InstanceTooLarge):
         exhaustive_optimal(scenario, schedule, pool_cfg, sensing, num_models=4)
+
+
+@pytest.mark.parametrize("mode", [Mode.ZEROS, Mode.SERIAL])
+@pytest.mark.parametrize("seed", range(12))
+def test_exhaustive_equals_brute_force(seed, mode):
+    """The prefix-tree search finds the decisions and the sequence count of
+    one rollout per sequence, and the same gain bit for bit."""
+    args = (generate_scenario(TINY_SCENARIO, seed), plan_pipeline(TINY_ROUNDS, 9, mode),
+            PoolConfig(), SensingParams(), 2)
+    assert exhaustive_optimal(*args) == brute_force_optimal(*args)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_greedy_is_optimal_in_serial_mode(seed):
+    """Every serial frame starts empty, so per-client greedy is the optimum."""
+    scenario = generate_scenario(TINY_SCENARIO, seed)
+    args = (plan_pipeline(TINY_ROUNDS, 9, Mode.SERIAL), PoolConfig(), SensingParams())
+    best = exhaustive_optimal(scenario, *args, num_models=2)
+    trace = run_episode(scenario, GreedyGainPolicy(), *args)
+    assert tuple(tuple(rec.decisions) for rec in trace.rounds) == best.decisions
+    assert trace.cumulative_gain == best.gain
 
 
 # -- registry ----------------------------------------------------------------

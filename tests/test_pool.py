@@ -68,6 +68,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="cell capacity"):
             PoolConfig(slot_duration=1e-200, hz_per_lane=1e-200)  # the cells underflow to 0
 
+    @pytest.mark.parametrize("field", ["slot_duration", "hz_per_lane", "cycles_per_lane_slot"])
+    def test_rejects_nan_unit_scalars(self, field):
+        with pytest.raises(ConfigurationError):
+            PoolConfig(**{field: float("nan")})
+
 
 class TestAllocate:
     def test_exact_fill(self):
