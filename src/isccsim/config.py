@@ -35,6 +35,16 @@ def _check_keys(section: str, given: dict, allowed: type) -> None:
             )
 
 
+def _check_ints(given: dict, schema: type, section: str | None = None) -> None:
+    """An `int` field holds an int: a float, NaN or bool there is an input error."""
+    for f in fields(schema):
+        if f.type in (int, "int") and f.name in given and type(given[f.name]) is not int:
+            message = f"must be an integer, got {given[f.name]!r}"
+            if section is None:
+                raise ConfigError(f.name, message)
+            raise ConfigError(section, f"{f.name} {message}")
+
+
 @dataclass
 class RunConfig:
     schema_version: int = SCHEMA_VERSION
@@ -60,8 +70,9 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds", "must list at least one seed")
-        if any(not isinstance(s, int) for s in self.seeds):
+        if any(type(s) is not int for s in self.seeds):
             raise ConfigError("seeds", "seeds must be integers")
+        _check_ints(vars(self), RunConfig)
         if self.rounds < 1:
             raise ConfigError("rounds", "must be at least 1")
         if self.slots < 2:
@@ -70,10 +81,10 @@ class RunConfig:
             raise ConfigError("mode", "must be 'zeros' or 'serial'")
         if self.episode_seed_stride < 0:
             raise ConfigError("episode_seed_stride", "must be nonnegative")
-        _check_keys("scenario", self.scenario, ScenarioConfig)
-        _check_keys("pool", self.pool, PoolConfig)
-        _check_keys("sensing", self.sensing, SensingParams)
-        _check_keys("sac", self.sac, SacConfig)
+        for section, schema in (("scenario", ScenarioConfig), ("pool", PoolConfig),
+                                ("sensing", SensingParams), ("sac", SacConfig)):
+            _check_keys(section, getattr(self, section), schema)
+            _check_ints(getattr(self, section), schema, section)
         if "num_slots" in self.pool and self.pool["num_slots"] != self.slots:
             raise ConfigError("pool.num_slots", "conflicts with slots; set slots only")
         # Each section's own checks, so a bad value is an input error here

@@ -1,13 +1,13 @@
 """Round-by-round episode mechanics.
 
 Each client owns one per-frame resource pool, a row of the episode's
-``PoolBank``. The episode walks the frames of its ``RoundSchedule``, which
-alone places each round's phases on frames. Under the overlapped mode a
-frame holds the current round's sensing claims next to the previous
-round's download/compute/upload claims; the solver's coupled flag models
-the resulting bandwidth contention.
+``PoolBank``. The open frame's loads are kept in placement order and
+released in that order when it closes; the ``RoundSchedule`` alone places
+rounds on frames. Under the overlapped mode a frame holds the previous
+round's download/compute/upload claims, then the current round's sensing
+claims; the solver's coupled flag models the resulting bandwidth contention.
 Consumption claims are planned at decision time against an empty frame and
-emitted into the following frame, which is empty when they arrive, so they
+placed on the following frame, which is empty when they arrive, so they
 always fit. Generation claims are poured onto the residuals the solver was
 given, so they fit too: any planned claim that does not is a program fault
 and raises ``InvariantBroken``. A round's gains are the chosen edges' weights.
@@ -80,9 +80,6 @@ class RoundRecord:
 
 @dataclass
 class EpisodeTrace:
-    mode: Mode
-    num_rounds: int
-    cr_length: int
     rounds: list[RoundRecord] = field(default_factory=list)
     utilization: list[dict] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
@@ -325,13 +322,10 @@ class RoundEnv:
         self.vs = self.scenario.model_arrays().vs[:, 0]
         self.rows = np.arange(len(self.client_ids))
         self.bank = PoolBank(self.pool_cfg, len(self.client_ids))
-        self.loads: dict[int, tuple] = {}  # round -> the (freq, comp) load it has in the bank
-        self.queued: tuple | None = None   # (round, load) for the next frame to open
+        self.placed: list[tuple] = []  # the open frame's (freq, comp) loads, in placement order
         self.round_index = 1
         self.frame = 1
-        self.trace = EpisodeTrace(
-            self.schedule.mode, self.schedule.num_rounds, self.schedule.cr_length
-        )
+        self.trace = EpisodeTrace()
         return self._observe()
 
     def fork(self) -> "RoundEnv":
@@ -339,16 +333,16 @@ class RoundEnv:
         leaves the other as it was.
 
         The scenario's positions, velocities and clock, the bank's cells, the
-        round loads and the trace's lists are copied. The current graph and
-        state, the norms, the client arrays and the loads themselves are
-        never written, so they are shared.
+        open frame's loads and the trace's lists are copied. The current
+        graph and state, the norms, the client arrays and the loads
+        themselves are never written, so they are shared.
         """
         if self.trace is None:
             raise RuntimeError("call reset() first")
         env = copy.copy(self)
         env.scenario = clone_scenario(self.scenario)
         env.bank = self.bank.copy()
-        env.loads = dict(self.loads)
+        env.placed = list(self.placed)
         env.trace = replace(self.trace, rounds=list(self.trace.rounds),
                             utilization=list(self.trace.utilization))
         env._current_obs = replace(self._current_obs, scenario=env.scenario)
@@ -366,23 +360,19 @@ class RoundEnv:
         gains = graph.weights[self.rows, decisions].tolist()
         plan = plan_round(r, self.client_ids, self.vs, solutions, self.bank)
         self._place(r, (plan.gen, None), plan.bad)
-        self.queued = (r, plan.cons)
         self.trace.rounds.append(RoundRecord(
             r, decisions, gains, solutions[0].astype(int).tolist(),
             (solutions[-1] == 1.0).tolist(), plan.table, graph.infeasible_edges,
         ))
         reward = float(sum(gains))
 
-        # Close each frame and open the next with the queued consumption
-        # load, until the next round's generation frame opens or, after
-        # the last round, the schedule's last frame has closed.
+        # The consumption frame stays open only for the next round's generation.
+        self._close_frame()
+        self._place(r, plan.cons)
         sched = self.schedule
         done = r == sched.num_rounds
-        opens = sched.total_frames + 1 if done else sched.gen_frame(r + 1)
-        while self.frame < opens:
+        if done or sched.gen_frame(r + 1) != self.frame:
             self._close_frame()
-            self.frame += 1
-            self._emit_pending()
         self.round_index += 1
         if done:
             self.trace.violations = validate_cstc(sched, self.trace.claim_table())
@@ -392,7 +382,7 @@ class RoundEnv:
     # -- internals -------------------------------------------------------
 
     def _place(self, round_index: int, load: tuple, planned_bad: np.ndarray | None = None) -> None:
-        """Put a round's load on the bank; a row that does not fit is a program fault."""
+        """Put a round's load on the open frame; a row that does not fit is a program fault."""
         bad = self.bank.misfits(*load)
         if planned_bad is not None:
             bad |= planned_bad
@@ -402,14 +392,10 @@ class RoundEnv:
                 "does not fit its frame"
             )
         self.bank.add(*load)
-        self.loads[round_index] = load
-
-    def _emit_pending(self) -> None:
-        if self.queued is not None:
-            self._place(*self.queued)
-            self.queued = None
+        self.placed.append(load)
 
     def _close_frame(self) -> None:
+        """Record the open frame's use, release its loads in order and open the next."""
         f_frac, c_frac = self.bank.residual_fraction()
         n = len(f_frac)
         self.trace.utilization.append(
@@ -419,8 +405,10 @@ class RoundEnv:
                 "comp_used": float((1.0 - c_frac).sum() / n),
             }
         )
-        for rnd in self.schedule.rounds_in_frame(self.frame):
-            self.bank.release(*self.loads.pop(rnd))
+        for load in self.placed:
+            self.bank.release(*load)
+        self.placed = []
+        self.frame += 1
         step_mobility(self.scenario, self.schedule.cr_length * self.pool_cfg.slot_duration)
 
     def _observe(self) -> Observation:

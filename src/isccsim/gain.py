@@ -113,7 +113,6 @@ class GainGraph:
 
     client_ids: list[int]
     model_ids: list[int]
-    sensed_counts: list[int]   # targets each client senses this round
     weights: np.ndarray        # (N, M) edge weights
     etas: np.ndarray           # (N, M) spectral efficiency to each model's edge
     similarities: np.ndarray   # (N, M)
@@ -124,15 +123,6 @@ class GainGraph:
     def latency_table(self) -> np.ndarray:
         """(N, M, 4): t_sens, t_dl, t_cp, t_ul at W = w_cap and the full budgets."""
         return edge_latencies(self.problems)
-
-    def chosen(self, assignment: list[int]) -> tuple[list[WorkloadSolution], list[float]]:
-        """Each client row's solution and edge weight at its chosen model."""
-        rows = self.solutions.transpose(1, 2, 0).tolist()
-        weights = self.weights.tolist()
-        return (
-            [WorkloadSolution.from_row(rows[i][m]) for i, m in enumerate(assignment)],
-            [weights[i][m] for i, m in enumerate(assignment)],
-        )
 
     def edge(self, row: int, model_id: int) -> GainEdge:
         """The edge of client row `row` (not client id) to model `model_id`."""
@@ -207,7 +197,6 @@ def build_gain_graph(
     return GainGraph(
         client_ids=[c.client_id for c in scenario.clients],
         model_ids=list(range(m_count)),
-        sensed_counts=sensed.astype(int).tolist(),
         weights=weights,
         etas=values[2],
         similarities=similarities,

@@ -482,20 +482,6 @@ class PoolConfig:
         )
 
 
-def new_pool(
-    num_slots: int,
-    freq_lanes: int,
-    comp_lanes: int,
-    slot_duration: float,
-    hz_per_lane: float,
-    cycles_per_lane_slot: float,
-) -> UniversalResourcePool:
-    """An empty pool of the given `PoolConfig` fields."""
-    return PoolConfig(
-        num_slots, freq_lanes, comp_lanes, slot_duration, hz_per_lane, cycles_per_lane_slot
-    ).build()
-
-
 class PoolBank:
     """Every client's pool, each grid's cell usage held in one (N, slots, lanes) array.
 

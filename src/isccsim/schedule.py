@@ -65,13 +65,6 @@ class RoundSchedule:
     def total_frames(self) -> int:
         return self.cons_frame(self.num_rounds)
 
-    def rounds_in_frame(self, frame: int) -> list[int]:
-        """The rounds with a phase in `frame`, ascending: those that
-        generate in frame - 1 or in frame."""
-        s = self.stride
-        return [k // s + 1 for k in (frame - 2, frame - 1)
-                if k % s == 0 and 0 <= k // s < self.num_rounds]
-
     def claim_frames(self, claims: ClaimTable) -> np.ndarray:
         """(claims,): each claim's frame, its round's generation frame for
         sensing and consumption frame otherwise."""

@@ -86,7 +86,7 @@ def lockstep_episode(scenario, policy, schedule, pool_cfg):
     trace and how many bank comparisons were made."""
     env = RoundEnv(lambda _: scenario, schedule, pool_cfg, SensingParams())
     ref = ClaimLevelEpisode(scenario, pool_cfg)
-    close, emit = env._close_frame, env._emit_pending
+    close, place = env._close_frame, env._place
     checks = []
 
     def same_bank():
@@ -96,22 +96,27 @@ def lockstep_episode(scenario, policy, schedule, pool_cfg):
         checks.append(env.frame)
 
     def close_frame():
-        same_bank()  # the frame's load, generation placed last
-        rounds = schedule.rounds_in_frame(env.frame)
+        same_bank()  # the frame's loads, generation placed last
+        rounds = [r for r in range(1, schedule.num_rounds + 1)
+                  if env.frame in (schedule.gen_frame(r), schedule.cons_frame(r))]
         close()
         ref.close_frame(rounds)
         same_bank()
 
-    def emit_pending():
-        emit()
-        ref.open_frame()
-        same_bank()
+    def place_load(round_index, load, planned_bad=None):
+        place(round_index, load, planned_bad)
+        if env.frame == schedule.cons_frame(round_index):
+            ref.open_frame()
+            same_bank()
 
-    env._close_frame, env._emit_pending = close_frame, emit_pending
+    env._close_frame, env._place = close_frame, place_load
     obs, done = env.reset(), False
     while not done:
         decisions = policy.decide(obs)
-        expected = ref.place_round(obs.round_index, obs.graph.chosen(decisions)[0])
+        expected = ref.place_round(
+            obs.round_index,
+            [obs.graph.edge(i, m).solution for i, m in enumerate(decisions)],
+        )
         obs, _, done = env.step(decisions)
         assert env.trace.rounds[-1].claims == expected
     return env.trace, len(checks)
@@ -138,15 +143,16 @@ class TestRoundLevelPath:
         self, scenario_cfg, pool_cfg, policy, mode, rounds, seed
     ):
         """Every round records the claim-level path's claims, in its order,
-        and the bank equals the per-client pools byte for byte after every
-        frame opens and closes. In the example, frame 2's one frequency lane
+        and the bank equals the per-client pools byte for byte before and
+        after every frame closes and after every consumption load is placed
+        on the next frame. In the example, frame 2's one frequency lane
         holds round 1's consumption under round 2's sensing, and releasing
         the rounds in the other order leaves different bits."""
         schedule = plan_pipeline(rounds, pool_cfg.num_slots, mode)
         trace, checks = lockstep_episode(
             generate_scenario(scenario_cfg, seed), make_policy(policy, seed), schedule, pool_cfg
         )
-        assert checks == 3 * schedule.total_frames
+        assert checks == 2 * schedule.total_frames + rounds
         assert len(trace.rounds) == rounds
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -298,18 +304,18 @@ def test_claim_table_round_trip():
 # -- the audit catches what it exists to catch -------------------------------------
 
 
-def forged_trace(mode, rounds, claims):
+def forged_trace(rounds, claims):
     """A trace whose rounds record the given claims, which no episode made."""
     records = [
         RoundRecord(r, [0], [0.0], [0], [True],
                     ClaimTable.of([c for c in claims if c.round_index == r]))
         for r in range(1, rounds + 1)
     ]
-    return EpisodeTrace(mode, rounds, 9, records)
+    return EpisodeTrace(records)
 
 
 def audit_failures(mode, rounds, claims):
-    report = audit_trace(forged_trace(mode, rounds, claims), plan_pipeline(rounds, 9, mode),
+    report = audit_trace(forged_trace(rounds, claims), plan_pipeline(rounds, 9, mode),
                          PoolConfig())
     assert report["ok"] is not bool(report["failures"])
     return report["failures"]

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from isccsim import pool
 from isccsim.cli import _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
 from isccsim.episode import RoundEnv, audit_trace, run_episode
@@ -167,11 +166,38 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("pool", "slot_duration", float("nan")),
     ("sensing", "epsilon", float("nan")),
     ("sac", "gamma", 1.5),
+    ("pool", "freq_lanes", 2.5),
+    ("pool", "comp_lanes", True),
+    ("scenario", "num_clients", 3.5),
+    ("sac", "batch_size", 4.5),
+    ("sensing", "samples_per_target", 2.5),
 ])
 def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value):
     rc = main(["simulate", "--config", tiny_config(tmp_path, **{section: {field: value}})])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {section}:")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rounds", float("nan")),
+    ("rounds", 2.5),
+    ("rounds", True),
+    ("slots", 9.5),
+    ("episode_seed_stride", float("nan")),
+    ("schema_version", 1.0),
+    ("seeds", [True]),
+    ("seeds", [0, 1.0]),
+])
+def test_invalid_top_level_values_exit_two(tmp_path, capsys, field, value):
+    rc = main(["simulate", "--config", tiny_config(tmp_path, **{field: value})])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_float_fields_accept_integers(tmp_path):
+    pool = {"slot_duration": 1, "hz_per_lane": 1000000}
+    cfg = RunConfig.from_file(tiny_config(tmp_path, pool=pool, sensing={"epsilon": 1}))
+    assert cfg.pool_config().slot_duration == 1.0 and cfg.sensing_params().epsilon == 1
 
 
 def test_simulate_unknown_policy_lists_valid_names(tmp_path, capsys):
@@ -254,7 +280,6 @@ def test_runtime_paths_build_no_reference_object(tmp_path, monkeypatch):
         raise AssertionError("a runtime path built a reference object")
 
     monkeypatch.setattr(PoolConfig, "build", refuse)
-    monkeypatch.setattr(pool, "new_pool", refuse)
     monkeypatch.setattr(GainGraph, "edge", refuse)
     cfg = tiny_config(tmp_path, seeds=[0])
     assert main(["simulate", "--config", cfg]) == 0

@@ -217,7 +217,7 @@ class TestGainGraph:
             sensed = sense_targets(sc.positions[i], client.sensing_radius_m, sc.targets)
             counts = np.bincount([t.class_id for t in sensed], minlength=sc.num_classes)
             p = local_distribution(counts.astype(float), sensing.epsilon)
-            assert graph.sensed_counts[i] == len(sensed)
+            assert graph.problems.values[6][i, 0] / sensing.samples_per_target == len(sensed)
             for m in graph.model_ids:
                 e = graph.edge(i, m)
                 mixtures = sc.edges[sc.model_arrays().edge_of_model[m]].model_mixtures

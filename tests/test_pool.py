@@ -17,20 +17,19 @@ from isccsim.pool import (
     PoolBank,
     PoolConfig,
     Process,
-    new_pool,
     pour_lanes,
 )
 
 
 def default_pool(num_slots=9):
-    return new_pool(
+    return PoolConfig(
         num_slots=num_slots,
         freq_lanes=4,
         comp_lanes=2,
         slot_duration=0.1,
         hz_per_lane=1e6,
         cycles_per_lane_slot=5e7,
-    )
+    ).build()
 
 
 def freq_claim(lanes, slot_range, amount, client=0, rnd=1, process=Process.COMM_DL):
@@ -62,9 +61,9 @@ class TestConstruction:
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ConfigurationError):
-            new_pool(0, 4, 2, 0.1, 1e6, 5e7)
+            PoolConfig(0, 4, 2, 0.1, 1e6, 5e7).build()
         with pytest.raises(ConfigurationError):
-            new_pool(9, 4, 2, -0.1, 1e6, 5e7)
+            PoolConfig(9, 4, 2, -0.1, 1e6, 5e7).build()
         with pytest.raises(ConfigurationError, match="cell capacity"):
             PoolConfig(slot_duration=1e-200, hz_per_lane=1e-200)  # the cells underflow to 0
 
@@ -266,7 +265,7 @@ class TestPour:
     def test_pour_onto_large_partly_used_cell_allocates(self):
         """Usage plus the poured residual rounds an ulp (7.5e-9) above this
         cell's capacity, which still fits."""
-        pool = new_pool(9, 1, 1, 0.3, 195355265.17129013, 5e7)
+        pool = PoolConfig(9, 1, 1, 0.3, 195355265.17129013, 5e7).build()
         pool.try_allocate(freq_claim([0], (0, 3), 24344237.630573))
         groups = pool.pour_bandwidth((0, 3), pool.rect_bandwidth_hz((0, 3)))
         assert groups is not None
