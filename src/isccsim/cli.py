@@ -7,7 +7,8 @@ and seed list the bytes are identical across runs, except for the volatile
 fields isolated under the summary's "meta" key. Exit codes: 0 success,
 2 usage or configuration error, 3 failed experiment assertion, 4 training
 produced a non-finite loss (its diagnostics go to summary.json), 5 a fault
-of the program itself (the error goes to summary.json).
+of the program itself (the error goes to summary.json). Every exit but 2
+writes summary.json.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .network import (
     Client,
     EdgeServer,
     Scenario,
-    ScenarioConfig,
     SensingMode,
     Target,
     generate_scenario,
@@ -60,8 +60,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_csv(out: str, name: str, header: tuple[str, ...], rows) -> None:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -69,16 +70,13 @@ def write_csv(path: str, header: tuple[str, ...], rows) -> None:
 
 def write_curve(out: str, curve: list[dict]) -> None:
     rows = [tuple(row[k] for k in CURVE_FIELDS) for row in curve]
-    write_csv(os.path.join(out, "curve.csv"), CURVE_FIELDS, rows)
+    write_csv(out, "curve.csv", CURVE_FIELDS, rows)
 
 
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def summary_payload(command: str, cfg: RunConfig, results: dict, t0: float) -> dict:
-    return {
+def write_summary(command: str, cfg: RunConfig, results: dict, t0: float, **meta) -> str:
+    """Write `summary.json` and return its path. Strict JSON: a NaN or
+    infinity in the results raises ValueError instead of being written."""
+    payload = {
         "schema_version": cfg.schema_version,
         "command": command,
         "config": cfg.to_dict(),
@@ -86,8 +84,15 @@ def summary_payload(command: str, cfg: RunConfig, results: dict, t0: float) -> d
         "meta": {
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "wall_clock_s": round(time.time() - t0, 3),
+            **meta,
         },
     }
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.join(cfg.out, "summary.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return path
 
 
 def claim_dict(claim) -> dict:
@@ -102,10 +107,6 @@ def claim_dict(claim) -> dict:
     }
 
 
-def _enum_safe(data: dict) -> dict:
-    return {k: (v.name if hasattr(v, "name") else v) for k, v in data.items()}
-
-
 # -- shared episode plumbing -----------------------------------------------------
 
 
@@ -113,17 +114,24 @@ def _schedule_for(cfg: RunConfig, slots: int | None = None):
     return plan_pipeline(cfg.rounds, cfg.slots if slots is None else slots, Mode(cfg.mode))
 
 
-def _run_policy_episode(name: str, cfg: RunConfig, seed: int, schedule,
-                        pool_cfg, sensing):
-    scenario = generate_scenario(cfg.scenario_config(), seed)
-    if name == "exhaustive":
-        result = _exhaustive(scenario, schedule, pool_cfg, sensing)
-        policy = FixedSequencePolicy([list(r) for r in result.decisions])
-    elif name == "sac":
-        policy = _load_sac(cfg, scenario)
-    else:
-        policy = _make_policy(name, seed)
-    return run_episode(scenario, policy, schedule, pool_cfg, sensing)
+def _episodes(name: str, cfg: RunConfig):
+    """Yield (seed, trace) of one episode of policy `name` per seed of `cfg`.
+    The sac policy is loaded once and checked against the first seed's scenario."""
+    schedule = _schedule_for(cfg)
+    pool_cfg = cfg.pool_config()
+    sensing = cfg.sensing_params()
+    scen_cfg = cfg.scenario_config()
+    sac = None
+    for seed in cfg.seeds:
+        scenario = generate_scenario(scen_cfg, seed)
+        if name == "exhaustive":
+            result = _exhaustive(scenario, schedule, pool_cfg, sensing)
+            policy = FixedSequencePolicy([list(r) for r in result.decisions])
+        elif name == "sac":
+            policy = sac = sac or _load_sac(cfg, scenario)
+        else:
+            policy = _make_policy(name, seed)
+        yield seed, run_episode(scenario, policy, schedule, pool_cfg, sensing)
 
 
 def _exhaustive(scenario, schedule, pool_cfg, sensing):
@@ -158,6 +166,11 @@ def _load_sac(cfg: RunConfig, scenario: Scenario):
     return policy
 
 
+def _gain_stats(gains: list[float]) -> dict:
+    arr = np.array(gains)
+    return {"mean_gain": float(arr.mean()), "std_gain": float(arr.std())}
+
+
 def _trace_rows(seed: int, trace):
     for record in trace.rounds:
         for i, model in enumerate(record.decisions):
@@ -169,19 +182,16 @@ TRACE_HEADER = ("seed", "gr", "client", "model", "workload", "gain", "feasible")
 
 
 # -- commands ---------------------------------------------------------------------
+# Each command takes the run config and the parsed flags, writes its own
+# tables and returns (results, exit code); `main` writes summary.json.
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    t0 = time.time()
+def cmd_simulate(cfg: RunConfig, _args) -> tuple[dict, int]:
     schedule = _schedule_for(cfg)
     pool_cfg = cfg.pool_config()
-    sensing = cfg.sensing_params()
     rows, per_seed, utilization = [], [], []
-    all_ok = True
-    for seed in cfg.seeds:
-        trace = _run_policy_episode(cfg.policy, cfg, seed, schedule, pool_cfg, sensing)
+    for seed, trace in _episodes(cfg.policy, cfg):
         audit = audit_trace(trace, schedule, pool_cfg)
-        all_ok = all_ok and audit["ok"] and not trace.violations
         rows.extend(_trace_rows(seed, trace))
         per_seed.append({
             "seed": seed,
@@ -192,22 +202,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "peak_cell_use": audit["max_cell_utilization"],
         })
         utilization.append({"seed": seed, "frames": list(trace.utilization)})
-    gains = np.array([p["cumulative_gain"] for p in per_seed])
     results = {
         "policy": cfg.policy,
         "per_seed": per_seed,
-        "mean_gain": float(gains.mean()),
-        "std_gain": float(gains.std()),
+        **_gain_stats([p["cumulative_gain"] for p in per_seed]),
         "utilization": utilization,
         "schedule": _schedule_summary(schedule),
-        "audit_all_ok": all_ok,
+        "audit_all_ok": all(p["audit_ok"] and not p["violations"] for p in per_seed),
     }
-    os.makedirs(cfg.out, exist_ok=True)
-    write_csv(os.path.join(cfg.out, "trace.csv"), TRACE_HEADER, rows)
-    write_json(os.path.join(cfg.out, "summary.json"),
-               summary_payload("simulate", cfg, results, t0))
+    write_csv(cfg.out, "trace.csv", TRACE_HEADER, rows)
     log.info("simulate: %d seeds, mean gain %.4f", len(cfg.seeds), results["mean_gain"])
-    return 0
+    return results, 0
 
 
 def _schedule_summary(schedule) -> dict:
@@ -220,37 +225,20 @@ def _schedule_summary(schedule) -> dict:
     }
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    t0 = time.time()
+def cmd_compare(cfg: RunConfig, _args) -> tuple[dict, int]:
     names = [p.strip() for p in cfg.policy.split(",") if p.strip()]
     if len(names) < 2:
         raise ConfigError("policy", "compare needs at least two comma-separated policies")
-    schedule = _schedule_for(cfg)
-    pool_cfg = cfg.pool_config()
-    sensing = cfg.sensing_params()
     rows, table = [], []
     for name in names:
-        gains = []
-        for seed in cfg.seeds:
-            trace = _run_policy_episode(name, cfg, seed, schedule, pool_cfg, sensing)
-            gains.append(trace.cumulative_gain)
-            rows.append((name, seed, trace.cumulative_gain))
-        arr = np.array(gains)
-        table.append({
-            "policy": name,
-            "mean_gain": float(arr.mean()),
-            "std_gain": float(arr.std()),
-            "per_seed_gain": gains,
-        })
-    results = {"table": table, "schedule": _schedule_summary(schedule)}
-    os.makedirs(cfg.out, exist_ok=True)
-    write_csv(os.path.join(cfg.out, "compare.csv"), ("policy", "seed", "gain"), rows)
-    write_json(os.path.join(cfg.out, "summary.json"),
-               summary_payload("compare", cfg, results, t0))
+        gains = [trace.cumulative_gain for _seed, trace in _episodes(name, cfg)]
+        rows.extend((name, seed, gain) for seed, gain in zip(cfg.seeds, gains))
+        table.append({"policy": name, **_gain_stats(gains), "per_seed_gain": gains})
+    write_csv(cfg.out, "compare.csv", ("policy", "seed", "gain"), rows)
     for entry in table:
         log.info("compare: %-8s mean %.4f std %.4f",
                  entry["policy"], entry["mean_gain"], entry["std_gain"])
-    return 0
+    return {"table": table, "schedule": _schedule_summary(_schedule_for(cfg))}, 0
 
 
 # -- robustness experiment ----------------------------------------------------------
@@ -281,13 +269,11 @@ def robustness_scenario() -> tuple[Scenario, SensingParams]:
 
 
 def robustness_pool(slots: int, boosted: bool) -> PoolConfig:
-    if boosted:
-        return PoolConfig(num_slots=slots, freq_lanes=2, comp_lanes=1,
-                          slot_duration=0.1, hz_per_lane=1e6,
-                          cycles_per_lane_slot=1.5e7)
-    return PoolConfig(num_slots=slots, freq_lanes=1, comp_lanes=1,
+    """The boosted pool pays for a shorter frame with two frequency lanes
+    and three times the compute."""
+    return PoolConfig(num_slots=slots, freq_lanes=2 if boosted else 1, comp_lanes=1,
                       slot_duration=0.1, hz_per_lane=1e6,
-                      cycles_per_lane_slot=5e6)
+                      cycles_per_lane_slot=1.5e7 if boosted else 5e6)
 
 
 def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
@@ -307,7 +293,7 @@ def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
         "compute_cps": pool_cfg.compute_cps,
         "cumulative_gain": trace.cumulative_gain,
         "per_round_workloads": [list(r.workloads) for r in trace.rounds],
-        "problem": _enum_safe(dataclasses.asdict(problem)),
+        "problem": {k: getattr(v, "name", v) for k, v in dataclasses.asdict(problem).items()},
         "w_star": int(graph.solutions[0, 0, 0]),
         "oracle_w_star": oracle_w,
         "claims": [claim_dict(c) for c in trace.all_claims()],
@@ -315,8 +301,8 @@ def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
     }
 
 
-def cmd_robustness(cfg: RunConfig, reduced_slots: int = 5) -> int:
-    t0 = time.time()
+def cmd_robustness(cfg: RunConfig, args) -> tuple[dict, int]:
+    reduced_slots = args.slots if args.slots is not None else 5
     scenario, sensing = robustness_scenario()
     base = _robustness_arm(cfg, scenario, sensing, 9, robustness_pool(9, boosted=False))
     reduced = _robustness_arm(
@@ -333,9 +319,6 @@ def cmd_robustness(cfg: RunConfig, reduced_slots: int = 5) -> int:
         "audit_all_ok": base["audit_ok"] and reduced["audit_ok"],
         "negative_control": cfg.negative_control,
     }
-    os.makedirs(cfg.out, exist_ok=True)
-    write_json(os.path.join(cfg.out, "summary.json"),
-               summary_payload("robustness", cfg, results, t0))
     if not results["within_tolerance"]:
         print(
             f"robustness check failed: gain {g9:.6f} at 9 slots vs {g5:.6f} "
@@ -343,77 +326,56 @@ def cmd_robustness(cfg: RunConfig, reduced_slots: int = 5) -> int:
             f"dumped to {os.path.join(cfg.out, 'summary.json')}",
             file=sys.stderr,
         )
-        return 3
+        return results, 3
     log.info("robustness: gap %.4g over %d vs %d slots", gap, 9, reduced_slots)
-    return 0
+    return results, 0
 
 
 # -- learning commands ----------------------------------------------------------------
 
 
-def _train_env(cfg: RunConfig) -> RoundEnv:
+def cmd_train(cfg: RunConfig, _args) -> tuple[dict, int]:
     scen_cfg = cfg.scenario_config()
-    base_seed = cfg.seeds[0]
-    stride = cfg.episode_seed_stride
-
-    def factory(i: int):
-        return generate_scenario(scen_cfg, base_seed + stride * i)
-
-    return RoundEnv(factory, _schedule_for(cfg), cfg.pool_config(), cfg.sensing_params())
-
-
-def cmd_train(cfg: RunConfig) -> int:
-    t0 = time.time()
-    env = _train_env(cfg)
-    result = train(env, cfg.sac_config())
+    base_seed, stride = cfg.seeds[0], cfg.episode_seed_stride
+    env = RoundEnv(lambda i: generate_scenario(scen_cfg, base_seed + stride * i),
+                   _schedule_for(cfg), cfg.pool_config(), cfg.sensing_params())
+    try:
+        result = train(env, cfg.sac_config())
+    except NonFiniteLoss as err:
+        write_curve(cfg.out, err.curve)
+        # Strict JSON has no NaN or infinity: those values are written as text.
+        diagnostics = {k: v if math.isfinite(v) else str(v)
+                       for k, v in err.diagnostics.items()}
+        print(f"training failed: {err}; diagnostics dumped to "
+              f"{os.path.join(cfg.out, 'summary.json')}", file=sys.stderr)
+        return {"error": str(err), "diagnostics": diagnostics}, 4
     final_eval = evaluate(env, result.agent)
-    os.makedirs(cfg.out, exist_ok=True)
+    write_curve(cfg.out, result.curve)
     params_path = os.path.join(cfg.out, "params.bin")
     result.agent.save(params_path, norms=env.norms,
                       extra={"run_config": cfg.to_dict()})
-    write_curve(cfg.out, result.curve)
     results = {
         "steps": result.steps,
         "episodes": len(result.curve),
         "stopped_early": result.stopped_early,
-        "best_eval_gain": result.best_eval_gain,
+        # -inf is the value before any evaluation: no evaluation ran.
+        "best_eval_gain": None if result.best_eval_gain == -math.inf else result.best_eval_gain,
         "final_eval_gain": final_eval,
         "params_file": params_path,
     }
-    write_json(os.path.join(cfg.out, "summary.json"),
-               summary_payload("train", cfg, results, t0))
     log.info("train: %d steps, final eval gain %.4f", result.steps, final_eval)
-    return 0
+    return results, 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    t0 = time.time()
-    schedule = _schedule_for(cfg)
-    pool_cfg = cfg.pool_config()
-    sensing = cfg.sensing_params()
-    scen_cfg = cfg.scenario_config()
-    policy = _load_sac(cfg, generate_scenario(scen_cfg, cfg.seeds[0]))
-    rows, per_seed = [], []
-    for seed in cfg.seeds:
-        scenario = generate_scenario(scen_cfg, seed)
-        trace = run_episode(scenario, policy, schedule, pool_cfg, sensing)
-        rows.append((seed, trace.cumulative_gain))
-        per_seed.append({"seed": seed, "cumulative_gain": trace.cumulative_gain})
-    gains = np.array([p["cumulative_gain"] for p in per_seed])
-    results = {
-        "per_seed": per_seed,
-        "mean_gain": float(gains.mean()),
-        "std_gain": float(gains.std()),
-    }
-    os.makedirs(cfg.out, exist_ok=True)
-    write_csv(os.path.join(cfg.out, "eval.csv"), ("seed", "gain"), rows)
-    write_json(os.path.join(cfg.out, "summary.json"),
-               summary_payload("eval", cfg, results, t0))
-    return 0
+def cmd_eval(cfg: RunConfig, _args) -> tuple[dict, int]:
+    per_seed = [{"seed": seed, "cumulative_gain": trace.cumulative_gain}
+                for seed, trace in _episodes("sac", cfg)]
+    write_csv(cfg.out, "eval.csv", ("seed", "gain"),
+              [(p["seed"], p["cumulative_gain"]) for p in per_seed])
+    return {"per_seed": per_seed, **_gain_stats([p["cumulative_gain"] for p in per_seed])}, 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    t0 = time.time()
+def cmd_oracle(cfg: RunConfig, _args) -> tuple[dict, int]:
     schedule = _schedule_for(cfg)
     pool_cfg = cfg.pool_config()
     sensing = cfg.sensing_params()
@@ -434,26 +396,20 @@ def cmd_oracle(cfg: RunConfig) -> int:
         ],
         "dominated": all(r <= 1.0 + 1e-12 for _, _, r in rows),
     }
-    os.makedirs(cfg.out, exist_ok=True)
-    write_csv(os.path.join(cfg.out, "oracle.csv"),
-              ("policy", "gain", "ratio_to_optimal"), rows)
-    write_json(os.path.join(cfg.out, "summary.json"),
-               summary_payload("oracle", cfg, results, t0))
-    return 0
+    write_csv(cfg.out, "oracle.csv", ("policy", "gain", "ratio_to_optimal"), rows)
+    return results, 0
 
 
 # -- argument parsing --------------------------------------------------------------------
 
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file (flags override it)")
-    sub.add_argument("--policy", help="policy name (comma-separated for compare)")
-    sub.add_argument("--seeds", help="comma-separated integer seeds")
-    sub.add_argument("--rounds", type=int, help="rounds per episode")
-    sub.add_argument("--mode", choices=("zeros", "serial"), help="schedule mode")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--slots", type=int, help="frame length in slots")
-    sub.add_argument("--params", help="learned parameter file (sac policy)")
+COMMANDS = {
+    "simulate": ("run one policy over seeds; write trace.csv and summary.json", cmd_simulate),
+    "compare": ("run several policies over shared seeds; write compare.csv", cmd_compare),
+    "robustness": ("9-slot vs reduced-slot paired experiment", cmd_robustness),
+    "train": ("train the SAC policy; write params.bin and curve.csv", cmd_train),
+    "eval": ("evaluate a saved SAC policy over seeds", cmd_eval),
+    "oracle": ("exhaustive enumeration plus heuristic dominance table", cmd_oracle),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Round-based ISCC orchestration simulator and SAC trainer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, info in (
-        ("simulate", "run one policy over seeds; write trace.csv and summary.json"),
-        ("compare", "run several policies over shared seeds; write compare.csv"),
-        ("robustness", "9-slot vs reduced-slot paired experiment"),
-        ("train", "train the SAC policy; write params.bin and curve.csv"),
-        ("eval", "evaluate a saved SAC policy over seeds"),
-        ("oracle", "exhaustive enumeration plus heuristic dominance table"),
-    ):
+    for name, (info, _run) in COMMANDS.items():
         cmd = sub.add_parser(name, help=info)
-        _add_common_flags(cmd)
+        cmd.add_argument("--config", help="JSON config file (flags override it)")
+        cmd.add_argument("--policy", help="policy name (comma-separated for compare)")
+        cmd.add_argument("--seeds", help="comma-separated integer seeds")
+        cmd.add_argument("--rounds", type=int, help="rounds per episode")
+        cmd.add_argument("--mode", choices=("zeros", "serial"), help="schedule mode")
+        cmd.add_argument("--out", help="output directory")
+        cmd.add_argument("--slots", type=int, help="frame length in slots")
+        cmd.add_argument("--params", help="learned parameter file (sac policy)")
         if name == "robustness":
             cmd.add_argument(
                 "--negative-control", action="store_true",
@@ -482,20 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.policy is not None:
-        cfg.policy = args.policy
+    for name in ("policy", "rounds", "mode", "out", "slots", "params"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     if args.seeds is not None:
         cfg.seeds = parse_seed_list(args.seeds)
-    if args.rounds is not None:
-        cfg.rounds = args.rounds
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.out is not None:
-        cfg.out = args.out
-    if args.slots is not None:
-        cfg.slots = args.slots
-    if args.params is not None:
-        cfg.params = args.params
     if getattr(args, "negative_control", False):
         cfg.negative_control = True
     cfg.validate()
@@ -506,8 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("ISCCSIM_LOG_LEVEL", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
         cfg = config_from_args(args)
@@ -516,45 +462,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "robustness":
-            reduced = args.slots if args.slots is not None else 5
-            return cmd_robustness(cfg, reduced_slots=reduced)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        raise ConfigError("command", f"unknown command {args.command!r}")
+        results, code = COMMANDS[args.command][1](cfg, args)
+        write_summary(args.command, cfg, results, t0)
+        return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except NonFiniteLoss as err:
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, "summary.json")
-        # Strict JSON has no NaN or infinity: those values are written as text.
-        diagnostics = {k: v if math.isfinite(v) else str(v)
-                       for k, v in err.diagnostics.items()}
-        results = {"error": str(err), "diagnostics": diagnostics}
-        write_json(path, summary_payload(args.command, cfg, results, t0))
-        write_curve(cfg.out, err.curve)
-        print(f"training failed: {err}; diagnostics dumped to {path}", file=sys.stderr)
-        return 4
     except Exception as err:
         # Input errors were all raised as ConfigError above: this one is a
         # fault of the program, such as a broken invariant or a shape mismatch.
         trace = traceback.format_exc()
         print(trace, end="", file=sys.stderr)
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, "summary.json")
         results = {"error": str(err), "error_type": type(err).__name__}
-        payload = summary_payload(args.command, cfg, results, t0)
-        payload["meta"]["traceback"] = trace.splitlines()
-        write_json(path, payload)
+        path = write_summary(args.command, cfg, results, t0, traceback=trace.splitlines())
         print(f"program fault: {type(err).__name__}; details dumped to {path}", file=sys.stderr)
         return 5
 

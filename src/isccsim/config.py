@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .gain import SensingParams
-from .network import ScenarioConfig
+from .network import ChannelParams, ScenarioConfig
 from .pool import PoolConfig, PoolError
 from .sac import SacConfig
 
@@ -97,13 +97,19 @@ class RunConfig:
         ):
             try:
                 build()
+            except ConfigError:
+                raise
             except (TypeError, ValueError, PoolError) as err:
                 raise ConfigError(section, str(err)) from err
 
     # -- section builders ---------------------------------------------------
 
     def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(**self.scenario)
+        scenario = dict(self.scenario)
+        if "channel" in scenario:
+            _check_keys("scenario.channel", scenario["channel"], ChannelParams)
+            scenario["channel"] = ChannelParams(**scenario["channel"])
+        return ScenarioConfig(**scenario)
 
     def pool_config(self) -> PoolConfig:
         overrides = {k: v for k, v in self.pool.items() if k != "num_slots"}

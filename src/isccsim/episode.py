@@ -352,6 +352,8 @@ class RoundEnv:
         """Apply one round's decision; returns (next_obs, team reward, done)."""
         if self.trace is None:
             raise RuntimeError("call reset() first")
+        if self.round_index > self.schedule.num_rounds:
+            raise RuntimeError("the episode is done; call reset() to start the next")
         graph = self._current_obs.graph
         decisions = _decisions(assignment, len(self.client_ids), len(graph.model_ids))
 

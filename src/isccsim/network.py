@@ -8,7 +8,7 @@ and velocities live in (N, 2) arrays, the rest of a client in its record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from itertools import repeat
 
@@ -31,6 +31,11 @@ class ChannelParams:
     noise_power_w: float = 6e-13
     reference_gain: float = 1e-4  # channel gain at 1 m
     min_distance_m: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails it too.
+        if not all(v > 0 for v in astuple(self)):
+            raise ValueError("channel powers, gain, exponent and distance must be > 0")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ class SacConfig:
             raise ValueError("replay capacity must hold at least one batch")
         if self.total_steps < 0:
             raise ValueError("total_steps must be nonnegative")
+        if self.hidden < 1 or self.eval_interval_episodes < 1:
+            raise ValueError("hidden and eval_interval_episodes must be at least 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from isccsim.cli import _schedule_for, main
+from isccsim import cli
+from isccsim.cli import COMMANDS, _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
 from isccsim.episode import RoundEnv, audit_trace, run_episode
 from isccsim.gain import GainGraph, SensingParams
-from isccsim.network import ScenarioConfig, generate_scenario
+from isccsim.network import ChannelParams, ScenarioConfig, generate_scenario
 from isccsim.policies import GreedyGainPolicy
 from isccsim.pool import PoolBank, PoolConfig
 from isccsim.schedule import Mode, plan_pipeline
-from isccsim.sac import CURVE_FIELDS, PARAMS_MAGIC, SacAgent
+from isccsim.sac import CURVE_FIELDS, PARAMS_MAGIC, SacAgent, load_policy
 
 TINY_SCENARIO = {
     "area_m": 200.0,
@@ -171,6 +172,12 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("scenario", "num_clients", 3.5),
     ("sac", "batch_size", 4.5),
     ("sensing", "samples_per_target", 2.5),
+    ("sac", "eval_interval_episodes", 0),
+    ("sac", "hidden", -1),
+    ("sac", "hidden", 0),
+    ("scenario", "channel", {"tx_power_w": -1.0}),
+    ("scenario", "channel", {"noise_power_w": 0.0}),
+    ("scenario", "channel", {"path_loss_exp": float("nan")}),
 ])
 def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value):
     rc = main(["simulate", "--config", tiny_config(tmp_path, **{section: {field: value}})])
@@ -200,12 +207,26 @@ def test_float_fields_accept_integers(tmp_path):
     assert cfg.pool_config().slot_duration == 1.0 and cfg.sensing_params().epsilon == 1
 
 
+def test_scenario_channel_section_builds_channel_params(tmp_path):
+    path = tiny_config(tmp_path, scenario={**TINY_SCENARIO, "channel": {"tx_power_w": 1.0}})
+    assert RunConfig.from_file(path).scenario_config().channel == ChannelParams(tx_power_w=1.0)
+    assert main(["simulate", "--config", path]) == 0
+    assert read_summary(tmp_path / "out")["config"]["scenario"]["channel"] == {"tx_power_w": 1.0}
+
+
+def test_scenario_channel_unknown_key_exits_two(tmp_path, capsys):
+    path = tiny_config(tmp_path, scenario={**TINY_SCENARIO, "channel": {"tx_power": 1.0}})
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: scenario.channel.tx_power:")
+
+
 def test_simulate_unknown_policy_lists_valid_names(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     rc = main(["simulate", "--config", cfg, "--policy", "gredy"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "greedy" in err and "mp-tsc" in err and "sac" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -289,6 +310,39 @@ def test_runtime_paths_build_no_reference_object(tmp_path, monkeypatch):
     schedule = plan_pipeline(3, 9, Mode.SERIAL)
     trace = run_episode(scenario, GreedyGainPolicy(), schedule, PoolConfig(), SensingParams())
     assert audit_trace(trace, schedule, PoolConfig())["ok"]
+
+
+# -- the command runner -------------------------------------------------------------
+
+# Ends before warmup, so training never updates or evaluates.
+SHORT_SAC = {"total_steps": 4, "warmup_steps": 8, "batch_size": 4, "replay_capacity": 16,
+             "hidden": 4}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_writes_strict_summary(tmp_path, command):
+    cfg = tiny_config(tmp_path, sac=SHORT_SAC)
+    args = {"compare": ["--policy", "greedy,random"]}.get(command, [])
+    if command == "eval":
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "sac")]) == 0
+        args = ["--params", str(tmp_path / "sac" / "params.bin")]
+    assert main([command, "--config", cfg, *args]) == 0
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=pytest.fail)
+    assert summary["command"] == command
+    if command == "train":
+        assert summary["results"]["best_eval_gain"] is None
+
+
+def test_simulate_sac_loads_params_once(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, sac=SHORT_SAC)
+    params = str(tmp_path / "sac" / "params.bin")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "sac")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "load_policy", lambda path: calls.append(path) or load_policy(path))
+    assert main(["simulate", "--config", cfg, "--policy", "sac", "--params", params]) == 0
+    assert calls == [params]
+    assert len(read_summary(tmp_path / "out")["results"]["per_seed"]) == 2
 
 
 # -- robustness ---------------------------------------------------------------------

@@ -464,6 +464,20 @@ class TestEpisode:
             env.step(decisions)
         assert env.frame == 2
 
+    def test_step_after_done_raises(self):
+        """A finished episode, or a fork of one, is never silently extended."""
+        sc = tiny_scenario(1)
+        env = RoundEnv(lambda _: sc, plan_pipeline(2, 9, Mode.ZEROS),
+                       PoolConfig(), SensingParams())
+        env.reset()
+        done = False
+        while not done:
+            _, _, done = env.step([0] * len(sc.clients))
+        for finished in (env, env.fork()):
+            with pytest.raises(RuntimeError, match="done"):
+                finished.step([0] * len(sc.clients))
+            assert [r.round_index for r in finished.trace.rounds] == [1, 2]
+
     def test_fork_is_independent(self):
         """Stepping a fork leaves its parent as it was, a fork and its parent
         step to the same records, and a fork's trace is a fresh rollout's."""
