@@ -107,6 +107,10 @@ def claim_dict(claim) -> dict:
     }
 
 
+def _enum_safe(data: dict) -> dict:
+    return {k: (v.name if hasattr(v, "name") else v) for k, v in data.items()}
+
+
 # -- shared episode plumbing -----------------------------------------------------
 
 
@@ -269,11 +273,13 @@ def robustness_scenario() -> tuple[Scenario, SensingParams]:
 
 
 def robustness_pool(slots: int, boosted: bool) -> PoolConfig:
-    """The boosted pool pays for a shorter frame with two frequency lanes
-    and three times the compute."""
-    return PoolConfig(num_slots=slots, freq_lanes=2 if boosted else 1, comp_lanes=1,
+    if boosted:
+        return PoolConfig(num_slots=slots, freq_lanes=2, comp_lanes=1,
+                          slot_duration=0.1, hz_per_lane=1e6,
+                          cycles_per_lane_slot=1.5e7)
+    return PoolConfig(num_slots=slots, freq_lanes=1, comp_lanes=1,
                       slot_duration=0.1, hz_per_lane=1e6,
-                      cycles_per_lane_slot=1.5e7 if boosted else 5e6)
+                      cycles_per_lane_slot=5e6)
 
 
 def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
@@ -293,7 +299,7 @@ def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
         "compute_cps": pool_cfg.compute_cps,
         "cumulative_gain": trace.cumulative_gain,
         "per_round_workloads": [list(r.workloads) for r in trace.rounds],
-        "problem": {k: getattr(v, "name", v) for k, v in dataclasses.asdict(problem).items()},
+        "problem": _enum_safe(dataclasses.asdict(problem)),
         "w_star": int(graph.solutions[0, 0, 0]),
         "oracle_w_star": oracle_w,
         "claims": [claim_dict(c) for c in trace.all_claims()],
@@ -336,9 +342,13 @@ def cmd_robustness(cfg: RunConfig, args) -> tuple[dict, int]:
 
 def cmd_train(cfg: RunConfig, _args) -> tuple[dict, int]:
     scen_cfg = cfg.scenario_config()
-    base_seed, stride = cfg.seeds[0], cfg.episode_seed_stride
-    env = RoundEnv(lambda i: generate_scenario(scen_cfg, base_seed + stride * i),
-                   _schedule_for(cfg), cfg.pool_config(), cfg.sensing_params())
+    base_seed = cfg.seeds[0]
+    stride = cfg.episode_seed_stride
+
+    def factory(i: int):
+        return generate_scenario(scen_cfg, base_seed + stride * i)
+
+    env = RoundEnv(factory, _schedule_for(cfg), cfg.pool_config(), cfg.sensing_params())
     try:
         result = train(env, cfg.sac_config())
     except NonFiniteLoss as err:
@@ -453,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("ISCCSIM_LOG_LEVEL", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     t0 = time.time()
     try:
         cfg = config_from_args(args)

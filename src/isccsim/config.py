@@ -83,8 +83,25 @@ class RunConfig:
             raise ConfigError("episode_seed_stride", "must be nonnegative")
         for section, schema in (("scenario", ScenarioConfig), ("pool", PoolConfig),
                                 ("sensing", SensingParams), ("sac", SacConfig)):
+            if not isinstance(getattr(self, section), dict):
+                raise ConfigError(section, "must be a JSON object")
             _check_keys(section, getattr(self, section), schema)
             _check_ints(getattr(self, section), schema, section)
+        if isinstance(self.scenario.get("channel"), dict):
+            _check_keys("scenario.channel", self.scenario["channel"], ChannelParams)
+        if not isinstance(self.policy, str):
+            raise ConfigError("policy", f"must be a string, got {self.policy!r}")
+        if not isinstance(self.out, str) or not self.out:
+            raise ConfigError("out", f"must be a nonempty path, got {self.out!r}")
+        if self.params is not None and not isinstance(self.params, str):
+            raise ConfigError("params", f"must be a file path, got {self.params!r}")
+        # JSON parses NaN and Infinity, but no field takes them, and the
+        # config is echoed into summary.json, which is strict JSON.
+        for name, value in vars(self).items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ConfigError(name, f"must hold no NaN or infinity, got {value!r}") from None
         if "num_slots" in self.pool and self.pool["num_slots"] != self.slots:
             raise ConfigError("pool.num_slots", "conflicts with slots; set slots only")
         # Each section's own checks, so a bad value is an input error here
@@ -97,8 +114,6 @@ class RunConfig:
         ):
             try:
                 build()
-            except ConfigError:
-                raise
             except (TypeError, ValueError, PoolError) as err:
                 raise ConfigError(section, str(err)) from err
 
@@ -107,7 +122,6 @@ class RunConfig:
     def scenario_config(self) -> ScenarioConfig:
         scenario = dict(self.scenario)
         if "channel" in scenario:
-            _check_keys("scenario.channel", scenario["channel"], ChannelParams)
             scenario["channel"] = ChannelParams(**scenario["channel"])
         return ScenarioConfig(**scenario)
 

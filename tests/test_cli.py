@@ -178,6 +178,10 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("scenario", "channel", {"tx_power_w": -1.0}),
     ("scenario", "channel", {"noise_power_w": 0.0}),
     ("scenario", "channel", {"path_loss_exp": float("nan")}),
+    ("sac", "lr_actor", float("nan")),
+    ("sac", "target_gain", float("inf")),
+    ("scenario", "ws_radius_m", float("inf")),
+    ("sensing", "tau_s", float("inf")),
 ])
 def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value):
     rc = main(["simulate", "--config", tiny_config(tmp_path, **{section: {field: value}})])
@@ -194,11 +198,22 @@ def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value
     ("schema_version", 1.0),
     ("seeds", [True]),
     ("seeds", [0, 1.0]),
+    ("pool", []),
+    ("scenario", 5),
+    ("out", ""),
+    ("out", 5),
+    ("params", 5),
 ])
 def test_invalid_top_level_values_exit_two(tmp_path, capsys, field, value):
     rc = main(["simulate", "--config", tiny_config(tmp_path, **{field: value})])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_compare_non_string_policy_exits_two(tmp_path, capsys):
+    assert main(["compare", "--config", tiny_config(tmp_path, policy=5)]) == 2
+    assert capsys.readouterr().err.startswith("config error: policy:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_float_fields_accept_integers(tmp_path):
