@@ -1,6 +1,6 @@
 """Command-line entry point: simulation runs, policy comparisons, the
 9-to-5-slot robustness experiment, SAC training and evaluation, and the
-exhaustive-oracle report.
+exact-optimum report.
 
 Every command writes deterministic CSV/JSON artifacts: with a fixed config
 and seed list the bytes are identical across runs, except for the volatile
@@ -307,13 +307,12 @@ def _robustness_arm(cfg: RunConfig, scenario, sensing, slots: int,
     }
 
 
-def cmd_robustness(cfg: RunConfig, args) -> tuple[dict, int]:
-    reduced_slots = args.slots if args.slots is not None else 5
+def cmd_robustness(cfg: RunConfig, _args) -> tuple[dict, int]:
     scenario, sensing = robustness_scenario()
     base = _robustness_arm(cfg, scenario, sensing, 9, robustness_pool(9, boosted=False))
     reduced = _robustness_arm(
-        cfg, scenario, sensing, reduced_slots,
-        robustness_pool(reduced_slots, boosted=not cfg.negative_control),
+        cfg, scenario, sensing, cfg.reduced_slots,
+        robustness_pool(cfg.reduced_slots, boosted=not cfg.negative_control),
     )
     g9, g5 = base["cumulative_gain"], reduced["cumulative_gain"]
     gap = abs(g9 - g5) / max(g9, 1e-12)
@@ -328,12 +327,12 @@ def cmd_robustness(cfg: RunConfig, args) -> tuple[dict, int]:
     if not results["within_tolerance"]:
         print(
             f"robustness check failed: gain {g9:.6f} at 9 slots vs {g5:.6f} "
-            f"at {reduced_slots} slots (gap {gap:.2%}); both allocations "
+            f"at {cfg.reduced_slots} slots (gap {gap:.2%}); both allocations "
             f"dumped to {os.path.join(cfg.out, 'summary.json')}",
             file=sys.stderr,
         )
         return results, 3
-    log.info("robustness: gap %.4g over %d vs %d slots", gap, 9, reduced_slots)
+    log.info("robustness: gap %.4g over %d vs %d slots", gap, 9, cfg.reduced_slots)
     return results, 0
 
 
@@ -418,7 +417,7 @@ COMMANDS = {
     "robustness": ("9-slot vs reduced-slot paired experiment", cmd_robustness),
     "train": ("train the SAC policy; write params.bin and curve.csv", cmd_train),
     "eval": ("evaluate a saved SAC policy over seeds", cmd_eval),
-    "oracle": ("exhaustive enumeration plus heuristic dominance table", cmd_oracle),
+    "oracle": ("exact optimum by dynamic programming plus heuristic dominance table", cmd_oracle),
 }
 
 
@@ -436,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--rounds", type=int, help="rounds per episode")
         cmd.add_argument("--mode", choices=("zeros", "serial"), help="schedule mode")
         cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--slots", type=int, help="frame length in slots")
+        slots = "reduced_slots" if name == "robustness" else "slots"
+        cmd.add_argument("--slots", type=int, dest=slots,
+                         help="frame length in slots (robustness: the reduced arm's, default 5)")
         cmd.add_argument("--params", help="learned parameter file (sac policy)")
         if name == "robustness":
             cmd.add_argument(
@@ -448,14 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for name in ("policy", "rounds", "mode", "out", "slots", "params"):
-        if getattr(args, name) is not None:
+    for name in ("policy", "rounds", "mode", "out", "slots", "reduced_slots", "params"):
+        if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
     if args.seeds is not None:
         cfg.seeds = parse_seed_list(args.seeds)
     if getattr(args, "negative_control", False):
         cfg.negative_control = True
     cfg.validate()
+    # --out is a directory, or can be made as one under a writable directory.
+    path = os.path.abspath(cfg.out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK)):
+        raise ConfigError("out", f"{cfg.out} cannot be a directory: {path} is not a writable one")
     return cfg
 
 

@@ -57,6 +57,7 @@ class RunConfig:
     rounds: int = 5
     seeds: tuple = (0,)
     slots: int = 9
+    reduced_slots: int = 5  # the reduced arm of `robustness`
     episode_seed_stride: int = 1
     out: str = "runs"
     params: str | None = None
@@ -75,8 +76,9 @@ class RunConfig:
         _check_ints(vars(self), RunConfig)
         if self.rounds < 1:
             raise ConfigError("rounds", "must be at least 1")
-        if self.slots < 2:
-            raise ConfigError("slots", "frame needs at least 2 slots")
+        for name in ("slots", "reduced_slots"):
+            if getattr(self, name) < 2:
+                raise ConfigError(name, "frame needs at least 2 slots")
         if self.mode not in ("zeros", "serial"):
             raise ConfigError("mode", "must be 'zeros' or 'serial'")
         if self.episode_seed_stride < 0:

@@ -20,8 +20,7 @@ and checking them are array operations over all clients.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -327,26 +326,6 @@ class RoundEnv:
         self.frame = 1
         self.trace = EpisodeTrace()
         return self._observe()
-
-    def fork(self) -> "RoundEnv":
-        """An independent copy of this env mid-episode: stepping either one
-        leaves the other as it was.
-
-        The scenario's positions, velocities and clock, the bank's cells, the
-        open frame's loads and the trace's lists are copied. The current
-        graph and state, the norms, the client arrays and the loads
-        themselves are never written, so they are shared.
-        """
-        if self.trace is None:
-            raise RuntimeError("call reset() first")
-        env = copy.copy(self)
-        env.scenario = clone_scenario(self.scenario)
-        env.bank = self.bank.copy()
-        env.placed = list(self.placed)
-        env.trace = replace(self.trace, rounds=list(self.trace.rounds),
-                            utilization=list(self.trace.utilization))
-        env._current_obs = replace(self._current_obs, scenario=env.scenario)
-        return env
 
     def step(self, assignment: list[int]) -> tuple[Observation | None, float, bool]:
         """Apply one round's decision; returns (next_obs, team reward, done)."""

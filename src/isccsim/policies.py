@@ -1,21 +1,21 @@
 """Matching policies: gain-greedy, latency and sensing heuristics, random,
-fixed-sequence, and the exhaustive oracle for tiny instances."""
+fixed-sequence, and the exact optimum by per-client dynamic programming."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .episode import Observation, RoundEnv
-from .gain import SensingParams
-from .network import Scenario
-from .pool import PoolConfig
-from .schedule import RoundSchedule
+from .episode import InvariantBroken, Observation, consumption_window, plan_round, run_episode
+from .gain import SensingParams, build_gain_graph
+from .network import Scenario, clone_scenario, step_mobility
+from .pool import PoolBank, PoolConfig
+from .schedule import Mode, RoundSchedule
 
 
-# The most decision sequences exhaustive_optimal will simulate.
+# The most gain-graph rows exhaustive_optimal will build for one round: the
+# clients times the most distinct states one client holds.
 EXHAUSTIVE_LIMIT = 10**6
 
 
@@ -141,47 +141,85 @@ def exhaustive_optimal(
     sensing: SensingParams,
     num_models: int,
 ) -> OracleResult:
-    """Simulate every decision sequence and keep the best, as a depth-first
-    search over rounds.
+    """The decision sequence of largest cumulative gain, by a forward dynamic
+    program per client (Bellman's principle of optimality).
 
-    Each node is an episode after a prefix of rounds; its children are forks
-    of it, one per joint action, each stepped one round. A round prefix is
-    therefore simulated once, not once per sequence that extends it, and
-    every leaf's trace holds the records a rollout of its whole sequence
-    would. Children are visited in `itertools.product` order, so leaves come
-    in the lexicographic order of the round-major sequences, and ties
-    resolve to the smallest one because replacement is strict.
+    Clients never interact: a client's pool, claims and gain-graph row depend
+    on its own decisions only, and mobility on none. Round r's row depends on
+    the client's kinematics and on the residual bandwidth it observes: the
+    empty frame's, or in overlapped mode what the previous round's
+    consumption load leaves, a function of that round's state and action. So
+    (round, residual bandwidth) is a sufficient state, and the best path into
+    each distinct state covers all M^(N·R) sequences, the `sequences_tried`
+    reported. A round builds one gain graph per layer of the clients' k-th
+    states, a client short of states repeating its last. Paths into one state
+    keep the larger cumulative gain, on a tie the lexicographically smaller
+    prefix, as one rollout per sequence in product order would.
 
-    In serial mode every frame starts empty, so no round's gain graph
-    depends on earlier decisions and clients do not share pools: the
-    optimum is each client's largest weight each round, which is what
-    `GreedyGainPolicy` picks.
+    The decisions are re-simulated once and that trace's cumulative gain is
+    reported; a client-round gain that differs from the program's raises
+    `InvariantBroken`. A round of more than `EXHAUSTIVE_LIMIT` graph rows
+    raises `InstanceTooLarge`. In serial mode every frame starts empty, so
+    `GreedyGainPolicy` is optimal.
     """
-    n = len(scenario.clients)
-    r = schedule.num_rounds
-    count = num_models ** (n * r)
-    if count > EXHAUSTIVE_LIMIT:
-        raise InstanceTooLarge(f"{num_models}^({n}*{r}) = {count} sequences")
+    n, rounds = len(scenario.clients), schedule.num_rounds
+    if len(scenario.model_arrays().mixtures) != num_models:
+        raise ValueError(f"the scenario has {len(scenario.model_arrays().mixtures)} models")
+    t_gen = schedule.cr_length * pool_cfg.slot_duration
+    t_cons = consumption_window(schedule.cr_length, pool_cfg.slot_duration)
+    client_ids = np.repeat([c.client_id for c in scenario.clients], num_models)
+    vs = np.repeat(scenario.model_arrays().vs[:, 0], num_models)
+    empty = PoolBank(pool_cfg, n).rect_bandwidth_hz().tolist()
+    # Per client: residual bandwidth -> the best path into it, as (negated
+    # cumulative gain, prefix, per-round gains), so the best path is the least.
+    states = [{b: (0.0, (), ())} for b in empty]
+    sc = clone_scenario(scenario)
+    for r in range(1, rounds + 1):
+        for _ in range(schedule.stride if r > 1 else 0):
+            step_mobility(sc, t_gen)
+        layers = [list(s.items()) for s in states]
+        width = max(map(len, layers), default=1)
+        if n * width > EXHAUSTIVE_LIMIT:
+            raise InstanceTooLarge(f"round {r} needs {n} x {width} = {n * width} graph rows")
+        # The next round sees this round's consumption load only where it
+        # generates in the consumption frame; otherwise every path merges.
+        carry = r < rounds and schedule.gen_frame(r + 1) == schedule.cons_frame(r)
+        merged = [{} for _ in range(n)]
+        for k in range(width):
+            rows = [layer[min(k, len(layer) - 1)] for layer in layers]
+            residuals = [(b, pool_cfg.compute_cps) for b, _ in rows]
+            graph = build_gain_graph(sc, t_gen, t_cons, residuals, sensing,
+                                     schedule.mode is Mode.ZEROS)
+            weights = graph.weights.tolist()
+            nxt = [[b] * num_models for b in empty]
+            if carry:
+                bank = PoolBank(pool_cfg, n * num_models)
+                solutions = graph.solutions.reshape(len(graph.solutions), -1)
+                plan = plan_round(r, client_ids, vs, solutions, bank)
+                if plan.bad.any():
+                    raise InvariantBroken(f"round {r}: a plan does not fit an empty frame")
+                bank.add(*plan.cons)
+                nxt = bank.rect_bandwidth_hz().reshape(n, num_models).tolist()
+            for i, layer in enumerate(layers):
+                if k >= len(layer):
+                    continue
+                cost, prefix, gains = layer[k][1]
+                for m, w in enumerate(weights[i]):
+                    path = (cost - w, (*prefix, m), (*gains, w))
+                    if path < merged[i].setdefault(nxt[i][m], path):
+                        merged[i][nxt[i][m]] = path
+        states = merged
 
-    joint = [list(a) for a in itertools.product(range(num_models), repeat=n)]
-    best_gain = -1.0
-    best: tuple[tuple[int, ...], ...] = ()
-
-    def search(node: RoundEnv, prefix: tuple) -> None:
-        nonlocal best_gain, best
-        for action in joint:
-            child = node.fork()
-            _, _, done = child.step(action)
-            if not done:
-                search(child, (*prefix, tuple(action)))
-            elif child.trace.cumulative_gain > best_gain:
-                best_gain = child.trace.cumulative_gain
-                best = (*prefix, tuple(action))
-
-    root = RoundEnv(lambda _: scenario, schedule, pool_cfg, sensing)
-    root.reset()
-    search(root, ())
-    return OracleResult(decisions=best, gain=best_gain, sequences_tried=count)
+    best = [next(iter(s.values())) for s in states]
+    decisions = tuple(tuple(p[1][r] for p in best) for r in range(rounds))
+    trace = run_episode(scenario, FixedSequencePolicy([list(d) for d in decisions]),
+                        schedule, pool_cfg, sensing)
+    for rec in trace.rounds:
+        if rec.gains != [p[2][rec.round_index - 1] for p in best]:
+            raise InvariantBroken(
+                f"round {rec.round_index}: re-simulated gains differ from the dynamic program's"
+            )
+    return OracleResult(decisions, trace.cumulative_gain, num_models ** (n * rounds))
 
 
 BASELINE_POLICIES = {

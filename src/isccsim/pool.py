@@ -498,13 +498,6 @@ class PoolBank:
         self.time_freq = np.zeros((num_pools, cfg.num_slots, cfg.freq_lanes))
         self.time_comp = np.zeros((num_pools, cfg.num_slots, cfg.comp_lanes))
 
-    def copy(self) -> "PoolBank":
-        """An independent bank with the same cell usage."""
-        bank = PoolBank.__new__(PoolBank)
-        bank.cfg = self.cfg
-        bank.time_freq, bank.time_comp = self.time_freq.copy(), self.time_comp.copy()
-        return bank
-
     def _grids(self, freq: np.ndarray | None, comp: np.ndarray | None):
         for used, load, cap in ((self.time_freq, freq, self.cfg.freq_cell_capacity),
                                 (self.time_comp, comp, self.cfg.comp_cell_capacity)):

@@ -41,3 +41,12 @@ def test_edge_counts_read_a_built_graph(bench):
     edges = len(inp.scenario.clients) * bench.gain.num_models(inp.scenario)
     assert store.counters["gain.edges_solved"] == edges
     assert store.counters["gain.edges_feasible"] == sum(e.solution.feasible for e in graph.edges)
+
+
+def test_oracle_check_passes_on_a_tiny_scenario(bench):
+    """The benchmark's own correctness check accepts the oracle's output, and
+    the optimum covers all 2^(3*3) sequences."""
+    inp = bench.oracle_build(0)[0]
+    outcome = bench.oracle_check(inp, bench.oracle_op(inp))
+    assert outcome.problems == []
+    assert outcome.record["sequences_tried"] == 512

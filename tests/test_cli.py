@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from isccsim import cli
+from isccsim import cli, policies
 from isccsim.cli import COMMANDS, _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
 from isccsim.episode import RoundEnv, audit_trace, run_episode
@@ -244,6 +244,19 @@ def test_simulate_unknown_policy_lists_valid_names(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_unusable_out_exits_two(tmp_path, capsys, out):
+    """An --out that is a regular file, or lies under one, is an input error:
+    exit 2 with no traceback, and nothing is written."""
+    (tmp_path / "afile").write_text("kept")
+    cfg = tiny_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: out" in err and "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     cfg = tiny_config(tmp_path)
     assert main(["simulate", "--config", cfg]) == 0
@@ -387,6 +400,22 @@ def test_robustness_negative_control_fails_with_dump(tmp_path, capsys):
     assert all(arm["claims"] for arm in res["arms"])
 
 
+@pytest.mark.parametrize("flags", [[], ["--slots", "9"]])
+def test_robustness_rerun_on_echoed_config_reproduces_it(tmp_path, flags):
+    """The echoed config carries the reduced arm's slot count, so a rerun on
+    it runs the same two arms."""
+    first = str(tmp_path / "first")
+    code = main(["robustness", "--rounds", "3", "--out", first, *flags])
+    config = read_summary(first)["config"]
+    config["out"] = str(tmp_path / "second")
+    (tmp_path / "echo.json").write_text(json.dumps(config))
+    assert main(["robustness", "--config", str(tmp_path / "echo.json")]) == code
+    arms = [[(arm["slots"], arm["cumulative_gain"]) for arm in read_summary(out)["results"]["arms"]]
+            for out in (first, config["out"])]
+    assert arms[0] == arms[1]
+    assert arms[0][1][0] == (int(flags[1]) if flags else 5)
+
+
 def test_robustness_degenerate_pair_is_identical(tmp_path):
     out = str(tmp_path / "rob")
     assert main(["robustness", "--rounds", "3", "--out", out, "--slots", "9"]) == 0
@@ -495,8 +524,12 @@ def test_oracle_emits_dominance_table(tmp_path):
     assert len(lines) == 1 + 7
 
 
-def test_oracle_oversized_instance_exits_two(tmp_path, capsys):
+def test_oracle_oversized_instance_exits_two(tmp_path, capsys, monkeypatch):
+    """An instance whose round needs more graph rows than the oracle's limit
+    is an input error: round 1 of 20 clients needs 20."""
+    monkeypatch.setattr(policies, "EXHAUSTIVE_LIMIT", 19)
     cfg = tiny_config(tmp_path, scenario={**TINY_SCENARIO, "num_clients": 20})
     rc = main(["oracle", "--config", cfg])
     assert rc == 2
-    assert "sequences" in capsys.readouterr().err
+    assert "graph rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

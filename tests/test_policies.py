@@ -1,6 +1,7 @@
 """Baseline matching policies and the exhaustive oracle."""
 
 import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_ROUNDS, TINY_SCENARIO, brute_force_optimal
-from isccsim.episode import RoundEnv, run_episode
-from isccsim.gain import SensingParams
+from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, TINY_ROUNDS, TINY_SCENARIO, brute_force_optimal
+from isccsim import policies
+from isccsim.episode import InvariantBroken, RoundEnv, run_episode
+from isccsim.gain import SensingParams, num_models
 from isccsim.network import ScenarioConfig, SensingMode, generate_scenario
 from isccsim.policies import (
     BASELINE_POLICIES,
@@ -254,22 +256,106 @@ def test_exhaustive_never_loses_to_greedy():
         assert best.gain >= trace.cumulative_gain - 1e-12, seed
 
 
-def test_exhaustive_rejects_oversized_instances():
+def test_exhaustive_rejects_oversized_instances(monkeypatch):
+    """A round that would build more graph rows than the limit is refused:
+    round 1 builds one row per client."""
     scenario, schedule, pool_cfg, sensing = tiny_setup(
         seed=0, num_clients=4, num_rounds=4
     )
+    monkeypatch.setattr(policies, "EXHAUSTIVE_LIMIT", 3)
     with pytest.raises(InstanceTooLarge):
+        exhaustive_optimal(scenario, schedule, pool_cfg, sensing, num_models=2)
+
+
+def test_exhaustive_rejects_a_wrong_model_count():
+    scenario, schedule, pool_cfg, sensing = tiny_setup(seed=0)
+    with pytest.raises(ValueError, match="2 models"):
         exhaustive_optimal(scenario, schedule, pool_cfg, sensing, num_models=4)
+
+
+def test_exhaustive_raises_when_a_gain_is_not_reproduced(monkeypatch):
+    """The dynamic program's gains are checked against one re-simulation:
+    a gain graph that differs from the episode's is a broken invariant."""
+    real = policies.build_gain_graph
+
+    def corrupted(*args):
+        graph = real(*args)
+        weights = graph.weights.copy()
+        weights[0] = np.nextafter(weights[0], np.inf)
+        return dataclasses.replace(graph, weights=weights)
+
+    monkeypatch.setattr(policies, "build_gain_graph", corrupted)
+    with pytest.raises(InvariantBroken, match="round 1"):
+        exhaustive_optimal(*tiny_setup(seed=0), num_models=2)
 
 
 @pytest.mark.parametrize("mode", [Mode.ZEROS, Mode.SERIAL])
 @pytest.mark.parametrize("seed", range(12))
 def test_exhaustive_equals_brute_force(seed, mode):
-    """The prefix-tree search finds the decisions and the sequence count of
+    """The dynamic program finds the decisions and the sequence count of
     one rollout per sequence, and the same gain bit for bit."""
     args = (generate_scenario(TINY_SCENARIO, seed), plan_pipeline(TINY_ROUNDS, 9, mode),
             PoolConfig(), SensingParams(), 2)
     assert exhaustive_optimal(*args) == brute_force_optimal(*args)
+
+
+# Every (clients, rounds, models) of N in {1, 2}, R in {4, 5} and M in {2, 3}
+# whose brute force runs at most 1,024 episodes: N=2 with M=3 takes 3^8 and
+# 3^10 episodes of about 3 ms each.
+@pytest.mark.parametrize("clients,rounds,models", [
+    (1, 4, 2), (1, 5, 2), (1, 4, 3), (1, 5, 3), (2, 4, 2), (2, 5, 2),
+])
+def test_exhaustive_equals_brute_force_past_three_rounds(clients, rounds, models):
+    """Past three rounds, different prefixes reach one residual bandwidth and
+    merge; the decisions and the gain still equal one rollout per sequence."""
+    cfg = dataclasses.replace(TINY_SCENARIO, num_clients=clients, num_edges=models)
+    args = (generate_scenario(cfg, clients + rounds + models), plan_pipeline(rounds, 9, Mode.ZEROS),
+            PoolConfig(), SensingParams(), models)
+    assert exhaustive_optimal(*args) == brute_force_optimal(*args)
+
+
+def client_totals(trace) -> np.ndarray:
+    """Each client's gains summed over rounds, in round order."""
+    return np.array([sum(gains) for gains in zip(*(rec.gains for rec in trace.rounds))])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exhaustive_matches_lockstep_reference_at_n50(seed):
+    """On the N=50, M=4 reference, episode k gives every client its k-th
+    sequence, so 4^3 = 64 episodes try every sequence of every client. Each
+    client's best total equals the optimum's bit for bit; where the optimum
+    picks another sequence than the first best one, the two totals tie."""
+    scenario = generate_scenario(ScenarioConfig(), seed)
+    args = (plan_pipeline(3, 9, Mode.ZEROS), PoolConfig(), SensingParams())
+    n, m = len(scenario.clients), num_models(scenario)
+    sequences = list(itertools.product(range(m), repeat=3))
+    totals = np.array([
+        client_totals(run_episode(scenario, FixedSequencePolicy([[a] * n for a in seq]), *args))
+        for seq in sequences
+    ])
+    best = exhaustive_optimal(scenario, *args, num_models=m)
+    optimum = client_totals(run_episode(scenario, FixedSequencePolicy(best.decisions), *args))
+    np.testing.assert_array_equal(optimum, totals.max(axis=0))
+    chosen = [sequences.index(seq) for seq in zip(*best.decisions)]
+    for i, (k, first) in enumerate(zip(chosen, totals.argmax(axis=0))):
+        if k != first:
+            assert totals[k, i] == totals[first, i], i
+    assert best.sequences_tried == m ** (n * 3)
+
+
+@given(EPISODE_SCENARIOS, EPISODE_POOLS, st.sampled_from(list(Mode)), st.integers(1, 3),
+       st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_dominates_every_baseline(scenario_cfg, pool_cfg, mode, rounds, seed):
+    """No baseline beats the optimum, and in serial mode greedy reaches it."""
+    scenario = generate_scenario(scenario_cfg, seed)
+    args = (plan_pipeline(rounds, pool_cfg.num_slots, mode), pool_cfg, SensingParams())
+    best = exhaustive_optimal(scenario, *args, num_models=num_models(scenario))
+    for name in [*BASELINE_POLICIES, "random"]:
+        gain = run_episode(scenario, make_policy(name, seed), *args).cumulative_gain
+        assert gain <= best.gain + 1e-12 * abs(best.gain), name
+        if mode is Mode.SERIAL and name == "greedy":
+            assert gain == best.gain
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,6 +1,5 @@
 """Pipeline planning, serial-timing validation, and episode mechanics."""
 
-import copy
 import math
 from dataclasses import replace
 
@@ -23,7 +22,7 @@ from isccsim.episode import (
 )
 from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, generate_scenario, sense_targets
-from isccsim.policies import FixedSequencePolicy, GreedyGainPolicy, RandomPolicy, make_policy
+from isccsim.policies import GreedyGainPolicy, RandomPolicy, make_policy
 from isccsim.pool import (
     CapacityExceeded,
     Claim,
@@ -319,18 +318,6 @@ def scratch_pool_plan(client_id, round_index, problem, sol, cfg):
     return gen, cons
 
 
-def assert_same_trace(trace, expected):
-    """Equal round records, claim tables, frame utilization and violations."""
-    fields = ("round_index", "decisions", "gains", "workloads", "feasible", "infeasible_edges")
-    assert [[getattr(rec, f) for f in fields] for rec in trace.rounds] == \
-        [[getattr(rec, f) for f in fields] for rec in expected.rounds]
-    for rec, exp in zip(trace.rounds, expected.rounds):
-        np.testing.assert_equal(rec.table.columns(), exp.table.columns())
-    np.testing.assert_equal(trace.claim_table().columns(), expected.claim_table().columns())
-    assert trace.utilization == expected.utilization
-    assert trace.violations == expected.violations
-
-
 class TestEpisode:
     def run(self, mode, seed=1, rounds=3, policy=None, **kw):
         sc = tiny_scenario(seed, **kw)
@@ -465,7 +452,7 @@ class TestEpisode:
         assert env.frame == 2
 
     def test_step_after_done_raises(self):
-        """A finished episode, or a fork of one, is never silently extended."""
+        """A finished episode is never silently extended."""
         sc = tiny_scenario(1)
         env = RoundEnv(lambda _: sc, plan_pipeline(2, 9, Mode.ZEROS),
                        PoolConfig(), SensingParams())
@@ -473,41 +460,9 @@ class TestEpisode:
         done = False
         while not done:
             _, _, done = env.step([0] * len(sc.clients))
-        for finished in (env, env.fork()):
-            with pytest.raises(RuntimeError, match="done"):
-                finished.step([0] * len(sc.clients))
-            assert [r.round_index for r in finished.trace.rounds] == [1, 2]
-
-    def test_fork_is_independent(self):
-        """Stepping a fork leaves its parent as it was, a fork and its parent
-        step to the same records, and a fork's trace is a fresh rollout's."""
-        sc = tiny_scenario(2)
-        n = len(sc.clients)
-        later = ([1] * n, [0] * n)
-        for mode in (Mode.ZEROS, Mode.SERIAL):
-            schedule = plan_pipeline(3, 9, mode)
-            env = RoundEnv(lambda _: sc, schedule, PoolConfig(), SensingParams())
-            first = GreedyGainPolicy().decide(env.reset())
-            env.step(first)
-            state = (env.bank.time_freq.copy(), env.bank.time_comp.copy(),
-                     env.scenario.positions.copy(), env.scenario.velocities.copy(),
-                     env.scenario.time_s, copy.deepcopy(env.placed), list(env.trace.rounds))
-            fork = env.fork()
-            for action in later:
-                fork.step(action)
-            np.testing.assert_equal(
-                (env.bank.time_freq, env.bank.time_comp, env.scenario.positions,
-                 env.scenario.velocities, env.scenario.time_s, env.placed), state[:-1])
-            assert env.trace.rounds == state[-1]
-
-            twin = env.fork()
-            for action in later:
-                env.step(action)
-                twin.step(action)
-            fresh = run_episode(sc, FixedSequencePolicy([first, *later]), schedule,
-                                PoolConfig(), SensingParams())
-            for trace in (twin.trace, fork.trace, fresh):
-                assert_same_trace(trace, env.trace)
+        with pytest.raises(RuntimeError, match="done"):
+            env.step([0] * len(sc.clients))
+        assert [r.round_index for r in env.trace.rounds] == [1, 2]
 
     def test_bad_assignment_rejected(self):
         sc = tiny_scenario(1)
