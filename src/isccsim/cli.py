@@ -38,7 +38,7 @@ from .network import (
     Target,
     generate_scenario,
 )
-from .policies import FixedSequencePolicy, InstanceTooLarge, exhaustive_optimal, make_policy
+from .policies import InstanceTooLarge, exhaustive_optimal, make_policy
 from .pool import PoolConfig
 from .sac import CURVE_FIELDS, NonFiniteLoss, evaluate, load_policy, train
 from .schedule import Mode, makespan, plan_pipeline
@@ -129,9 +129,9 @@ def _episodes(name: str, cfg: RunConfig):
     for seed in cfg.seeds:
         scenario = generate_scenario(scen_cfg, seed)
         if name == "exhaustive":
-            result = _exhaustive(scenario, schedule, pool_cfg, sensing)
-            policy = FixedSequencePolicy([list(r) for r in result.decisions])
-        elif name == "sac":
+            yield seed, _exhaustive(scenario, schedule, pool_cfg, sensing).trace
+            continue
+        if name == "sac":
             policy = sac = sac or _load_sac(cfg, scenario)
         else:
             policy = _make_policy(name, seed)

@@ -30,44 +30,28 @@ class Mlp:
     def num_params(self) -> int:
         return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes, self.sizes[1:]))
 
-    def forward(
-        self, x: np.ndarray, first_layer=None
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Returns (output, activations cache for backward).
-
-        ``first_layer(x, w0, b0)``, when given, stands in for layer 0's
-        ``x @ w0 + b0``: ``x`` is then a compact form of the input rows that
-        the caller knows how to multiply, and ``backward`` needs the matching
-        ``first_layer_grad``. The hook is handed the current layer-0 arrays
-        at every call, so ``set_flat`` never leaves it a stale copy.
-        """
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Returns (output, activations cache for backward) for the rows of x."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acts = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = first_layer(h, w, b) if i == 0 and first_layer is not None else h @ w + b
+            z = h @ w + b
             h = z if i == last else np.tanh(z)
             acts.append(h)
         return h, acts
 
     def backward(
-        self, acts: list[np.ndarray], grad_out: np.ndarray, first_layer_grad=None
+        self, acts: list[np.ndarray], grad_out: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Parameter gradients for a scalar loss with d(loss)/d(output) given.
-
-        ``first_layer_grad(x, delta)`` stands in for layer 0's ``x.T @ delta``
-        when the cache comes from ``forward(x, first_layer)``.
-        """
+        """Parameter gradients for a scalar loss with d(loss)/d(output) given,
+        from the activations cache of `forward`."""
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[i]
-            if i == 0 and first_layer_grad is not None:
-                grads_w[i] = first_layer_grad(a_prev, delta)
-            else:
-                grads_w[i] = a_prev.T @ delta
+            grads_w[i] = acts[i].T @ delta
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)

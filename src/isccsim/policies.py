@@ -3,11 +3,18 @@ fixed-sequence, and the exact optimum by per-client dynamic programming."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episode import InvariantBroken, Observation, consumption_window, plan_round, run_episode
+from .episode import (
+    EpisodeTrace,
+    InvariantBroken,
+    Observation,
+    consumption_window,
+    plan_round,
+    run_episode,
+)
 from .gain import SensingParams, build_gain_graph
 from .network import Scenario, clone_scenario, step_mobility
 from .pool import PoolBank, PoolConfig
@@ -132,6 +139,7 @@ class OracleResult:
     decisions: tuple[tuple[int, ...], ...]  # per round
     gain: float
     sequences_tried: int
+    trace: EpisodeTrace = field(compare=False)  # the decisions' episode
 
 
 def exhaustive_optimal(
@@ -156,10 +164,10 @@ def exhaustive_optimal(
     keep the larger cumulative gain, on a tie the lexicographically smaller
     prefix, as one rollout per sequence in product order would.
 
-    The decisions are re-simulated once and that trace's cumulative gain is
-    reported; a client-round gain that differs from the program's raises
-    `InvariantBroken`. A round of more than `EXHAUSTIVE_LIMIT` graph rows
-    raises `InstanceTooLarge`. In serial mode every frame starts empty, so
+    The decisions are re-simulated once, and that trace and its cumulative
+    gain are reported; a client-round gain that differs from the program's
+    raises `InvariantBroken`. A round of more than `EXHAUSTIVE_LIMIT` graph
+    rows raises `InstanceTooLarge`. In serial mode every frame starts empty, so
     `GreedyGainPolicy` is optimal.
     """
     n, rounds = len(scenario.clients), schedule.num_rounds
@@ -219,7 +227,7 @@ def exhaustive_optimal(
             raise InvariantBroken(
                 f"round {rec.round_index}: re-simulated gains differ from the dynamic program's"
             )
-    return OracleResult(decisions, trace.cumulative_gain, num_models ** (n * rounds))
+    return OracleResult(decisions, trace.cumulative_gain, num_models ** (n * rounds), trace)
 
 
 BASELINE_POLICIES = {

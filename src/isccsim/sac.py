@@ -1,14 +1,13 @@
 """Discrete soft actor-critic for multi-client model selection.
 
 Centralized training, decentralized execution: one parameter-shared actor maps
-each client's slice of the global state, plus the full state for context, to a
-distribution over models, while twin centralized critics score every
-(client, model) pair from the global state alone. The actor's first layer is
-factorised in the style of Deep Sets: a per-client encoder shared by all
-clients reads the client's own block and model weights, and one global-context
-product of the full state per batch row is added to every client's encoding,
-so the state is never copied once per client. Updates use the team reward,
-soft value targets, and an adaptive temperature driven toward a fixed entropy
+each client's own slice of the global state (its block and its gain weights)
+to a distribution over models, while twin centralized critics score every
+(client, model) pair from the global state alone. Clients never interact, so
+a client's best model depends on its own observation only, and the actor is
+equivariant in the style of Deep Sets without a pooled context term: permuting
+the clients permutes the policy's rows. Updates use the team reward, soft
+value targets, and an adaptive temperature driven toward a fixed entropy
 floor. All math is float64 numpy; gradients are hand-derived and validated
 against finite differences."""
 
@@ -137,10 +136,9 @@ class SacAgent:
                 f"{num_clients} clients x {num_models} models (need {expected})"
             )
         h = config.hidden
-        actor_in = self.block + num_models + state_dim
         # Zero output layers: the starting policy is exactly uniform and the
         # starting value estimates are exactly zero.
-        self.actor = Mlp((actor_in, h, h, num_models), rng, zero_output=True)
+        self.actor = Mlp((self.block + num_models, h, h, num_models), rng, zero_output=True)
         self.critic1 = Mlp((state_dim, h, h, num_clients * num_models), rng,
                            zero_output=True)
         self.critic2 = Mlp((state_dim, h, h, num_clients * num_models), rng,
@@ -162,52 +160,20 @@ class SacAgent:
     # -- state plumbing ----------------------------------------------------
 
     def actor_inputs(self, states: np.ndarray) -> np.ndarray:
-        """(B, D) global states -> (B*N, block + M + D) per-client rows.
-
-        The reference definition of the actor's input: `policy` and
-        `actor_loss` never build these rows (see `_first_layer`)."""
+        """(B, D) global states -> (B*N, block + M) per-client rows: each
+        client's block, then its M gain weights."""
         states = np.atleast_2d(states)
-        b = states.shape[0]
-        n, m = self.num_clients, self.num_models
-        rows = []
-        w_base = n * self.block
-        for i in range(n):
-            own = states[:, i * self.block : (i + 1) * self.block]
-            weights = states[:, w_base + i * m : w_base + (i + 1) * m]
-            rows.append(np.concatenate([own, weights, states], axis=1))
-        return np.stack(rows, axis=1).reshape(b * n, -1)
-
-    def _own_rows(self, states: np.ndarray) -> np.ndarray:
-        """(B, D) states -> (B*N, block + M): each client's block, then its weights."""
         b, n = states.shape[0], self.num_clients
         split = n * self.block
-        own = np.concatenate([states[:, :split].reshape(b, n, self.block),
-                              states[:, split:].reshape(b, n, self.num_models)],
-                             axis=2)
-        return own.reshape(b * n, -1)
-
-    def _first_layer(self, states: np.ndarray, w: np.ndarray,
-                     bias: np.ndarray) -> np.ndarray:
-        """actor_inputs(states) @ w + bias from the (B, D) states: the shared
-        per-client encoder plus one context product per batch row."""
-        b, n, k = states.shape[0], self.num_clients, self.block + self.num_models
-        context = states @ w[k:] + bias
-        z = (self._own_rows(states) @ w[:k]).reshape(b, n, -1)
-        z += context[:, None, :]
-        return z.reshape(b * n, -1)
-
-    def _first_layer_grad(self, states: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """actor_inputs(states).T @ delta for (B*N, h) first-layer deltas."""
-        b = states.shape[0]
-        pooled = delta.reshape(b, self.num_clients, -1).sum(axis=1)
-        return np.vstack([self._own_rows(states).T @ delta, states.T @ pooled])
+        rows = np.concatenate([states[:, :split].reshape(b, n, self.block),
+                               states[:, split:].reshape(b, n, self.num_models)],
+                              axis=2)
+        return rows.reshape(b * n, -1)
 
     def policy(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-client action distributions: (B, N, M) probs and log-probs."""
-        states = np.atleast_2d(states)
-        b = states.shape[0]
-        logits, _ = self.actor.forward(states, first_layer=self._first_layer)
-        logp = log_softmax(logits).reshape(b, self.num_clients, self.num_models)
+        logits, _ = self.actor.forward(self.actor_inputs(states))
+        logp = log_softmax(logits).reshape(-1, self.num_clients, self.num_models)
         return np.exp(logp), logp
 
     def act(self, state: np.ndarray, rng: np.random.Generator | None = None,
@@ -259,7 +225,7 @@ class SacAgent:
         states = batch["states"]
         b = states.shape[0]
         n, m = self.num_clients, self.num_models
-        logits, cache = self.actor.forward(states, first_layer=self._first_layer)
+        logits, cache = self.actor.forward(self.actor_inputs(states))
         logp = log_softmax(logits)
         probs = np.exp(logp)
         q1 = self.critic1.forward(states)[0].reshape(b, n, m)
@@ -270,8 +236,7 @@ class SacAgent:
         loss = float(per_row.mean())
         grad_logits = probs * (g - per_row[:, None]) / per_row.size
         entropy = float(-(probs * logp).sum(axis=1).mean())
-        grads = self.actor.backward(cache, grad_logits,
-                                    first_layer_grad=self._first_layer_grad)
+        grads = self.actor.backward(cache, grad_logits)
         return loss, grads, entropy
 
     def temperature_loss(self, log_alpha: float, entropy: float):
@@ -352,9 +317,11 @@ class SacAgent:
         rng = np.random.default_rng(0)
         agent = cls(header["state_dim"], header["num_clients"],
                     header["num_models"], config, rng)
-        sizes = [tuple(s) for s in header["sizes"]]
-        if sizes != [net.sizes for net in agent._stacks()]:
-            raise ValueError("saved layer sizes do not match this build")
+        sizes = [list(s) for s in header["sizes"]]
+        expected = [list(net.sizes) for net in agent._stacks()]
+        if sizes != expected:
+            raise ValueError(f"saved layer sizes {sizes} do not match this build's "
+                             f"{expected}; retrain the policy")
         k = 0
         for net in agent._stacks():
             net.set_flat(flat[k : k + net.num_params])

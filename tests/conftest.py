@@ -57,14 +57,15 @@ def brute_force_optimal(scenario, schedule, pool_cfg, sensing, num_models) -> Or
     the first sequence with the largest cumulative gain."""
     n = len(scenario.clients)
     r = schedule.num_rounds
-    best_gain, best_seq = -1.0, ()
+    best_gain, best_seq, best_trace = -1.0, (), None
     for seq in itertools.product(range(num_models), repeat=n * r):
         per_round = [list(seq[k * n:(k + 1) * n]) for k in range(r)]
         trace = run_episode(scenario, FixedSequencePolicy(per_round), schedule, pool_cfg, sensing)
         if trace.cumulative_gain > best_gain:
-            best_gain, best_seq = trace.cumulative_gain, seq
+            best_gain, best_seq, best_trace = trace.cumulative_gain, seq, trace
     decisions = tuple(tuple(best_seq[k * n:(k + 1) * n]) for k in range(r))
-    return OracleResult(decisions=decisions, gain=best_gain, sequences_tried=num_models ** (n * r))
+    return OracleResult(decisions=decisions, gain=best_gain,
+                        sequences_tried=num_models ** (n * r), trace=best_trace)
 
 
 def random_problem(rng: np.random.Generator) -> WorkloadProblem:

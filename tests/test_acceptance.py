@@ -175,10 +175,12 @@ def test_criterion_6_gradients_match_finite_differences():
     obs = env.reset()
     agent = SacAgent(obs.state.size, 3, 2, SacConfig(),
                      np.random.default_rng(0))
+    # Each network draws from its own stream, so no network's parameters
+    # depend on the size of another.
+    for k, net in enumerate((agent.actor, agent.critic1, agent.critic2,
+                             agent.target1, agent.target2)):
+        net.set_flat(np.random.default_rng([42, k]).normal(0.0, 0.5, size=net.num_params))
     rng = np.random.default_rng(42)
-    for net in (agent.actor, agent.critic1, agent.critic2,
-                agent.target1, agent.target2):
-        net.set_flat(rng.normal(0.0, 0.5, size=net.num_params))
     batch = {
         "states": rng.random((8, agent.state_dim)),
         "actions": rng.integers(0, 2, size=(8, 3)),

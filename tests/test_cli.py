@@ -10,6 +10,7 @@ from isccsim.cli import COMMANDS, _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
 from isccsim.episode import RoundEnv, audit_trace, run_episode
 from isccsim.gain import GainGraph, SensingParams
+from isccsim.mlp import Mlp
 from isccsim.network import ChannelParams, ScenarioConfig, generate_scenario
 from isccsim.policies import GreedyGainPolicy
 from isccsim.pool import PoolBank, PoolConfig
@@ -294,6 +295,24 @@ def test_simulate_supports_exhaustive_policy(tmp_path):
     assert summary["results"]["mean_gain"] > 0.0
 
 
+def test_simulate_exhaustive_simulates_one_episode_per_seed(tmp_path, monkeypatch):
+    """The oracle's own re-simulation is the episode reported: `simulate`
+    does not replay the optimum a second time."""
+    episodes = []
+
+    def counted(*args, **kwargs):
+        episodes.append(args[0])
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", counted)
+    monkeypatch.setattr(policies, "run_episode", counted)
+    cfg = tiny_config(tmp_path, scenario={**TINY_SCENARIO, "num_clients": 1})
+    assert main(["simulate", "--config", cfg, "--policy", "exhaustive"]) == 0
+    assert len(episodes) == 2
+    per_seed = read_summary(tmp_path / "out")["results"]["per_seed"]
+    assert [p["seed"] for p in per_seed] == [0, 1]
+
+
 # -- compare -----------------------------------------------------------------------
 
 
@@ -499,6 +518,25 @@ def test_eval_unreadable_params_exits_two(tmp_path, capsys, blob):
     params.write_bytes(blob)
     assert main(["eval", "--config", tiny_config(tmp_path), "--params", str(params)]) == 2
     assert capsys.readouterr().err.startswith("config error: params:")
+
+
+def test_eval_stale_params_exits_two(tmp_path, capsys):
+    """A policy file whose actor reads the whole state next to each client's
+    rows, as files saved before the per-client actor did, must be retrained."""
+    cfg = tiny_config(tmp_path, sac=SHORT_SAC)
+    params = tmp_path / "sac" / "params.bin"
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "sac")]) == 0
+    agent = SacAgent.load(str(params))
+    stale_in = agent.block + agent.num_models + agent.state_dim
+    agent.actor = Mlp((stale_in, *agent.actor.sizes[1:]), np.random.default_rng(0))
+    agent.save(str(params))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--params", str(params)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params:")
+    assert "layer sizes" in err
+    assert f"[{stale_in}, " in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_missing_params_exits_two(tmp_path, capsys):

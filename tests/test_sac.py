@@ -1,6 +1,5 @@
 """State encoding, hand-rolled backprop, and the soft actor-critic learner."""
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -21,7 +20,6 @@ from isccsim.sac import (
     SacConfig,
     SacPolicy,
     load_policy,
-    log_softmax,
     train,
 )
 from isccsim.pool import PoolConfig
@@ -356,15 +354,6 @@ def random_agent(n, m, hidden, seed):
     return agent
 
 
-def reference_actor_loss(agent, batch):
-    """`actor_loss` with the first layer on the materialised `actor_inputs`
-    rows, i.e. `actor.forward(actor_inputs(states))` and `actor.backward`."""
-    ref = copy.copy(agent)
-    ref._first_layer = lambda states, w, b: agent.actor_inputs(states) @ w + b
-    ref._first_layer_grad = lambda states, delta: agent.actor_inputs(states).T @ delta
-    return ref.actor_loss(batch)
-
-
 def assert_close(got, expected, rtol=1e-12):
     """Elementwise agreement relative to the largest reference magnitude."""
     scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
@@ -372,32 +361,59 @@ def assert_close(got, expected, rtol=1e-12):
     assert float(np.abs(got - expected).max(initial=0.0)) <= rtol * scale
 
 
+def client_major(agent, states):
+    """(B, D) states -> (B, N, block + M): each client's block, then its weights."""
+    b, n = states.shape[0], agent.num_clients
+    split = n * agent.block
+    return np.concatenate([states[:, :split].reshape(b, n, agent.block),
+                           states[:, split:].reshape(b, n, agent.num_models)], axis=2)
+
+
+def from_client_major(agent, rows):
+    """Inverse of `client_major`: (B, N, block + M) -> (B, D) states."""
+    b = rows.shape[0]
+    return np.concatenate([rows[:, :, :agent.block].reshape(b, -1),
+                           rows[:, :, agent.block:].reshape(b, -1)], axis=1)
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 6), m=st.integers(1, 4), b=st.integers(1, 9),
+@given(n=st.integers(2, 6), m=st.integers(1, 4), b=st.integers(1, 9),
        hidden=st.integers(1, 12), seed=st.integers(0, 2**31))
 @example(n=5, m=3, b=1, hidden=7, seed=0)  # the single row `act` passes
-def test_factorised_actor_matches_materialised_rows(n, m, b, hidden, seed):
+def test_client_policy_reads_only_its_own_rows(n, m, b, hidden, seed):
     agent = random_agent(n, m, hidden, seed)
-    batch = probe_batch(agent, np.random.default_rng(seed + 2), size=b)
-    states = batch["states"]
+    rng = np.random.default_rng(seed + 2)
+    states = rng.random((b, agent.state_dim))
+    i = int(rng.integers(n))
+    rows = client_major(agent, states)
+    others = np.arange(n) != i
+    rows[:, others] = rng.random(rows[:, others].shape)
+    changed = from_client_major(agent, rows)
+    assert not np.array_equal(changed, states)
 
-    logits, _ = agent.actor.forward(agent.actor_inputs(states))
-    factorised, _ = agent.actor.forward(states, first_layer=agent._first_layer)
-    assert_close(factorised, logits)
     probs, logp = agent.policy(states)
-    expected_logp = log_softmax(logits).reshape(b, n, m)
-    assert_close(logp, expected_logp)
-    assert_close(probs, np.exp(expected_logp))
-
-    loss, (grads_w, grads_b), entropy = agent.actor_loss(batch)
-    ref_loss, (ref_w, ref_b), ref_entropy = reference_actor_loss(agent, batch)
-    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
-    assert entropy == pytest.approx(ref_entropy, rel=1e-12, abs=1e-12)
-    for got, expected in zip(grads_w + grads_b, ref_w + ref_b):
-        assert_close(got, expected)
+    probs_changed, logp_changed = agent.policy(changed)
+    assert np.array_equal(probs_changed[:, i], probs[:, i])
+    assert np.array_equal(logp_changed[:, i], logp[:, i])
 
 
-def test_factorised_actor_reads_weights_replaced_by_set_flat(tmp_path):
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(1, 4), b=st.integers(1, 9),
+       hidden=st.integers(1, 12), seed=st.integers(0, 2**31))
+def test_permuting_clients_permutes_policy_rows(n, m, b, hidden, seed):
+    agent = random_agent(n, m, hidden, seed)
+    rng = np.random.default_rng(seed + 2)
+    states = rng.random((b, agent.state_dim))
+    perm = rng.permutation(n)
+    permuted = from_client_major(agent, client_major(agent, states)[:, perm])
+
+    probs, logp = agent.policy(states)
+    probs_perm, logp_perm = agent.policy(permuted)
+    assert_close(logp_perm, logp[:, perm])
+    assert_close(probs_perm, probs[:, perm])
+
+
+def test_actor_reads_weights_replaced_by_set_flat(tmp_path):
     env = tiny_env()
     agent, _ = fresh_agent(env)
     assert agent.num_models > 1
@@ -406,9 +422,7 @@ def test_factorised_actor_reads_weights_replaced_by_set_flat(tmp_path):
 
     agent.actor.set_flat(np.random.default_rng(41).normal(0.0, 0.5, agent.actor.num_params))
     probs, _ = agent.policy(states)
-    logits, _ = agent.actor.forward(agent.actor_inputs(states))
     assert not np.allclose(probs, uniform)
-    assert_close(probs, np.exp(log_softmax(logits)).reshape(probs.shape))
 
     path = tmp_path / "policy.bin"
     agent.save(str(path))
