@@ -7,8 +7,8 @@ and seed list the bytes are identical across runs, except for the volatile
 fields isolated under the summary's "meta" key. Exit codes: 0 success,
 2 usage or configuration error, 3 failed experiment assertion, 4 training
 produced a non-finite loss (its diagnostics go to summary.json), 5 a fault
-of the program itself (the error goes to summary.json). Every exit but 2
-writes summary.json.
+of the program itself (the error goes to summary.json, and simulate keeps the
+trace rows of the seeds that finished). Every exit but 2 writes summary.json.
 """
 
 from __future__ import annotations
@@ -194,18 +194,25 @@ def cmd_simulate(cfg: RunConfig, _args) -> tuple[dict, int]:
     schedule = _schedule_for(cfg)
     pool_cfg = cfg.pool_config()
     rows, per_seed, utilization = [], [], []
-    for seed, trace in _episodes(cfg.policy, cfg):
-        audit = audit_trace(trace, schedule, pool_cfg)
-        rows.extend(_trace_rows(seed, trace))
-        per_seed.append({
-            "seed": seed,
-            "cumulative_gain": trace.cumulative_gain,
-            "violations": len(trace.violations),
-            "audit_ok": audit["ok"],
-            "infeasible_edges": trace.infeasible_edges,
-            "peak_cell_use": audit["max_cell_utilization"],
-        })
-        utilization.append({"seed": seed, "frames": list(trace.utilization)})
+    try:
+        for seed, trace in _episodes(cfg.policy, cfg):
+            audit = audit_trace(trace, schedule, pool_cfg)
+            rows.extend(_trace_rows(seed, trace))
+            per_seed.append({
+                "seed": seed,
+                "cumulative_gain": trace.cumulative_gain,
+                "violations": len(trace.violations),
+                "audit_ok": audit["ok"],
+                "infeasible_edges": trace.infeasible_edges,
+                "peak_cell_use": audit["max_cell_utilization"],
+            })
+            utilization.append({"seed": seed, "frames": list(trace.utilization)})
+    except ConfigError:
+        raise
+    except Exception:
+        # A program fault (exit 5) keeps the rows of the seeds that finished.
+        write_csv(cfg.out, "trace.csv", TRACE_HEADER, rows)
+        raise
     results = {
         "policy": cfg.policy,
         "per_seed": per_seed,

@@ -31,14 +31,18 @@ class Mlp:
         return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes, self.sizes[1:]))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Returns (output, activations cache for backward) for the rows of x."""
+        """Returns (output, activations cache for backward) for the rows of x.
+        Each layer's product is a new array that the bias and tanh then
+        update in place, so x itself is never written."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acts = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == last else np.tanh(z)
+            h = h @ w
+            h += b
+            if i < last:
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
@@ -46,7 +50,9 @@ class Mlp:
         self, acts: list[np.ndarray], grad_out: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Parameter gradients for a scalar loss with d(loss)/d(output) given,
-        from the activations cache of `forward`."""
+        from the activations cache of `forward`. Neither grad_out nor the
+        cache is written: each layer's tanh derivative 1 - a*a (bit for bit
+        1 - a**2) and back-propagated product are new arrays, updated in place."""
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
@@ -54,7 +60,10 @@ class Mlp:
             grads_w[i] = acts[i].T @ delta
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+                deriv = acts[i] * acts[i]
+                np.subtract(1.0, deriv, out=deriv)
+                delta = delta @ self.weights[i].T
+                delta *= deriv
         return grads_w, grads_b
 
     # -- flat parameter view (serialization, finite differences) ----------

@@ -66,8 +66,15 @@ class SacConfig:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ValueError("replay capacity must hold at least one batch")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be nonnegative")
+        for name in ("total_steps", "warmup_steps", "lr_actor", "lr_critic", "lr_alpha"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.updates_per_step < 1:
+            raise ValueError(f"updates_per_step must be at least 1, got {self.updates_per_step}")
+        # Above 1 the entropy target exceeds log M, which no policy reaches.
+        if not 0.0 <= self.target_entropy_factor <= 1.0:
+            raise ValueError("target_entropy_factor must be in [0, 1], "
+                             f"got {self.target_entropy_factor}")
         if self.hidden < 1 or self.eval_interval_episodes < 1:
             raise ValueError("hidden and eval_interval_episodes must be at least 1")
 
@@ -115,7 +122,8 @@ class ReplayBuffer:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 class SacAgent:
@@ -231,12 +239,16 @@ class SacAgent:
         q1 = self.critic1.forward(states)[0].reshape(b, n, m)
         q2 = self.critic2.forward(states)[0].reshape(b, n, m)
         q = np.minimum(q1, q2).reshape(b * n, m)
-        g = self.alpha * logp - q
+        g = self.alpha * logp
+        g -= q
         per_row = (probs * g).sum(axis=1)
         loss = float(per_row.mean())
-        grad_logits = probs * (g - per_row[:, None]) / per_row.size
+        # grad_logits = probs * (g - E_pi[g]) / rows, built in g's buffer.
+        g -= per_row[:, None]
+        g *= probs
+        g /= per_row.size
         entropy = float(-(probs * logp).sum(axis=1).mean())
-        grads = self.actor.backward(cache, grad_logits)
+        grads = self.actor.backward(cache, g)
         return loss, grads, entropy
 
     def temperature_loss(self, log_alpha: float, entropy: float):

@@ -8,7 +8,7 @@ import pytest
 from isccsim import cli, policies
 from isccsim.cli import COMMANDS, _schedule_for, main
 from isccsim.config import ConfigError, RunConfig, parse_seed_list
-from isccsim.episode import RoundEnv, audit_trace, run_episode
+from isccsim.episode import InvariantBroken, RoundEnv, audit_trace, run_episode
 from isccsim.gain import GainGraph, SensingParams
 from isccsim.mlp import Mlp
 from isccsim.network import ChannelParams, ScenarioConfig, generate_scenario
@@ -157,6 +157,29 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     assert summary["meta"]["traceback"][0].startswith("Traceback")
 
 
+def test_program_fault_keeps_trace_rows_of_finished_seeds(tmp_path, monkeypatch):
+    """A fault on the second seed leaves the first seed's trace rows on disk,
+    the same rows a run of the first seed alone writes."""
+    assert main(["simulate", "--config", tiny_config(tmp_path, seeds=[0]), "--policy", "greedy",
+                 "--out", str(tmp_path / "first")]) == 0
+    expected = (tmp_path / "first" / "trace.csv").read_text()
+    episodes = []
+
+    def faulty_run_episode(*args):
+        episodes.append(args)
+        if len(episodes) == 2:
+            raise InvariantBroken("fault on the second seed")
+        return run_episode(*args)
+
+    monkeypatch.setattr(cli, "run_episode", faulty_run_episode)
+    assert main(["simulate", "--config", tiny_config(tmp_path), "--policy", "greedy"]) == 5
+    out = tmp_path / "out"
+    assert read_summary(out)["results"]["error_type"] == "InvariantBroken"
+    rows = (out / "trace.csv").read_text()
+    assert rows == expected
+    assert {line.split(",")[0] for line in rows.splitlines()[1:]} == {"0"}
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("sensing", "epsilon", 0.0),
     ("sensing", "tau_s", -1.0),
@@ -181,6 +204,14 @@ def test_program_fault_exits_five_with_summary(tmp_path, monkeypatch, capsys):
     ("scenario", "channel", {"path_loss_exp": float("nan")}),
     ("sac", "lr_actor", float("nan")),
     ("sac", "target_gain", float("inf")),
+    ("sac", "updates_per_step", 0),
+    ("sac", "updates_per_step", -1),
+    ("sac", "warmup_steps", -1),
+    ("sac", "lr_actor", -1e-4),
+    ("sac", "lr_critic", -1e-4),
+    ("sac", "lr_alpha", -1e-4),
+    ("sac", "target_entropy_factor", 1.5),
+    ("sac", "target_entropy_factor", -0.1),
     ("scenario", "ws_radius_m", float("inf")),
     ("sensing", "tau_s", float("inf")),
 ])

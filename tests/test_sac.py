@@ -11,7 +11,7 @@ from conftest import random_scenarios
 from isccsim.encoding import LayoutMismatch, default_norms, encode_state, layout_length
 from isccsim.episode import RoundEnv
 from isccsim.gain import SensingParams, build_gain_graph
-from isccsim.mlp import Mlp, gradient_check, scalar_gradient_check
+from isccsim.mlp import Mlp, gradient_check, interleave, scalar_gradient_check
 from isccsim.network import ScenarioConfig, generate_scenario, spectral_efficiency
 from isccsim.policies import RandomPolicy
 from isccsim.sac import (
@@ -20,6 +20,7 @@ from isccsim.sac import (
     SacConfig,
     SacPolicy,
     load_policy,
+    log_softmax,
     train,
 )
 from isccsim.pool import PoolConfig
@@ -177,8 +178,6 @@ def test_action_distributions_sum_to_one():
 
 
 def test_softmax_shift_invariance():
-    from isccsim.sac import log_softmax
-
     logits = np.random.default_rng(3).normal(size=(4, 6))
     assert np.allclose(log_softmax(logits), log_softmax(logits + 11.25))
 
@@ -451,6 +450,154 @@ def test_temperature_gradient_matches_finite_differences():
         agent.log_alpha, lambda la: agent.temperature_loss(la, entropy=0.31)
     )
     assert err <= 1e-4
+
+
+# -- in-place arithmetic ---------------------------------------------------------
+# The network and loss code updates its own temporaries in place. These
+# references are the allocating formulas it replaced; results must match
+# them bit for bit, and no caller-owned array may be written.
+
+
+def reference_forward(net, x):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    acts = [x]
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        h = z if i == last else np.tanh(z)
+        acts.append(h)
+    return h, acts
+
+
+def reference_backward(net, acts, grad_out):
+    grads_w = [np.empty(0)] * len(net.weights)
+    grads_b = [np.empty(0)] * len(net.biases)
+    delta = np.asarray(grad_out, dtype=np.float64)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+    return grads_w, grads_b
+
+
+def reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def reference_actor_loss(agent, batch):
+    states = batch["states"]
+    b = states.shape[0]
+    n, m = agent.num_clients, agent.num_models
+    logits, cache = reference_forward(agent.actor, agent.actor_inputs(states))
+    logp = reference_log_softmax(logits)
+    probs = np.exp(logp)
+    q1 = reference_forward(agent.critic1, states)[0].reshape(b, n, m)
+    q2 = reference_forward(agent.critic2, states)[0].reshape(b, n, m)
+    q = np.minimum(q1, q2).reshape(b * n, m)
+    g = agent.alpha * logp - q
+    per_row = (probs * g).sum(axis=1)
+    loss = float(per_row.mean())
+    grad_logits = probs * (g - per_row[:, None]) / per_row.size
+    entropy = float(-(probs * logp).sum(axis=1).mean())
+    return loss, reference_backward(agent.actor, cache, grad_logits), entropy
+
+
+def random_net(sizes, seed):
+    """A net with every weight and bias random, so no layer adds zeros."""
+    rng = np.random.default_rng(seed)
+    net = Mlp(sizes, rng)
+    net.set_flat(rng.normal(0.0, 0.8, net.num_params))
+    return net
+
+
+def assert_all_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+NET_SIZES = [(5, 3), (5, 7, 3), (5, 7, 6, 3)]
+
+
+@pytest.mark.parametrize("sizes", NET_SIZES)
+@pytest.mark.parametrize("rows", [1, 2, 37])
+def test_mlp_matches_allocating_formulas_bit_for_bit(sizes, rows):
+    net = random_net(sizes, [60, len(sizes), rows])
+    rng = np.random.default_rng([61, len(sizes), rows])
+    x = rng.normal(0.0, 2.0, (rows, sizes[0]))
+    out, acts = net.forward(x)
+    ref_out, ref_acts = reference_forward(net, x)
+    assert np.array_equal(out, ref_out)
+    assert_all_equal(acts, ref_acts)
+
+    grad_out = rng.normal(size=out.shape)
+    grads = net.backward(acts, grad_out)
+    assert_all_equal(interleave(*grads), interleave(*reference_backward(net, ref_acts, grad_out)))
+
+
+@pytest.mark.parametrize("sizes", NET_SIZES)
+def test_mlp_forward_of_one_vector_matches_allocating_formulas(sizes):
+    net = random_net(sizes, [62, len(sizes)])
+    x = np.random.default_rng([63, len(sizes)]).normal(size=sizes[0])
+    out, acts = net.forward(x)
+    ref_out, ref_acts = reference_forward(net, x)
+    assert out.shape == (1, sizes[-1])
+    assert np.array_equal(out, ref_out)
+    assert_all_equal(acts, ref_acts)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (7, 4), (3, 5, 6)])
+def test_log_softmax_matches_allocating_formula_bit_for_bit(shape):
+    rng = np.random.default_rng([64, *shape])
+    logits = rng.normal(0.0, 30.0, shape)
+    kept = logits.copy()
+    assert np.array_equal(log_softmax(logits), reference_log_softmax(logits))
+    assert np.array_equal(logits, kept)
+
+
+@pytest.mark.parametrize("hidden", [1, 9])
+def test_actor_loss_matches_allocating_formulas_bit_for_bit(hidden):
+    agent = random_agent(4, 3, hidden, seed=65)
+    agent.log_alpha = -0.7
+    batch = probe_batch(agent, np.random.default_rng(66), size=6)
+    loss, grads, entropy = agent.actor_loss(batch)
+    ref_loss, ref_grads, ref_entropy = reference_actor_loss(agent, batch)
+    assert (loss, entropy) == (ref_loss, ref_entropy)
+    assert_all_equal(interleave(*grads), interleave(*ref_grads))
+
+
+@pytest.mark.parametrize("sizes", NET_SIZES)
+def test_mlp_writes_no_caller_array(sizes):
+    """forward leaves x unchanged; backward leaves grad_out and every array
+    of the activations cache unchanged, so the cache can be reused."""
+    net = random_net(sizes, [67, len(sizes)])
+    rng = np.random.default_rng([68, len(sizes)])
+    x = rng.normal(size=(9, sizes[0]))
+    x_kept = x.copy()
+    out, acts = net.forward(x)
+    assert np.array_equal(x, x_kept)
+    acts_kept = [a.copy() for a in acts]
+    grad_out = rng.normal(size=out.shape)
+    grad_kept = grad_out.copy()
+    first = net.backward(acts, grad_out)
+    assert np.array_equal(grad_out, grad_kept)
+    assert_all_equal(acts, acts_kept)
+    assert np.array_equal(x, x_kept)
+    assert_all_equal(interleave(*net.backward(acts, grad_out)), interleave(*first))
+
+
+def test_update_writes_no_batch_array():
+    agent = random_agent(4, 3, 9, seed=69)
+    batch = probe_batch(agent, np.random.default_rng(70), size=6)
+    kept = {k: v.copy() for k, v in batch.items()}
+    agent.update(batch)
+    assert batch.keys() == kept.keys()
+    for key, value in kept.items():
+        assert np.array_equal(batch[key], value)
 
 
 # -- replay buffer --------------------------------------------------------------
