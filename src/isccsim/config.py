@@ -73,6 +73,8 @@ class RunConfig:
             raise ConfigError("seeds", "must list at least one seed")
         if any(type(s) is not int for s in self.seeds):
             raise ConfigError("seeds", "seeds must be integers")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds", f"seeds must be nonnegative, got {list(self.seeds)}")
         _check_ints(vars(self), RunConfig)
         if self.rounds < 1:
             raise ConfigError("rounds", "must be at least 1")

@@ -30,16 +30,33 @@ class Mlp:
     def num_params(self) -> int:
         return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes, self.sizes[1:]))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def scratch(self, rows: int) -> list[tuple]:
+        """Arrays that `forward` and `backward` over `rows` rows can write
+        instead of allocating: for each layer, its output and, except for
+        layer 0, the gradient at its input and the tanh derivative there.
+        Those gradients alternate between two buffers and the derivatives
+        share one, the most that backward holds at a time."""
+        width = max(self.sizes[1:-1], default=0)
+        flat = [np.empty(rows * width) for _ in range(3)]
+        scratch: list[tuple] = [(np.empty((rows, self.sizes[1])), None, None)]
+        for i, n in enumerate(self.sizes[1:-1], start=1):
+            scratch.append((np.empty((rows, self.sizes[i + 1])),
+                            flat[i % 2][: rows * n].reshape(rows, n),
+                            flat[2][: rows * n].reshape(rows, n)))
+        return scratch
+
+    def forward(self, x: np.ndarray, scratch: list[tuple] | None = None
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns (output, activations cache for backward) for the rows of x.
-        Each layer's product is a new array that the bias and tanh then
-        update in place, so x itself is never written."""
+        Each layer's product goes to a new array, or to its `scratch` output
+        when given, which the bias and tanh then update in place; x itself
+        is never written."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acts = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+            h = np.matmul(h, w, out=None if scratch is None else scratch[i][0])
             h += b
             if i < last:
                 np.tanh(h, out=h)
@@ -47,12 +64,14 @@ class Mlp:
         return h, acts
 
     def backward(
-        self, acts: list[np.ndarray], grad_out: np.ndarray
+        self, acts: list[np.ndarray], grad_out: np.ndarray,
+        scratch: list[tuple] | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Parameter gradients for a scalar loss with d(loss)/d(output) given,
         from the activations cache of `forward`. Neither grad_out nor the
         cache is written: each layer's tanh derivative 1 - a*a (bit for bit
-        1 - a**2) and back-propagated product are new arrays, updated in place."""
+        1 - a**2) and back-propagated product are new arrays, or `scratch`
+        buffers when given, updated in place."""
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
@@ -60,9 +79,10 @@ class Mlp:
             grads_w[i] = acts[i].T @ delta
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
-                deriv = acts[i] * acts[i]
+                _, delta_out, deriv_out = (None,) * 3 if scratch is None else scratch[i]
+                deriv = np.multiply(acts[i], acts[i], out=deriv_out)
                 np.subtract(1.0, deriv, out=deriv)
-                delta = delta @ self.weights[i].T
+                delta = np.matmul(delta, self.weights[i].T, out=delta_out)
                 delta *= deriv
         return grads_w, grads_b
 

@@ -66,7 +66,7 @@ class SacConfig:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ValueError("replay capacity must hold at least one batch")
-        for name in ("total_steps", "warmup_steps", "lr_actor", "lr_critic", "lr_alpha"):
+        for name in ("total_steps", "warmup_steps", "lr_actor", "lr_critic", "lr_alpha", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.updates_per_step < 1:
@@ -121,7 +121,12 @@ class ReplayBuffer:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The row max as a fold of np.maximum over the few model columns: exact
+    # in any order, and much cheaper than max(axis=-1) over a short axis.
+    top = logits[..., :1].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., j : j + 1], out=top)
+    shifted = logits - top
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
@@ -160,6 +165,10 @@ class SacAgent:
         self.opt_critic2 = Adam(config.lr_critic)
         self.opt_alpha = Adam(config.lr_alpha)
         self._alpha_param = np.zeros(1)
+        # The actor's large arrays in `update`, reused from one update to the
+        # next: freed each time, the memory would go back to the OS and be
+        # faulted in again.
+        self._scratch: list[tuple] | None = None
 
     @property
     def alpha(self) -> float:
@@ -178,9 +187,10 @@ class SacAgent:
                               axis=2)
         return rows.reshape(b * n, -1)
 
-    def policy(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def policy(self, states: np.ndarray, scratch: list[tuple] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
         """Per-client action distributions: (B, N, M) probs and log-probs."""
-        logits, _ = self.actor.forward(self.actor_inputs(states))
+        logits, _ = self.actor.forward(self.actor_inputs(states), scratch)
         logp = log_softmax(logits).reshape(-1, self.num_clients, self.num_models)
         return np.exp(logp), logp
 
@@ -197,12 +207,12 @@ class SacAgent:
 
     # -- losses (pure in the parameters, reusable for finite differences) ---
 
-    def critic_targets(self, batch: dict) -> np.ndarray:
+    def critic_targets(self, batch: dict, scratch: list[tuple] | None = None) -> np.ndarray:
         """Soft one-step targets y (B, N), no gradient flows through these."""
         nxt = batch["next_states"]
         b = nxt.shape[0]
         n, m = self.num_clients, self.num_models
-        probs, logp = self.policy(nxt)
+        probs, logp = self.policy(nxt, scratch)
         q1 = self.target1.forward(nxt)[0].reshape(b, n, m)
         q2 = self.target2.forward(nxt)[0].reshape(b, n, m)
         soft_q = np.minimum(q1, q2) - self.alpha * logp
@@ -223,7 +233,7 @@ class SacAgent:
         grad_out[rows, cols] = 2.0 * diff / diff.size
         return loss, critic.backward(cache, grad_out)
 
-    def actor_loss(self, batch: dict):
+    def actor_loss(self, batch: dict, scratch: list[tuple] | None = None):
         """Expected (alpha*log pi - min Q) under the current policy.
 
         With z the logits, d/dz of sum_a pi_a (alpha log pi_a - q_a) reduces
@@ -233,7 +243,7 @@ class SacAgent:
         states = batch["states"]
         b = states.shape[0]
         n, m = self.num_clients, self.num_models
-        logits, cache = self.actor.forward(self.actor_inputs(states))
+        logits, cache = self.actor.forward(self.actor_inputs(states), scratch)
         logp = log_softmax(logits)
         probs = np.exp(logp)
         q1 = self.critic1.forward(states)[0].reshape(b, n, m)
@@ -248,7 +258,7 @@ class SacAgent:
         g *= probs
         g /= per_row.size
         entropy = float(-(probs * logp).sum(axis=1).mean())
-        grads = self.actor.backward(cache, g)
+        grads = self.actor.backward(cache, g, scratch)
         return loss, grads, entropy
 
     def temperature_loss(self, log_alpha: float, entropy: float):
@@ -259,13 +269,16 @@ class SacAgent:
     # -- one gradient step ---------------------------------------------------
 
     def update(self, batch: dict) -> dict:
-        targets = self.critic_targets(batch)
+        rows = batch["states"].shape[0] * self.num_clients
+        if self._scratch is None or self._scratch[0][0].shape[0] != rows:
+            self._scratch = self.actor.scratch(rows)
+        targets = self.critic_targets(batch, self._scratch)
         loss1, grads1 = self.critic_loss(self.critic1, batch, targets)
         loss2, grads2 = self.critic_loss(self.critic2, batch, targets)
         self.opt_critic1.step(self.critic1.params(), interleave(*grads1))
         self.opt_critic2.step(self.critic2.params(), interleave(*grads2))
 
-        actor_loss, actor_grads, entropy = self.actor_loss(batch)
+        actor_loss, actor_grads, entropy = self.actor_loss(batch, self._scratch)
         self.opt_actor.step(self.actor.params(), interleave(*actor_grads))
 
         alpha_loss, alpha_grad = self.temperature_loss(self.log_alpha, entropy)

@@ -212,6 +212,7 @@ def test_program_fault_keeps_trace_rows_of_finished_seeds(tmp_path, monkeypatch)
     ("sac", "lr_alpha", -1e-4),
     ("sac", "target_entropy_factor", 1.5),
     ("sac", "target_entropy_factor", -0.1),
+    ("sac", "seed", -1),
     ("scenario", "ws_radius_m", float("inf")),
     ("sensing", "tau_s", float("inf")),
 ])
@@ -235,6 +236,7 @@ def test_invalid_section_values_exit_two(tmp_path, capsys, section, field, value
     ("out", ""),
     ("out", 5),
     ("params", 5),
+    ("seeds", [-3]),
 ])
 def test_invalid_top_level_values_exit_two(tmp_path, capsys, field, value):
     rc = main(["simulate", "--config", tiny_config(tmp_path, **{field: value})])
@@ -520,7 +522,7 @@ def test_train_then_eval_matches_final_evaluation(tmp_path):
 
 
 def test_non_finite_training_exits_four_with_diagnostics(tmp_path, monkeypatch, capsys):
-    def nan_targets(self, batch):
+    def nan_targets(self, batch, scratch=None):
         return np.full((batch["rewards"].size, self.num_clients), np.nan)
 
     monkeypatch.setattr(SacAgent, "critic_targets", nan_targets)

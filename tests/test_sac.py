@@ -550,13 +550,18 @@ def test_mlp_forward_of_one_vector_matches_allocating_formulas(sizes):
     assert_all_equal(acts, ref_acts)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (7, 4), (3, 5, 6)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (7, 4), (3, 5, 6), (400, 4)])
 def test_log_softmax_matches_allocating_formula_bit_for_bit(shape):
+    """On random logits, on ties at the row max (signed zeros among them) and
+    on magnitudes up to 1e300, the row max folded over the columns gives the
+    max(axis=-1) formula exactly."""
     rng = np.random.default_rng([64, *shape])
-    logits = rng.normal(0.0, 30.0, shape)
-    kept = logits.copy()
-    assert np.array_equal(log_softmax(logits), reference_log_softmax(logits))
-    assert np.array_equal(logits, kept)
+    for logits in (rng.normal(0.0, 30.0, shape),
+                   rng.choice([-1.5, -0.0, 0.0, 2.0, 2.0], shape),
+                   rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300, shape)):
+        kept = logits.copy()
+        assert np.array_equal(log_softmax(logits), reference_log_softmax(logits))
+        assert np.array_equal(logits, kept)
 
 
 @pytest.mark.parametrize("hidden", [1, 9])
@@ -588,6 +593,63 @@ def test_mlp_writes_no_caller_array(sizes):
     assert_all_equal(acts, acts_kept)
     assert np.array_equal(x, x_kept)
     assert_all_equal(interleave(*net.backward(acts, grad_out)), interleave(*first))
+
+
+def scratch_buffers(scratch):
+    return [a for layer in scratch for a in layer if a is not None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+       rows=st.integers(1, 40), seed=st.integers(0, 2**31))
+def test_mlp_scratch_path_matches_allocating_path(sizes, rows, seed):
+    """forward/backward writing into `Mlp.scratch` buffers give the outputs,
+    cache and gradients of the path without them, bit for bit, read nothing
+    stale from the buffers, and write no array of the caller's."""
+    net = random_net(tuple(sizes), seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 2.0, (rows, sizes[0]))
+    grad_out = rng.normal(size=(rows, sizes[-1]))
+    kept = [x.copy(), grad_out.copy()] + [p.copy() for p in net.params()]
+    _, acts = net.forward(x)
+    grads = interleave(*net.backward(acts, grad_out))
+
+    scratch = net.scratch(rows)
+    buffers = scratch_buffers(scratch)
+    for a in buffers:
+        a.fill(np.nan)
+    s_out, s_acts = net.forward(x, scratch)
+    assert s_out is scratch[-1][0]
+    assert_all_equal(s_acts, acts)
+    s_acts_kept = [a.copy() for a in s_acts]
+    s_grads = interleave(*net.backward(s_acts, grad_out, scratch))
+    assert_all_equal(s_grads, grads)
+    assert_all_equal(s_acts, s_acts_kept)
+    assert_all_equal([x, grad_out] + net.params(), kept)
+    assert not any(np.shares_memory(g, a) for g in s_grads for a in buffers)
+    assert_all_equal(interleave(*net.backward(s_acts, grad_out, scratch)), grads)
+
+
+def test_update_reuses_its_scratch_and_act_leaves_it_alone():
+    """Updates after the first write the actor's large arrays into the same
+    buffers, and an `act` between two updates changes nothing they compute."""
+    rng = np.random.default_rng(71)
+    agent, twin = random_agent(4, 3, 9, seed=72), random_agent(4, 3, 9, seed=72)
+    first, second = probe_batch(agent, rng, size=6), probe_batch(agent, rng, size=6)
+    assert agent.update(first) == twin.update(first)
+    buffers = scratch_buffers(agent._scratch)
+
+    agent.act(second["states"][0], np.random.default_rng(73))
+    actor_before = agent.actor.clone()
+    assert agent.update(second) == twin.update(second)
+    again = scratch_buffers(agent._scratch)
+    assert len(again) == len(buffers) and all(a is b for a, b in zip(again, buffers))
+    # The last forward of the update, actor_loss's, is in the output buffer.
+    logits = actor_before.forward(agent.actor_inputs(second["states"]))[0]
+    assert np.array_equal(agent._scratch[-1][0], logits)
+    for net, twin_net in zip(agent._stacks(), twin._stacks()):
+        assert np.array_equal(net.get_flat(), twin_net.get_flat())
+    assert agent.log_alpha == twin.log_alpha
 
 
 def test_update_writes_no_batch_array():
