@@ -368,8 +368,9 @@ def cmd_train(cfg: RunConfig, _args) -> tuple[dict, int]:
     final_eval = evaluate(env, result.agent)
     write_curve(cfg.out, result.curve)
     params_path = os.path.join(cfg.out, "params.bin")
-    result.agent.save(params_path, norms=env.norms,
-                      extra={"run_config": cfg.to_dict()})
+    # The echo leaves `out` out, so a policy's bytes do not depend on where it is written.
+    run_config = {k: v for k, v in cfg.to_dict().items() if k != "out"}
+    result.agent.save(params_path, norms=env.norms, extra={"run_config": run_config})
     results = {
         "steps": result.steps,
         "episodes": len(result.curve),

@@ -33,16 +33,16 @@ class Mlp:
     def scratch(self, rows: int) -> list[tuple]:
         """Arrays that `forward` and `backward` over `rows` rows can write
         instead of allocating: for each layer, its output and, except for
-        layer 0, the gradient at its input and the tanh derivative there.
-        Those gradients alternate between two buffers and the derivatives
-        share one, the most that backward holds at a time."""
+        layer 0, a view at the width of its input of one product buffer that
+        all layers share, sized for the widest hidden layer. Backward turns
+        each hidden output into the delta below it, so that buffer is the
+        only one it adds."""
         width = max(self.sizes[1:-1], default=0)
-        flat = [np.empty(rows * width) for _ in range(3)]
-        scratch: list[tuple] = [(np.empty((rows, self.sizes[1])), None, None)]
+        product = np.empty(rows * width)
+        scratch: list[tuple] = [(np.empty((rows, self.sizes[1])), None)]
         for i, n in enumerate(self.sizes[1:-1], start=1):
             scratch.append((np.empty((rows, self.sizes[i + 1])),
-                            flat[i % 2][: rows * n].reshape(rows, n),
-                            flat[2][: rows * n].reshape(rows, n)))
+                            product[: rows * n].reshape(rows, n)))
         return scratch
 
     def forward(self, x: np.ndarray, scratch: list[tuple] | None = None
@@ -68,10 +68,15 @@ class Mlp:
         scratch: list[tuple] | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Parameter gradients for a scalar loss with d(loss)/d(output) given,
-        from the activations cache of `forward`. Neither grad_out nor the
-        cache is written: each layer's tanh derivative 1 - a*a (bit for bit
-        1 - a**2) and back-propagated product are new arrays, or `scratch`
-        buffers when given, updated in place."""
+        from the activations cache of `forward`. Each hidden layer's tanh
+        derivative 1 - a*a (bit for bit 1 - a**2) is multiplied by the
+        back-propagated product in place, once the layer's gradients have
+        read its activation. Without `scratch` both are new arrays and
+        nothing the caller passed is written. With it, the derivative of
+        acts[i] goes to layer i-1's `scratch` output, where forward put
+        acts[i], which then holds the next delta, and the product to the
+        shared product buffer: backward overwrites the hidden activations
+        there and leaves the cache's input and output alone."""
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
@@ -79,11 +84,12 @@ class Mlp:
             grads_w[i] = acts[i].T @ delta
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
-                _, delta_out, deriv_out = (None,) * 3 if scratch is None else scratch[i]
+                deriv_out, product_out = (None, None) if scratch is None else (
+                    scratch[i - 1][0], scratch[i][1])
                 deriv = np.multiply(acts[i], acts[i], out=deriv_out)
                 np.subtract(1.0, deriv, out=deriv)
-                delta = np.matmul(delta, self.weights[i].T, out=delta_out)
-                delta *= deriv
+                deriv *= np.matmul(delta, self.weights[i].T, out=product_out)
+                delta = deriv
         return grads_w, grads_b
 
     # -- flat parameter view (serialization, finite differences) ----------

@@ -521,6 +521,17 @@ def test_train_then_eval_matches_final_evaluation(tmp_path):
     )
 
 
+def test_params_file_does_not_depend_on_out(tmp_path):
+    cfg = train_config(tmp_path)
+    first, second = tmp_path / "a", tmp_path / "elsewhere" / "b"
+    for out in (first, second):
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    blob = (first / "params.bin").read_bytes()
+    assert (second / "params.bin").read_bytes() == blob
+    assert main(["eval", "--config", cfg, "--params", str(second / "params.bin")]) == 0
+    assert read_summary(tmp_path / "out")["results"]["per_seed"][0]["seed"] == 0
+
+
 def test_non_finite_training_exits_four_with_diagnostics(tmp_path, monkeypatch, capsys):
     def nan_targets(self, batch, scratch=None):
         return np.full((batch["rewards"].size, self.num_clients), np.nan)

@@ -599,19 +599,37 @@ def scratch_buffers(scratch):
     return [a for layer in scratch for a in layer if a is not None]
 
 
+def scratch_nbytes(scratch):
+    """Bytes of the distinct arrays under a scratch set's arrays and views."""
+    owners = {}
+    for a in scratch_buffers(scratch):
+        owner = a if a.base is None else a.base
+        owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
+
+
+def scratch_formula_nbytes(sizes, rows):
+    """Each layer's output plus one product buffer as wide as the widest
+    hidden layer, in float64."""
+    return 8 * rows * (sum(sizes[1:]) + max(sizes[1:-1], default=0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
        rows=st.integers(1, 40), seed=st.integers(0, 2**31))
 def test_mlp_scratch_path_matches_allocating_path(sizes, rows, seed):
     """forward/backward writing into `Mlp.scratch` buffers give the outputs,
     cache and gradients of the path without them, bit for bit, read nothing
-    stale from the buffers, and write no array of the caller's."""
+    stale from the buffers, and write no array of the caller's. Backward
+    overwrites only the hidden activations, which the set owns, and a new
+    forward into the set makes it ready for the next backward."""
     net = random_net(tuple(sizes), seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 2.0, (rows, sizes[0]))
     grad_out = rng.normal(size=(rows, sizes[-1]))
     kept = [x.copy(), grad_out.copy()] + [p.copy() for p in net.params()]
     _, acts = net.forward(x)
+    acts_kept = [a.copy() for a in acts]
     grads = interleave(*net.backward(acts, grad_out))
 
     scratch = net.scratch(rows)
@@ -620,14 +638,34 @@ def test_mlp_scratch_path_matches_allocating_path(sizes, rows, seed):
         a.fill(np.nan)
     s_out, s_acts = net.forward(x, scratch)
     assert s_out is scratch[-1][0]
+    assert s_acts[0] is x
+    assert all(a is layer[0] for a, layer in zip(s_acts[1:], scratch))
     assert_all_equal(s_acts, acts)
-    s_acts_kept = [a.copy() for a in s_acts]
     s_grads = interleave(*net.backward(s_acts, grad_out, scratch))
     assert_all_equal(s_grads, grads)
-    assert_all_equal(s_acts, s_acts_kept)
+    assert np.array_equal(s_acts[0], acts[0])
+    assert np.array_equal(s_acts[-1], acts[-1])
     assert_all_equal([x, grad_out] + net.params(), kept)
     assert not any(np.shares_memory(g, a) for g in s_grads for a in buffers)
+
+    net.forward(x, scratch)
     assert_all_equal(interleave(*net.backward(s_acts, grad_out, scratch)), grads)
+    # A cache from a forward without the set is read, never written.
+    assert_all_equal(interleave(*net.backward(acts, grad_out, scratch)), grads)
+    assert_all_equal(acts, acts_kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+       rows=st.integers(1, 40))
+def test_mlp_scratch_holds_outputs_and_one_product_buffer(sizes, rows):
+    net = Mlp(tuple(sizes), np.random.default_rng(0))
+    assert scratch_nbytes(net.scratch(rows)) == scratch_formula_nbytes(sizes, rows)
+
+
+def test_default_actor_scratch_footprint():
+    net = Mlp((12, 64, 64, 4), np.random.default_rng(0))
+    assert scratch_nbytes(net.scratch(12_800)) == 20_070_400
 
 
 def test_update_reuses_its_scratch_and_act_leaves_it_alone():
@@ -638,6 +676,8 @@ def test_update_reuses_its_scratch_and_act_leaves_it_alone():
     first, second = probe_batch(agent, rng, size=6), probe_batch(agent, rng, size=6)
     assert agent.update(first) == twin.update(first)
     buffers = scratch_buffers(agent._scratch)
+    rows = first["states"].shape[0] * agent.num_clients
+    assert scratch_nbytes(agent._scratch) == scratch_formula_nbytes(agent.actor.sizes, rows)
 
     agent.act(second["states"][0], np.random.default_rng(73))
     actor_before = agent.actor.clone()
