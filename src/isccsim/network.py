@@ -66,12 +66,14 @@ class Target:
 
 @dataclass(frozen=True)
 class ModelArrays:
-    """Per-scenario constants of the (client, model) edges.
+    """Per-scenario constants of the (client, model) edges and the edge
+    servers.
 
     Model m is variant m % V of edge server m // V.
     """
 
     edge_of_model: np.ndarray  # (M,) edge server index
+    edge_positions: np.ndarray  # (E, 2) edge server positions
     mixtures: np.ndarray       # (M, K) class mixtures, strictly positive
     sizes: np.ndarray          # (3, N, M) download bits, upload bits, cycles per sample
     vs: np.ndarray             # (N, M) bool: camera sensing, else wireless
@@ -92,7 +94,7 @@ class Scenario:
     # Targets and sensing radii never change, so their arrays are built on
     # first use and shared by every clone of the scenario.
     _sense_arrays: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
-    # Likewise client task sizes, sensing modes and the edges' models.
+    # Likewise client task sizes, sensing modes, the edges' models and positions.
     _model_arrays: ModelArrays | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -101,23 +103,31 @@ class Scenario:
         self.velocities = np.array(self.velocities, dtype=float).reshape(n, 2)
 
     def sense_arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only target x, target y, (T, K) class one-hot and each
-        target's index in `targets`, all in x order; then the (N,) sensing
-        radii, their squares and their `SENSE_BAND` half-widths. A negative
-        or NaN radius raises ValueError."""
+        """Read-only target x, the (4, T) target operand
+        [-2x; -2y; 1; x*x + y*y], the (T, K) class one-hot and each target's
+        index in `targets`, all in x order; then the (N,) sensing radii,
+        their squares and the parts of their margins that do not depend on
+        the client's position: the `SENSE_BAND` half-width plus the target
+        term of the product's error bound (see `SENSE_ERR`). A negative or
+        NaN radius raises ValueError."""
         if self._sense_arrays is None:
             t = len(self.targets)
             xy = np.array([tg.position for tg in self.targets], dtype=float).reshape(t, 2)
             order = np.argsort(xy[:, 0], kind="stable")
+            tx, ty = xy[order, 0], xy[order, 1]
+            operand = np.vstack((-2.0 * tx, -2.0 * ty, np.ones(t), tx * tx + ty * ty))
+            t2_max = operand[3].max(initial=0.0)
+            # Written so that NaN gives an infinite margin too.
+            targets_err = SENSE_ERR * (t2_max + _TINY) if t2_max <= SENSE_T2_MAX else np.inf
             onehot = np.zeros((t, self.num_classes))
             onehot[np.arange(t), np.array([self.targets[j].class_id for j in order], dtype=int)] = 1.0
             radii = np.array([c.sensing_radius_m for c in self.clients], dtype=float)
             if not (radii >= 0.0).all():
                 raise ValueError("sensing radii must be >= 0")
             r2 = np.square(radii)
-            # An infinite band re-decides all of a client's pairs.
+            # An infinite margin re-decides all of a client's pairs.
             band = np.where((r2 >= _TINY) & (r2 <= SENSE_R2_MAX), SENSE_BAND * r2, np.inf)
-            self._sense_arrays = (xy[order, 0], xy[order, 1], onehot, order, radii, r2, band)
+            self._sense_arrays = (tx, operand, onehot, order, radii, r2, band + targets_err)
             for a in self._sense_arrays:
                 a.flags.writeable = False
         return self._sense_arrays
@@ -149,6 +159,7 @@ class Scenario:
             vs = [c.sensing_mode is SensingMode.VS for c in self.clients]
             arrays = ModelArrays(
                 edge_of_model=np.array([m // variants for m in models], dtype=int),
+                edge_positions=np.array([e.position for e in self.edges], dtype=float),
                 mixtures=mixtures,
                 sizes=sizes,
                 vs=np.repeat(np.array(vs, dtype=bool).reshape(n, 1), len(models), axis=1),
@@ -289,7 +300,7 @@ def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
     in the scalar definition's order: each entry equals it bit for bit.
     """
     ch = scenario.channel
-    edges = np.array([e.position for e in scenario.edges], dtype=float).reshape(-1, 2)
+    edges = scenario.model_arrays().edge_positions
     dx, dy = (scenario.positions[:, None] - edges).transpose(2, 0, 1).reshape(2, -1).tolist()
     d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
     d = np.where(ch.min_distance_m > d, ch.min_distance_m, d)  # max(d, min_distance_m)
@@ -306,36 +317,70 @@ def sense_targets(pos: tuple[float, float], radius: float, targets: list[Target]
 
 # Clients sensed per block: bounds the (block, T) temporaries of one pass.
 SENSE_BLOCK = 32
-# Relative half-width of the band around r^2 where `distance_m` re-decides
-# the squared test. With u = 2^-53, d^2 and r*r are within 2u and u of the
-# exact squares and math.hypot within 2u of the distance, so the two tests
-# agree wherever |d^2 - r^2| > 8u r^2, if r^2 is normal (a subnormal square
-# then errs by under u r^2) and at most SENSE_R2_MAX (an overflowing d^2 is
-# then outside by both). Other clients have all their pairs re-decided.
+# Each client row c = [x, y, x*x + y*y, 1] times the target operand column
+# [-2tx, -2ty, 1, tx*tx + ty*ty] gives d^2 = (x - tx)^2 + (y - ty)^2 in one
+# product. With u = 2^-53, the two squared norms are within gamma_2 (about
+# 2u) of their exact values, and a dot product of 4 terms in any order is
+# within gamma_4 (about 4u) of the sum of its terms times the sum of their
+# magnitudes (Higham 2002, section 3.1). So the product errs by at most
+# 6.01u (x^2 + y^2 + t^2 + 2|x tx| + 2|y ty|) <= 12.02u (x^2 + y^2 + t^2),
+# as 2|x tx| <= x^2 + tx^2, plus 2^-1075 for each of its 6 products that
+# may underflow. The pass bounds it by SENSE_ERR (x^2 + y^2 + max t^2 +
+# 2^-1022), over 5 times that, so that the roundings of the bound itself and
+# of lo and hi below stay inside it.
+SENSE_ERR = 2.0**-47
+# Targets with max t^2 above SENSE_T2_MAX make every margin infinite. Below
+# it the product's cross terms sum to at most 2 sqrt((x^2 + y^2) max t^2)
+# < 2^1023, so it can overflow only to +inf, and only for d^2 > 2^1022.
+SENSE_T2_MAX = 2.0**1020
+# Half-width of the band around r^2 where `distance_m` re-decides the
+# squared test, relative to r^2. The reference takes math.hypot (within 2u)
+# of the rounded differences (within u each), and r*r is within u of r^2,
+# so the exact d^2 and the reference agree wherever |d^2 - r^2| > 8u r^2, if
+# r^2 is normal (its band then dwarfs underflow errors) and at most
+# SENSE_R2_MAX (so that an overflowing product is outside by both). Other
+# clients have all their pairs re-decided. A pair is inside if the product
+# is below lo = r^2 - m, outside if above hi = r^2 + m, with the margin m
+# the band plus the product's error bound; the rest, NaN products included,
+# are re-decided. An infinite m makes lo = -inf and hi = inf, which no
+# product passes strictly.
 SENSE_BAND = 2.0**-40
 SENSE_R2_MAX = 2.0**1000
 _TINY = np.finfo(float).tiny
 
 
+def sense_rows(xy: np.ndarray) -> np.ndarray:
+    """(N, 4) client rows [x, y, x*x + y*y, 1] for the positions `xy`."""
+    squares = xy * xy
+    c = np.empty((len(xy), 4))
+    c[:, :2] = xy
+    np.add(squares[:, 0], squares[:, 1], out=c[:, 2])
+    c[:, 3] = 1.0
+    return c
+
+
 def sensed_class_counts(scenario: Scenario) -> np.ndarray:
     """(N, K) class counts of the targets each client senses, in one pass.
 
-    Equals counting the classes of `sense_targets` for every client. The
-    pass compares squared distances with squared radii, and decides the
-    pairs that test cannot (see `SENSE_BAND`) by `distance_m`. With more
-    than one block, clients go in x order and each block of `SENSE_BLOCK`
-    is tested only against the x-sorted targets within its reach in x
-    (sort and sweep): the block's largest radius plus 2^-50 max(|x|, r), a
-    few ulps, so that `distance_m` puts every target left out beyond the
-    radius. A block with a non-finite bound tests every target.
+    Equals counting the classes of `sense_targets` for every client. Each
+    block of `SENSE_BLOCK` clients gets its squared distances to the targets
+    from one (block, 4) x (4, targets) product (see `sense_rows`); a pair is
+    inside if that is below r^2 - m, outside if above r^2 + m, with m the
+    client's `SENSE_BAND` half-width plus the product's error bound, and
+    `distance_m` decides the rest. With more than one block, clients go in
+    x order and each block is tested only against the x-sorted targets
+    within its reach in x (sort and sweep): the block's largest radius plus
+    2^-50 max(|x|, r), a few ulps, so that `distance_m` puts every target
+    left out beyond the radius. A block with a non-finite bound tests every
+    target.
     """
-    tx, ty, onehot, order, radii, r2, band = scenario.sense_arrays()
+    tx, operand, onehot, order, radii, r2, margin = scenario.sense_arrays()
     xy = scenario.positions
     n = len(xy)
     spans = [(0, len(tx))]
     if n > SENSE_BLOCK:
         rows = np.argsort(xy[:, 0], kind="stable")
-        xy, radii, r2, band = xy[rows], radii[rows], r2[rows], band[rows]
+        xy, radii, r2, margin = xy[rows], radii[rows], r2[rows], margin[rows]
         starts = np.arange(0, n, SENSE_BLOCK)
         x_lo, x_hi = xy[starts, 0], xy[np.minimum(starts + SENSE_BLOCK, n) - 1, 0]
         reach = np.maximum.reduceat(radii, starts)
@@ -344,21 +389,21 @@ def sensed_class_counts(scenario: Scenario) -> np.ndarray:
         finite = np.isfinite(left) & np.isfinite(right)
         spans = zip(np.where(finite, np.searchsorted(tx, left, "left"), 0).tolist(),
                     np.where(finite, np.searchsorted(tx, right, "right"), len(tx)).tolist())
+    c = sense_rows(xy)
+    m = c[:, 2] * SENSE_ERR
+    m += margin
+    lo, hi = (r2 - m)[:, None], (r2 + m)[:, None]
     counts = np.empty((n, scenario.num_classes))
-    for lo, (first, last) in zip(range(0, n, SENSE_BLOCK), spans):
-        block, hits = slice(lo, lo + SENSE_BLOCK), slice(first, last)
-        d2 = xy[block, 0, None] - tx[hits]
-        dy = xy[block, 1, None] - ty[hits]
-        d2 *= d2
-        dy *= dy
-        d2 += dy
-        d2 -= r2[block, None]  # the sign of d^2 - r^2 is exact
-        inside = d2 <= 0.0
-        sure = np.abs(d2, out=d2) > band[block, None]  # False where d^2 is NaN
+    for start, (first, last) in zip(range(0, n, SENSE_BLOCK), spans):
+        block, hits = slice(start, start + SENSE_BLOCK), slice(first, last)
+        d2 = c[block] @ operand[:, hits]
+        inside = d2 < lo[block]
+        sure = d2 > hi[block]
+        sure |= inside  # False where d^2 is NaN or m infinite
         if not sure.all():
             for i, t in zip(*np.nonzero(~sure)):
-                d = distance_m(xy[lo + i], scenario.targets[order[first + t]].position)
-                inside[i, t] = d <= radii[lo + i]
+                d = distance_m(xy[start + i], scenario.targets[order[first + t]].position)
+                inside[i, t] = d <= radii[start + i]
         counts[block] = inside @ onehot[hits]
     if n > SENSE_BLOCK:
         counts[rows] = counts.copy()

@@ -1,15 +1,19 @@
 """Scenario, mobility, channel, and sensing tests."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenarios
+from conftest import EXTREME_SCALES, random_scenarios
 from isccsim.network import (
+    SENSE_BAND,
     SENSE_BLOCK,
+    SENSE_ERR,
+    SENSE_T2_MAX,
     ChannelParams,
     Client,
     EdgeServer,
@@ -20,6 +24,7 @@ from isccsim.network import (
     clone_scenario,
     generate_scenario,
     local_distribution,
+    sense_rows,
     sense_targets,
     sensed_class_counts,
     spectral_efficiencies,
@@ -66,15 +71,17 @@ def on_circle_x(xc, r, side):
 
 
 @st.composite
-def crowded_scenarios(draw):
+def crowded_scenarios(draw, offset=None):
     """Several sensing blocks over hundreds of targets, so that the x cull
     cuts: clustered clients and targets, targets on a client's circle in its
     row (x = x_c +- r, dy = 0), repeated target x, clients far out in x
-    (where positions collapse onto a coarse float grid), and a stack of
-    zero-radius clients at x = 0 over targets on their point."""
+    (where positions collapse onto a coarse float grid; `offset` fixes how
+    far), and a stack of zero-radius clients at x = 0 over targets on their
+    point."""
     n = draw(st.integers(2 * SENSE_BLOCK + 1, 4 * SENSE_BLOCK))
     k = draw(st.integers(1, 5))
-    offset = draw(st.sampled_from([0.0, 3e4, -7e8, 2.0**60]))
+    if offset is None:
+        offset = draw(st.sampled_from([0.0, 3e4, -7e8, 2.0**60]))
     shared_radius = draw(st.booleans())
     stack = draw(st.sampled_from([0, 0, 2 * SENSE_BLOCK]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -315,19 +322,105 @@ class TestSensing:
         its x reach; the counts stay exactly the reference's."""
         assert sensed_class_counts(sc).tolist() == reference_counts(sc)
 
+    # The crowded case far out in x: each client's product errs by up to
+    # about 2^-48 * 4e14, so the pairs near its circle, the targets placed on
+    # it among them, are all left to `distance_m`.
+    @given(crowded_scenarios(offset=1e7))
+    @settings(max_examples=30, deadline=None)
+    def test_unsure_pairs_match_reference(self, sc):
+        _, operand, _, _, _, r2, margin = sc.sense_arrays()
+        c = sense_rows(sc.positions)
+        d2 = c @ operand
+        m = (c[:, 2] * SENSE_ERR + margin)[:, None]
+        unsure = ~((d2 < r2[:, None] - m) | (d2 > r2[:, None] + m))
+        assert unsure.sum() >= 10
+        assert sensed_class_counts(sc).tolist() == reference_counts(sc)
+
+    # Coordinate ranges of the bound test, for clients and targets: the
+    # simulator's area, far offsets where d^2 cancels against the squared
+    # norms, `EXTREME_SCALES`, and 2^503, where some squares overflow and
+    # others come near the largest float, for both or for the clients alone.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(st.sampled_from([(0.0, 1.0, 1.0)] + [(o, 1.0, 1.0) for o in (1e6, 1e7, 2.0**40)]
+                           + [(0.0, s, s) for s in EXTREME_SCALES + (2.0**503,)] + [(0.0, 2.0**503, 1.0)]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_product_within_error_bound(self, where, negative, seed):
+        """The product of `sense_rows` with the target operand is within
+        `SENSE_ERR` (x^2 + y^2 + max t^2 + 2^-1022) of the exact d^2 of the
+        float coordinates wherever that bound is finite and max t^2 is at
+        most `SENSE_T2_MAX`, or overflows to +inf with d^2 > 2^1022; other
+        pairs are left to `distance_m`. The counts equal the reference's."""
+        offset, scale, target_scale = where
+        if negative:
+            offset = -offset
+        rng = np.random.default_rng(seed)
+        n, t = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        xy = offset + scale * rng.uniform(0.0, 500.0, (n, 2))
+        txy = offset + target_scale * rng.uniform(0.0, 500.0, (t, 2))
+        if target_scale == scale:
+            near = xy[rng.integers(0, n, t // 2)] + scale * rng.normal(0.0, 60.0, (t // 2, 2))
+            txy[: t // 2] = near
+        clients = [make_client(radius=r) for r in (scale * rng.uniform(0.0, 150.0, n)).tolist()]
+        sc = Scenario(500.0, clients, [], [Target(j, tuple(p), j % 2) for j, p in enumerate(txy.tolist())],
+                      2, ChannelParams(), xy, np.zeros((n, 2)))
+        assert sensed_class_counts(sc).tolist() == reference_counts(sc)
+        _, operand, _, order, _, _, _ = sc.sense_arrays()
+        c = sense_rows(sc.positions)
+        d2 = c @ operand
+        t2_max = operand[3].max()
+        err = SENSE_ERR * (c[:, 2] + t2_max + np.finfo(float).tiny)
+        if scale < 2.0**500:
+            assert np.isfinite(err).all() and t2_max <= SENSE_T2_MAX
+        if not t2_max <= SENSE_T2_MAX:
+            return
+        for i, (x, y) in enumerate(xy.tolist()):
+            if not math.isfinite(err[i]):
+                continue
+            for j, (px, py) in enumerate(txy[order].tolist()):
+                exact = (F(x) - F(px)) ** 2 + (F(y) - F(py)) ** 2
+                if d2[i, j] == math.inf:
+                    assert exact > 2**1022
+                else:
+                    assert abs(F(d2[i, j]) - exact) <= F(err[i])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_cross_terms_are_redecided(self):
+        """At (2^511, 2^511) the squared norms are finite but the cross terms
+        -2 x tx - 2 y ty sum past the largest float, so the product reads
+        NaN or, summed in another order, -inf, also for the target far
+        outside the radius; max t^2 > `SENSE_T2_MAX` leaves every pair to
+        `distance_m`."""
+        a = 2.0**511
+        targets = [Target(0, (a, a + 2.0**460), 0), Target(1, (a, a), 1)]
+        sc = Scenario(500.0, [make_client(radius=1.0)], [], targets, 2, ChannelParams(),
+                      [(a, a)], [(0.0, 0.0)])
+        assert not np.isfinite(sense_rows(sc.positions) @ sc.sense_arrays()[1]).any()
+        assert sensed_class_counts(sc).tolist() == reference_counts(sc) == [[0, 1]]
+
     def test_target_arrays_shared_by_clones(self):
         sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=50), seed=1)
         arrays = sc.sense_arrays()
         clone = clone_scenario(sc)
         assert all(a is b for a, b in zip(clone.sense_arrays(), arrays))
         assert not any(a.flags.writeable for a in arrays)
-        tx, ty, onehot, order, radii, r2, _ = arrays
+        tx, operand, onehot, order, radii, r2, margin = arrays
         assert sorted(order.tolist()) == list(range(50))
         assert np.all(np.diff(tx) >= 0.0)
+        ty = np.array([sc.targets[j].position[1] for j in order])
         assert [(x, y) for x, y in zip(tx, ty)] == [sc.targets[j].position for j in order]
+        assert operand.shape == (4, 50)
+        assert bits(operand[0]).tolist() == bits(-2.0 * tx).tolist()
+        assert bits(operand[1]).tolist() == bits(-2.0 * ty).tolist()
+        assert operand[2].tolist() == [1.0] * 50
+        assert bits(operand[3]).tolist() == bits(tx * tx + ty * ty).tolist()
         assert onehot.argmax(axis=1).tolist() == [sc.targets[j].class_id for j in order]
         assert radii.tolist() == [c.sensing_radius_m for c in sc.clients]
         assert r2.tolist() == [c.sensing_radius_m ** 2 for c in sc.clients]
+        targets_err = SENSE_ERR * (operand[3].max() + np.finfo(float).tiny)
+        assert margin.tolist() == (SENSE_BAND * r2 + targets_err).tolist()
 
     def test_model_arrays_shared_by_clones(self):
         sc = generate_scenario(ScenarioConfig(num_clients=3, num_targets=5, num_models=2), seed=1)
@@ -335,6 +428,7 @@ class TestSensing:
         assert clone_scenario(sc).model_arrays() is arrays
         assert arrays.sizes.shape == (3, 3, 8) and arrays.vs.shape == (3, 8)
         assert arrays.edge_of_model.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert arrays.edge_positions.tolist() == [list(e.position) for e in sc.edges]
         assert arrays.sizes[2, 0].tolist() == [c for _ in range(4) for c in sc.clients[0].cycles_per_sample]
         assert not any(a.flags.writeable for a in vars(arrays).values())
 
