@@ -52,7 +52,7 @@ def default_norms(
 
 def encode_state(
     scenario: Scenario,
-    residual_fractions: list[tuple[float, float]],
+    residual_fractions: np.ndarray,  # (N, 2): each client's (freq, comp) residual fraction
     graph: GainGraph,
     norms: EncodingNorms,
 ) -> np.ndarray:

@@ -29,6 +29,7 @@ from .gain import GainGraph, SensingParams, build_gain_graph
 from .network import Scenario, SensingMode, clone_scenario, step_mobility
 from .pool import (
     GRID_KINDS,
+    LEGAL_GRIDS,
     PROCESS_ORDER,
     CapacityExceeded,
     Claim,
@@ -39,7 +40,6 @@ from .pool import (
     PoolConfig,
     Process,
     UniversalResourcePool,
-    fit_bound,
     lane_runs,
     pour_lanes,
     pour_rows,
@@ -189,6 +189,7 @@ def claims_for_solution(
 _SENS, _DL, _COMP, _UL = range(4)
 _TIME_FREQ, _TIME_COMP, _NONE = (GRID_KINDS.index(g) for g in GridKind)
 _GRID_OF = np.array([_TIME_FREQ, _TIME_FREQ, _TIME_COMP, _TIME_FREQ])  # by process code
+_PROCESS_NAMES = {code: p.value for code, p in enumerate(PROCESS_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -237,13 +238,14 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     present = end > start
 
     # One pour per process over stacked rows: sensing on the live residual,
-    # DL and UL on full frequency lanes, COMP on full compute lanes. A pour
-    # the scalar code skips gets no demand.
+    # capacity less each lane's peak usage over slots [0, s1) (exact, rounding
+    # being monotone; inf if no slots), DL and UL on full frequency lanes, COMP
+    # on full compute lanes. A pour the scalar code skips gets no demand.
     slot = np.arange(length)
     avail = np.zeros((n, 4, lanes))
-    resid = np.where((slot < end[:, _SENS, None])[:, :, None],
-                     cfg.freq_cell_capacity - bank.time_freq, np.inf)
-    avail[:, _SENS, :freq_lanes] = np.maximum(resid.min(axis=1), 0.0)
+    peak = np.where((slot[:, None] < end[:, _SENS])[:, :, None],
+                    bank.time_freq.transpose(1, 0, 2), -np.inf).max(axis=0)
+    avail[:, _SENS, :freq_lanes] = np.maximum(cfg.freq_cell_capacity - peak, 0.0)
     avail[:, _DL::2, :freq_lanes] = cfg.freq_cell_capacity
     avail[:, _COMP, :comp_lanes] = cfg.comp_cell_capacity
     camera = vs & present[:, _SENS]
@@ -252,11 +254,14 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     cells, ok = pour_rows(avail.reshape(4 * n, lanes), demand.ravel())
     bad = ~ok.reshape(n, 4).all(axis=1) | (end[:, _UL] > length)
 
-    inside = (slot >= start[:, :, None]) & (slot < end[:, :, None])
-    load = np.where(inside[:, :, :, None], cells.reshape(n, 4, 1, lanes), 0.0)
-    gen = load[:, _SENS, :, :freq_lanes]
-    cons = (load[:, _DL, :, :freq_lanes] + load[:, _UL, :, :freq_lanes],
-            load[:, _COMP, :, :comp_lanes])
+    # Each load puts its pours' cells on their slots; DL and UL take disjoint
+    # slots of one load.
+    inside = ((slot >= start[:, :, None]) & (slot < end[:, :, None]))[..., None]
+    phase = cells.reshape(n, 4, 1, lanes)
+    gen = np.where(inside[:, _SENS], phase[:, _SENS, :, :freq_lanes], 0.0)
+    cons = (np.where(inside[:, _DL], phase[:, _DL, :, :freq_lanes],
+                     np.where(inside[:, _UL], phase[:, _UL, :, :freq_lanes], 0.0)),
+            np.where(inside[:, _COMP], phase[:, _COMP, :, :comp_lanes], 0.0))
 
     # Client-major table rows. Camera sensing is a time-only claim: it is
     # marked as a group of lane 0 with amount -1, then given no lanes and
@@ -364,15 +369,12 @@ class RoundEnv:
 
     def _place(self, round_index: int, load: tuple, planned_bad: np.ndarray | None = None) -> None:
         """Put a round's load on the open frame; a row that does not fit is a program fault."""
-        bad = self.bank.misfits(*load)
-        if planned_bad is not None:
-            bad |= planned_bad
+        bad = self.bank.place(*load, planned_bad)
         if bad.any():
             raise InvariantBroken(
                 f"claim of client {self.client_ids[bad.argmax()]} round {round_index} "
                 "does not fit its frame"
             )
-        self.bank.add(*load)
         self.placed.append(load)
 
     def _close_frame(self) -> None:
@@ -398,11 +400,11 @@ class RoundEnv:
         dt = self.pool_cfg.slot_duration
         coupled = self.schedule.mode is Mode.ZEROS
 
+        free = self.bank.free()
         residuals = np.empty((len(sc.clients), 2))
-        residuals[:, 0] = self.bank.rect_bandwidth_hz()
+        residuals[:, 0] = self.bank.rect_bandwidth_hz(free[0])
         residuals[:, 1] = self.pool_cfg.compute_cps
-        f_frac, c_frac = self.bank.residual_fraction()
-        fracs = list(zip(f_frac.tolist(), c_frac.tolist()))
+        fracs = np.array(self.bank.residual_fraction(free)).T
         graph = build_gain_graph(
             sc, length * dt, consumption_window(length, dt), residuals, self.sensing, coupled
         )
@@ -428,15 +430,18 @@ def run_episode(
 
 
 def _cells(rows, s0, s1, l0, l1, num_slots: int, num_lanes: int):
-    """Flat bank indices of each claim's cells, claim after claim, and the
-    claim each cell belongs to."""
-    width = l1 - l0
-    count = (s1 - s0) * width
-    claim = np.repeat(np.arange(len(count)), count)
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    slot = s0[claim] + offset // width[claim]
-    lane = l0[claim] + offset % width[claim]
-    return (rows[claim] * num_slots + slot) * num_lanes + lane, claim
+    """Flat bank indices of each claim's cells (claim by claim, slot by slot,
+    lane by lane) and each claim's cell count. Each slot of a claim is a run
+    of indices counting up; its runs step by a slot's lanes from its first cell."""
+    slots, width = s1 - s0, l1 - l0
+    first = (rows * num_slots + s0) * num_lanes + l0 - num_lanes * (np.cumsum(slots) - slots)
+    start = np.repeat(first, slots)
+    start += np.arange(0, num_lanes * len(start), num_lanes)
+    run = np.repeat(width, slots)
+    start -= np.cumsum(run) - run
+    cells = np.repeat(start, run)
+    cells += np.arange(len(cells))
+    return cells, slots * width
 
 
 def audit_trace(
@@ -448,54 +453,58 @@ def audit_trace(
     off again and checks that the bank is empty. Amounts are >= 0 and float
     addition is monotone, so a cell ends the frame within `fit_bound` exactly
     when every claim on it fitted on top of the ones before, and the frame's
-    peak is its final usage. A claim outside its grid or with a negative
+    peak is its final usage. A claim outside its grid, on a grid its process
+    may not claim, with an unknown process or grid code or with a negative
     amount is a failure and is not placed.
     """
     claims = trace.claim_table()
     frames = schedule.claim_frames(claims)
     ids, rows = np.unique(claims.client_id, return_inverse=True)
     bank = PoolBank(pool_cfg, len(ids))
-    grids = ((_TIME_FREQ, bank.time_freq, pool_cfg.freq_cell_capacity),
-             (_TIME_COMP, bank.time_comp, pool_cfg.comp_cell_capacity))
-    grid, s0, s1, l0, l1, amount = (claims.grid, claims.s0, claims.s1, claims.l0, claims.l1,
-                                    claims.amount)
-    # A time-only claim has no lanes and no amount; a grid claim has lanes
-    # of its grid. Every claim lies within the frame's slots.
-    timed = grid == _NONE
-    lanes = np.array([pool_cfg.freq_lanes, pool_cfg.comp_lanes, 0])[grid]
-    bad = ((s0 < 0) | (s1 > pool_cfg.num_slots) | (s1 <= s0) | (l0 < 0) | (l1 > lanes)
-           | ~(amount >= 0.0) | np.where(timed, (l1 != l0) | (amount != 0.0), l1 <= l0))
+    _, _, process, grid, s0, s1, l0, l1, amount = claims.columns()
+    # A claim's process may claim its grid (unknown codes are clipped onto
+    # the border of `LEGAL_GRIDS`). A time-only claim has no lanes and no amount;
+    # a grid claim has lanes of its grid. Every claim lies within the frame.
+    code = np.clip(grid, -1, len(GRID_KINDS)) + 1
+    legal = LEGAL_GRIDS[np.clip(process, -1, len(PROCESS_ORDER)) + 1, code]
+    lanes = np.array([0, pool_cfg.freq_lanes, pool_cfg.comp_lanes, 0, 0])[code]
+    bad = (~legal | (s0 < 0) | (s1 > pool_cfg.num_slots) | (s1 <= s0) | (l0 < 0) | (l1 > lanes)
+           | ~(amount >= 0.0)
+           | np.where(grid == _NONE, (l1 != l0) | (amount != 0.0), l1 <= l0))
+
+    # Frame f holds claims order[cut[f]:cut[f + 1]] (frames start at 1) and
+    # each grid's placed claims split into one slice per frame. Expanding a
+    # grid's cells at once is slower: its arrays are fresh pages on every call.
+    order = np.argsort(frames, kind="stable")
+    sorted_frames, sorted_bad, sorted_grid = frames[order], bad[order], grid[order]
+    cut = np.flatnonzero(np.diff(sorted_frames, prepend=0, append=-1)).tolist()
+    frame_list = sorted_frames[cut[:-1]]
+    grids = []
+    for kind, used in ((_TIME_FREQ, bank.time_freq), (_TIME_COMP, bank.time_comp)):
+        k = order[(sorted_grid == kind) & ~sorted_bad]
+        grids.append((used, np.split(k, np.searchsorted(frames[k], frame_list[1:]))))
 
     failures: list[str] = []
     max_util = 0.0
-    frame_list = np.unique(frames).tolist()
-    for frame in frame_list:
-        here = frames == frame
-        failures.extend(
-            f"frame {frame} client {claims.client_id[k]} round {claims.round_index[k]} "
-            f"{PROCESS_ORDER[claims.process[k]].value} claim outside its grid or malformed"
-            for k in np.flatnonzero(here & bad)
-        )
+    for f, frame in enumerate(frame_list.tolist()):
+        lo, hi = cut[f], cut[f + 1]
+        failures.extend(f"frame {frame} client {claims.client_id[k]} round {claims.round_index[k]} "
+                        f"{_PROCESS_NAMES.get(process[k], f'process {process[k]}')} claim "
+                        "outside its grid or malformed" for k in order[lo:hi][sorted_bad[lo:hi]])
         placed = []
-        for code, used, _ in grids:
-            k = np.flatnonzero(here & (grid == code) & ~bad)
-            cells, claim = _cells(rows[k], s0[k], s1[k], l0[k], l1[k], *used.shape[1:])
-            amounts = amount[k][claim]
-            np.add.at(used.reshape(-1), cells, amounts)
-            placed.append((used, cells, amounts))
+        for used, slices in grids:
+            k = slices[f]
+            cells, count = _cells(rows[k], s0[k], s1[k], l0[k], l1[k], *used.shape[1:])
+            placed.append((used.reshape(-1), cells, np.repeat(amount[k], count)))
+            np.add.at(*placed[-1])
         max_util = max(max_util, bank.peak_use())
-        for code, used, cap in grids:
-            over = ~(used <= fit_bound(cap))
-            failures.extend(
-                f"frame {frame} client {ids[row]} {GRID_KINDS[code].value} over capacity"
-                for row in np.flatnonzero(over.any(axis=(1, 2)))
-            )
+        for kind, over in zip((_TIME_FREQ, _TIME_COMP), bank.over_rows()):
+            failures.extend(f"frame {frame} client {ids[row]} {GRID_KINDS[kind].value} "
+                            "over capacity" for row in over)
         for used, cells, amounts in placed:
-            np.subtract.at(used.reshape(-1), cells, amounts)
-        failures.extend(
-            f"frame {frame} client {ids[row]} release left residue"
-            for row in bank.residue_rows()
-        )
+            np.subtract.at(used, cells, amounts)
+        failures.extend(f"frame {frame} client {ids[row]} release left residue"
+                        for row in bank.residue_rows())
         bank.time_freq.fill(0.0)
         bank.time_comp.fill(0.0)
     return {

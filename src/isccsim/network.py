@@ -205,19 +205,17 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA51C]))
     area = config.area_m
 
-    clients, positions, velocities = [], [], []
-    for i in range(config.num_clients):
-        positions.append(rng.uniform(0.0, area, size=2))
-        speed = rng.uniform(0.0, config.v_max_mps)
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        velocities.append((speed * math.cos(heading), speed * math.sin(heading)))
-        mode = SensingMode.VS if i % 2 == 0 else SensingMode.WS
-        radius = config.vs_radius_m if mode is SensingMode.VS else config.ws_radius_m
-        # Model variants get progressively heavier: index m scales the base.
-        dl = tuple(config.dl_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
-        ul = tuple(config.ul_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
-        cyc = tuple(config.cycles_base * (1.0 + 0.5 * m) for m in range(config.num_models))
-        clients.append(Client(i, mode, radius, dl, ul, cyc))
+    # Each client's x, y, speed and heading, drawn in that order client by
+    # client, as `Generator.uniform` draws them: low + (high - low) * u, low = 0.
+    high = np.array([area, area, config.v_max_mps, 2.0 * math.pi])
+    draws = 0.0 + high * rng.random((config.num_clients, 4))
+    velocities = [(s * math.cos(h), s * math.sin(h)) for s, h in draws[:, 2:].tolist()]
+    # Model variants get progressively heavier: index m scales the base.
+    dl = tuple(config.dl_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
+    ul = tuple(config.ul_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
+    cyc = tuple(config.cycles_base * (1.0 + 0.5 * m) for m in range(config.num_models))
+    vs, ws = (SensingMode.VS, config.vs_radius_m), (SensingMode.WS, config.ws_radius_m)
+    clients = [Client(i, *(ws if i % 2 else vs), dl, ul, cyc) for i in range(config.num_clients)]
 
     edges = []
     grid = math.ceil(math.sqrt(config.num_edges))
@@ -245,7 +243,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     ]
 
     return Scenario(area, clients, edges, targets, config.num_classes, config.channel,
-                    positions, velocities)
+                    draws[:, :2], velocities)
 
 
 def clone_scenario(scenario: Scenario) -> Scenario:

@@ -204,9 +204,8 @@ def exhaustive_optimal(
                 bank = PoolBank(pool_cfg, n * num_models)
                 solutions = graph.solutions.reshape(len(graph.solutions), -1)
                 plan = plan_round(r, client_ids, vs, solutions, bank)
-                if plan.bad.any():
+                if bank.place(plan.cons[0], bad=plan.bad).any():  # only freq moves `nxt`
                     raise InvariantBroken(f"round {r}: a plan does not fit an empty frame")
-                bank.add(*plan.cons)
                 nxt = bank.rect_bandwidth_hz().reshape(n, num_models).tolist()
             for i, layer in enumerate(layers):
                 if k >= len(layer):

@@ -110,6 +110,9 @@ class Claim:
 # order, its grid codes positions in `GRID_KINDS`.
 PROCESS_ORDER = (Process.SENS, Process.COMM_DL, Process.COMP, Process.COMM_UL)
 GRID_KINDS = tuple(GridKind)
+# LEGAL_GRIDS[p + 1, g + 1]: whether process code p may claim grid code g; the
+# False border stands for every code outside the known ones.
+LEGAL_GRIDS = np.pad([[g in _GRIDS_FOR_PROCESS[p] for g in GRID_KINDS] for p in PROCESS_ORDER], 1)
 
 
 @dataclass(frozen=True)
@@ -425,14 +428,18 @@ def lane_runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Adjacent lanes of one `pour_rows` group hold the same amount, and a
     group that starts next to another starts because its amount differs.
+    Over the cells in flat order, ``edge[i]`` says that cell i differs from
+    the cell before it or starts a row (i = size starts none but ends the
+    last): a group starts at a nonzero cell on an edge and ends before one.
     """
-    padded = np.zeros((len(cells), cells.shape[1] + 2))
-    padded[:, 1:-1] = cells
-    change = padded[:, 1:] != padded[:, :-1]
-    member = cells != 0.0
-    rows, first = np.nonzero(member & change[:, :-1])
-    _, last = np.nonzero(member & change[:, 1:])
-    return rows, first, last + 1
+    lanes = cells.shape[1]
+    flat = cells.ravel()
+    edge = np.empty(len(flat) + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+    edge[::lanes] = True
+    member = flat != 0.0
+    rows, first = np.divmod((member & edge[:-1]).nonzero()[0], lanes)
+    return rows, first, (member & edge[1:]).nonzero()[0] % lanes + 1
 
 
 @dataclass(frozen=True)
@@ -498,30 +505,24 @@ class PoolBank:
         self.time_freq = np.zeros((num_pools, cfg.num_slots, cfg.freq_lanes))
         self.time_comp = np.zeros((num_pools, cfg.num_slots, cfg.comp_lanes))
 
-    def _grids(self, freq: np.ndarray | None, comp: np.ndarray | None):
-        for used, load, cap in ((self.time_freq, freq, self.cfg.freq_cell_capacity),
-                                (self.time_comp, comp, self.cfg.comp_cell_capacity)):
-            if load is not None:
-                yield used, load, cap
+    def _grids(self, freq: np.ndarray | None = None, comp: np.ndarray | None = None):
+        """(usage, load, cell capacity) of each grid."""
+        return ((self.time_freq, freq, self.cfg.freq_cell_capacity),
+                (self.time_comp, comp, self.cfg.comp_cell_capacity))
 
-    def misfits(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> np.ndarray:
-        """Rows the load would lift above `fit_bound` in some cell.
-
-        Rounding is monotone, so a cell's usage plus the amount is at most
-        the bound exactly when the claim's peak usage plus the amount is.
-        """
-        bad = np.zeros(len(self.time_freq), dtype=bool)
-        for used, load, cap in self._grids(freq, comp):
-            bound = fit_bound(cap)
-            total = used + load
-            if total.size and not total.max() <= bound:  # NaN does not fit either
-                bad |= ~(total <= bound).all(axis=(1, 2))
+    def place(self, freq: np.ndarray | None, comp: np.ndarray | None = None,
+              bad: np.ndarray | None = None) -> np.ndarray:
+        """Add a load unless a row would exceed `fit_bound` in a cell (exactly when a
+        claim would, as rounding is monotone); return those rows or'd with ``bad``.
+        Usage plus load, computed once, is both checked and kept."""
+        bad = np.zeros(len(self.time_freq), dtype=bool) if bad is None else bad.copy()
+        totals = [used if add is None else used + add for used, add, _ in self._grids(freq, comp)]
+        for total, (used, _, cap) in zip(totals, self._grids()):
+            if total is not used:
+                _flag_over(bad, total, fit_bound(cap))
+        if not bad.any():
+            self.time_freq, self.time_comp = totals
         return bad
-
-    def add(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> None:
-        """Place a load that `misfits` found to fit in every row."""
-        for used, load, _ in self._grids(freq, comp):
-            used += load
 
     def release(self, freq: np.ndarray | None, comp: np.ndarray | None = None) -> None:
         """Take a placed load off the bank, as `ResourceGrid.apply` does per claim.
@@ -529,41 +530,64 @@ class PoolBank:
         Rounding noise within EPS of a cell is clipped to 0; a cell taken
         deeper below 0 raises PhantomRelease without touching the bank.
         """
-        grids = [(used, used - load, cap) for used, load, cap in self._grids(freq, comp)]
+        grids = [(used, used - load, cap) for used, load, cap in self._grids(freq, comp)
+                 if load is not None]
         for _, left, cap in grids:
             if (left < -EPS * cap).any():
                 raise PhantomRelease("a release takes cells below 0")
         for used, left, _ in grids:
             np.maximum(left, 0.0, out=used)
 
-    def rect_bandwidth_hz(self) -> np.ndarray:
-        """Each row's ``rect_bandwidth_hz`` over the whole frame."""
-        resid = np.maximum(self.cfg.freq_cell_capacity - self.time_freq, 0.0)
-        return resid.min(axis=1).sum(axis=1) / self.cfg.slot_duration
+    def free(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each grid's residual per cell, capacity less usage and at least 0."""
+        return (_free(self.time_freq, self.cfg.freq_cell_capacity),
+                _free(self.time_comp, self.cfg.comp_cell_capacity))
 
-    def residual_fraction(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's (freq, comp) ``residual_fraction``, as two arrays."""
-        return (
-            _free_fraction(self.time_freq, self.cfg.freq_cell_capacity),
-            _free_fraction(self.time_comp, self.cfg.comp_cell_capacity),
-        )
+    def rect_bandwidth_hz(self, free_freq: np.ndarray | None = None) -> np.ndarray:
+        """Each row's ``rect_bandwidth_hz`` over the whole frame, from the
+        frequency grid's `free` cells if given, reduced slot-major (fast)."""
+        if free_freq is None:
+            free_freq = _free(self.time_freq, self.cfg.freq_cell_capacity)
+        least = np.ascontiguousarray(free_freq.transpose(1, 0, 2)).min(axis=0)
+        return least.sum(axis=1) / self.cfg.slot_duration
+
+    def residual_fraction(self, free: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's (freq, comp) ``residual_fraction``, from the `free` cells if given."""
+        free_freq, free_comp = free or self.free()
+        return (_free_fraction(free_freq, self.cfg.freq_cell_capacity),
+                _free_fraction(free_comp, self.cfg.comp_cell_capacity))
 
     def peak_use(self) -> float:
         """Highest cell usage over every row and both grids, as a fraction of capacity."""
-        return max(
-            float(self.time_freq.max() / self.cfg.freq_cell_capacity),
-            float(self.time_comp.max() / self.cfg.comp_cell_capacity),
-        )
+        return max(float(used.max() / cap) for used, _, cap in self._grids())
+
+    def over_rows(self) -> list[np.ndarray]:
+        """Each grid's rows holding a cell above `fit_bound`."""
+        return [np.flatnonzero(_flag_over(np.zeros(len(used), dtype=bool), used, fit_bound(cap)))
+                for used, _, cap in self._grids()]
 
     def residue_rows(self) -> np.ndarray:
-        """Rows holding any cell with |usage| above 1e-9 of its capacity."""
-        return np.flatnonzero(
-            (np.abs(self.time_freq).max(axis=(1, 2)) > 1e-9 * self.cfg.freq_cell_capacity)
-            | (np.abs(self.time_comp).max(axis=(1, 2)) > 1e-9 * self.cfg.comp_cell_capacity)
-        )
+        """Rows holding any cell with |usage| above 1e-9 of its capacity,
+        looked for only when a whole-grid max and min show one."""
+        rows = np.zeros(len(self.time_freq), dtype=bool)
+        for used, _, cap in self._grids():
+            limit = 1e-9 * cap
+            if used.size and not (used.max() <= limit and used.min() >= -limit):  # NaN too
+                rows |= np.abs(used).max(axis=(1, 2)) > limit
+        return np.flatnonzero(rows)
 
 
-def _free_fraction(used: np.ndarray, cell_capacity: float) -> np.ndarray:
-    n, num_slots, num_lanes = used.shape
-    resid = np.maximum(cell_capacity - used, 0.0).reshape(n, -1)
-    return resid.sum(axis=1) / (num_slots * num_lanes * cell_capacity)
+def _flag_over(rows: np.ndarray, used: np.ndarray, bound: float) -> np.ndarray:
+    """Flag the rows holding a cell above ``bound`` or NaN, if the grid's max shows one."""
+    if used.size and not used.max() <= bound:  # NaN too
+        rows |= ~(used <= bound).all(axis=(1, 2))
+    return rows
+
+
+def _free(used: np.ndarray, cell_capacity: float) -> np.ndarray:
+    return np.maximum(cell_capacity - used, 0.0)
+
+
+def _free_fraction(free: np.ndarray, cell_capacity: float) -> np.ndarray:
+    n, num_slots, num_lanes = free.shape
+    return free.reshape(n, -1).sum(axis=1) / (num_slots * num_lanes * cell_capacity)

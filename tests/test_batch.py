@@ -7,6 +7,9 @@ replay the same episodes one claim at a time with `claims_for_solution`,
 per-claim CSTC check as the reference.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,11 +30,14 @@ from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, SensingMode, generate_scenario
 from isccsim.policies import GreedyGainPolicy, make_policy
 from isccsim.pool import (
+    GRID_KINDS,
+    PROCESS_ORDER,
     CapacityExceeded,
     Claim,
     ClaimTable,
     GridKind,
     MalformedClaim,
+    OutOfHorizon,
     PoolBank,
     PoolConfig,
     Process,
@@ -350,6 +356,176 @@ class TestAuditFaults:
         failures = audit_failures(Mode.SERIAL, 1, [QUIET, late])
         assert failures
         assert all("frame 2 client 7 " in f for f in failures)
+
+
+def table_trace(rounds, rows):
+    """A trace whose rounds record raw claim-table rows, unchecked:
+    (client, round, process code, grid code, s0, s1, l0, l1, amount)."""
+    def table(rnd):
+        mine = [row for row in rows if row[1] == rnd]
+        ints = np.array([row[:8] for row in mine], dtype=np.int64).reshape(-1, 8).T
+        return ClaimTable(*ints, np.array([row[8] for row in mine], dtype=float))
+    return EpisodeTrace([RoundRecord(r, [0], [0.0], [0], [True], table(r))
+                         for r in range(1, rounds + 1)])
+
+
+@pytest.mark.parametrize("process, grid", [
+    (2, 0),   # COMP on time_freq
+    (1, 1),   # COMM_DL on time_comp
+    (0, 1),   # SENS on time_comp
+    (7, 0),   # unknown process code
+    (-2, 0),  # unknown process code
+    (1, 3),   # unknown grid code
+], ids=["comp-on-freq", "dl-on-comp", "sens-on-comp", "process-7", "process-minus-2", "grid-3"])
+def test_audit_reports_claim_its_process_may_not_make(process, grid):
+    """`Claim.check` rejects these claims; the audit reports each one and
+    places none of them."""
+    rows = [(3, 1, 1, 0, 0, 2, 0, 2, 0.5 * CAP), (7, 1, process, grid, 0, 2, 0, 1, 0.5 * CAP)]
+    report = audit_trace(table_trace(1, rows), plan_pipeline(1, 9, Mode.SERIAL), PoolConfig())
+    name = PROCESS_ORDER[process].value if 0 <= process < 4 else f"process {process}"
+    frame = 1 if process == 0 else 2
+    assert report["failures"] == [
+        f"frame {frame} client 7 round 1 {name} claim outside its grid or malformed"]
+    assert report["ok"] is False
+    assert report["max_cell_utilization"] == 0.5
+
+
+def reference_audit(trace, schedule, pool_cfg):
+    """The audit one claim at a time: each frame replays its claims in claim
+    order on fresh `UniversalResourcePool`s, one per client of the trace.
+
+    A claim is malformed where `try_allocate` on an empty pool says so, and
+    also for codes no `Claim` has, a negative first lane or a NaN amount,
+    which `Claim.check` lets through, and for a time-only row whose lanes
+    are not written 0..0, as `ClaimTable.of` writes them. A client's grid is
+    over capacity where some claim did not fit on top of the ones before;
+    every claim that is not malformed is placed all the same.
+    """
+    rows = list(zip(*(col.tolist() for col in trace.claim_table().columns())))
+    ids = sorted({row[0] for row in rows})
+    by_frame = {}
+    for row in rows:
+        rnd, process = row[1], row[2]
+        frame = schedule.gen_frame(rnd) if process == 0 else schedule.cons_frame(rnd)
+        by_frame.setdefault(frame, []).append(row)
+    failures, peak = [], 0.0
+    for frame in sorted(by_frame):
+        pools = {c: pool_cfg.build() for c in ids}
+        over, placed = set(), []
+        for c, rnd, p, g, s0, s1, l0, l1, amount in by_frame[frame]:
+            name = PROCESS_ORDER[p].value if 0 <= p < 4 else f"process {p}"
+            claim = None
+            if 0 <= p < 4 and 0 <= g < 3 and l0 >= 0 and amount >= 0.0 and (g != 2 or l1 == 0):
+                claim = Claim(c, rnd, PROCESS_ORDER[p], GRID_KINDS[g], (s0, s1),
+                              tuple(range(l0, l1)), amount)
+                try:
+                    pool_cfg.build().try_allocate(claim)
+                except (MalformedClaim, OutOfHorizon):
+                    claim = None
+                except CapacityExceeded:
+                    pass
+            if claim is None:
+                failures.append(f"frame {frame} client {c} round {rnd} {name} "
+                                "claim outside its grid or malformed")
+                continue
+            if claim.grid is GridKind.NONE:
+                continue
+            grid = pools[c]._grid(claim.grid)
+            if not grid.fits(claim):
+                over.add((claim.grid, c))
+            grid.apply(claim, +1.0)
+            placed.append((grid, claim))
+        peak = max(peak, *(float(g.used.max() / g.cell_capacity)
+                           for pool in pools.values() for g in (pool.time_freq, pool.time_comp)))
+        failures += [f"frame {frame} client {c} {kind.value} over capacity"
+                     for kind in (GridKind.TIME_FREQ, GridKind.TIME_COMP)
+                     for c in ids if (kind, c) in over]
+        for grid, claim in placed:
+            grid.used[grid.cells(claim)] -= claim.amount_per_cell
+        failures += [f"frame {frame} client {c} release left residue" for c in ids
+                     if any(np.abs(g.used).max() > 1e-9 * g.cell_capacity
+                            for g in (pools[c].time_freq, pools[c].time_comp))]
+    return {"ok": not failures, "frames_checked": len(by_frame),
+            "max_cell_utilization": peak, "failures": failures}
+
+
+_LEGAL_GRID = {0: (0, 2), 1: (0,), 2: (1,), 3: (0,)}  # grid codes each process may claim
+
+
+@st.composite
+def claim_tables(draw):
+    """Raw claim-table rows of a few clients and rounds: mostly legal claims,
+    stacked past capacity or not, and claims outside their frame or lanes,
+    with negative, NaN or signed-zero amounts, on grids their process may
+    not claim or with unknown process or grid codes."""
+    rounds = draw(st.integers(1, 3))
+    cfg = PoolConfig()
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        process = draw(st.sampled_from([0, 1, 2, 3] * 4 + [-2, 4, 7]))
+        grid = draw(st.sampled_from(_LEGAL_GRID.get(process, (0,)))) \
+            if draw(st.integers(0, 5)) else draw(st.integers(-1, 3))
+        lanes = cfg.comp_lanes if grid == 1 else cfg.freq_lanes
+        cap = cfg.comp_cell_capacity if grid == 1 else cfg.freq_cell_capacity
+        if draw(st.integers(0, 5)):
+            s0 = draw(st.integers(0, 8))
+            s1 = draw(st.integers(s0 + 1, 9))
+            l0 = draw(st.integers(0, lanes - 1))
+            l1 = draw(st.integers(l0 + 1, lanes))
+        else:
+            s0, s1 = draw(st.integers(-1, 10)), draw(st.integers(-1, 11))
+            l0, l1 = draw(st.integers(-1, 5)), draw(st.integers(-1, 6))
+        if grid == 2 and draw(st.integers(0, 3)):
+            l0, l1, amount = (0, 0, 0.0) if draw(st.integers(0, 3)) else (l0, l0, 0.0)
+        else:
+            amount = draw(st.sampled_from([0.2, 0.45, 0.7, 1.0, 1.6, -0.3, 0.0, -0.0])) * cap
+            amount = draw(st.sampled_from([amount] * 8 + [float("nan")]))
+        rows.append((draw(st.sampled_from([0, 3, 8])), draw(st.integers(1, rounds)),
+                     process, grid, s0, s1, l0, l1, amount))
+    return rounds, rows
+
+
+@given(claim_tables(), st.sampled_from(list(Mode)))
+@settings(max_examples=300, deadline=None)
+def test_audit_matches_per_claim_reference(case, mode):
+    """The same verdict, failures in the same order, frames and peak as a
+    replay one claim at a time."""
+    rounds, rows = case
+    trace, schedule = table_trace(rounds, rows), plan_pipeline(rounds, 9, mode)
+    report = audit_trace(trace, schedule, PoolConfig())
+    expected = reference_audit(trace, schedule, PoolConfig())
+    assert report == expected
+
+
+# -- exact bytes ---------------------------------------------------------------------
+
+# SHA-256 of `episode_record` for each mode, recorded before the round
+# bookkeeping was rewritten: the rewrite must not change one byte.
+PINNED_EPISODES = {
+    Mode.SERIAL: "ed09da6bb3da54f0a8d72e1cb1d892b34768c7c785e4a00f36dc489f86dc99fa",
+    Mode.ZEROS: "65de754b521cc06a4f976b07b21879adafb30ecec0163415016bb4694726e965",
+}
+
+
+def episode_record(mode):
+    """One greedy N=200 episode and its audit, as canonical JSON; floats keep
+    every digit."""
+    schedule, pool_cfg = plan_pipeline(4, 9, mode), PoolConfig()
+    trace = run_episode(generate_scenario(ScenarioConfig(num_clients=200, num_targets=400), 11),
+                        GreedyGainPolicy(), schedule, pool_cfg, SensingParams())
+    record = {
+        "rounds": [[r.decisions, r.gains, r.workloads, r.feasible] for r in trace.rounds],
+        "claims": [col.tolist() for col in trace.claim_table().columns()],
+        "utilization": trace.utilization,
+        "violations": [repr(v) for v in trace.violations],
+        "audit": audit_trace(trace, schedule, pool_cfg),
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_episode_bytes_are_pinned(mode):
+    assert hashlib.sha256(episode_record(mode).encode()).hexdigest() == PINNED_EPISODES[mode]
 
 
 # -- the per-claim CSTC check as reference -------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXTREME_SCALES, random_scenarios
+from conftest import EPISODE_SCENARIOS, EXTREME_SCALES, TINY_SCENARIO, random_scenarios
 from isccsim.network import (
     SENSE_BAND,
     SENSE_BLOCK,
@@ -109,7 +109,60 @@ def crowded_scenarios(draw, offset=None):
     return Scenario(300.0, clients, [], targets, k, ChannelParams(), xy, [(0.0, 0.0)] * n)
 
 
+def reference_clients(config, rng):
+    """The per-client draws `generate_scenario` replaces: one `uniform` call
+    per value, client after client, and each client's size tuples built anew."""
+    area = config.area_m
+    clients, positions, velocities = [], [], []
+    for i in range(config.num_clients):
+        positions.append(rng.uniform(0.0, area, size=2))
+        speed = rng.uniform(0.0, config.v_max_mps)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        velocities.append((speed * math.cos(heading), speed * math.sin(heading)))
+        mode = SensingMode.VS if i % 2 == 0 else SensingMode.WS
+        radius = config.vs_radius_m if mode is SensingMode.VS else config.ws_radius_m
+        dl = tuple(config.dl_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
+        ul = tuple(config.ul_bits_base * (1.0 + 0.2 * m) for m in range(config.num_models))
+        cyc = tuple(config.cycles_base * (1.0 + 0.5 * m) for m in range(config.num_models))
+        clients.append(Client(i, mode, radius, dl, ul, cyc))
+    return clients, np.array(positions).reshape(-1, 2), np.array(velocities).reshape(-1, 2)
+
+
+def scenario_rng(seed):
+    return np.random.default_rng(np.random.SeedSequence([seed, 0xA51C]))
+
+
+def assert_generation_matches_reference(config, seed):
+    """Equal clients, positions and velocities bit for bit, and the generator
+    left in the same state, so equal targets too."""
+    rng = scenario_rng(seed)
+    clients, positions, velocities = reference_clients(config, rng)
+    sc = generate_scenario(config, seed)
+    assert sc.clients == clients
+    assert sc.positions.tobytes() == positions.tobytes()
+    assert sc.velocities.tobytes() == velocities.tobytes()
+    mine = scenario_rng(seed)
+    mine.random((config.num_clients, 4))
+    assert mine.bit_generator.state == rng.bit_generator.state
+    targets = [(tuple(rng.uniform(0.0, config.area_m, size=2)),
+                int(rng.integers(0, config.num_classes))) for _ in range(config.num_targets)]
+    assert [(t.position, t.class_id) for t in sc.targets] == targets
+
+
 class TestScenarioGeneration:
+    @pytest.mark.parametrize("config", [
+        TINY_SCENARIO, ScenarioConfig(), ScenarioConfig(num_clients=1000, num_targets=2000),
+        ScenarioConfig(num_clients=1, num_models=3, v_max_mps=0.0),
+    ], ids=["tiny", "reference", "n1000", "one-client"])
+    @pytest.mark.parametrize("seed", [0, 7, 101])
+    def test_client_draws_match_per_client_reference(self, config, seed):
+        assert_generation_matches_reference(config, seed)
+
+    @given(EPISODE_SCENARIOS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_random_configs_match_per_client_reference(self, config, seed):
+        assert_generation_matches_reference(config, seed)
+
     def test_default_shape(self):
         sc = generate_scenario(ScenarioConfig(), seed=1)
         assert len(sc.clients) == 50

@@ -420,13 +420,15 @@ class TestBank:
                 placed[client] = [x for x in placed[client] if x[0] != arg]
                 continue
             load = claim_load(bank, arg)
+            before = bank.time_freq.copy(), bank.time_comp.copy()
             try:
                 pools[client].try_allocate(arg)
             except CapacityExceeded:
-                assert bank.misfits(*load).tolist() == [i == client for i in range(n)]
+                assert bank.place(*load).tolist() == [i == client for i in range(n)]
+                assert np.array_equal(bank.time_freq, before[0])
+                assert np.array_equal(bank.time_comp, before[1])
                 continue
-            assert not bank.misfits(*load).any()
-            bank.add(*load)
+            assert not bank.place(*load).any()
             placed[client].append((arg.round_index, load))
         for i, p in enumerate(pools):
             assert np.array_equal(bank.time_freq[i], p.time_freq.used)
@@ -449,7 +451,7 @@ class TestBank:
 
     def test_load_touches_only_its_row(self):
         bank = PoolBank(PoolConfig(), 3)
-        bank.add(*claim_load(bank, freq_claim([1, 2], (0, 9), 1e5, client=1)))
+        assert not bank.place(*claim_load(bank, freq_claim([1, 2], (0, 9), 1e5, client=1))).any()
         assert bank.time_freq[1, :, 1:3].min() == 1e5
         assert bank.time_freq[[0, 2]].max() == 0.0
         assert bank.rect_bandwidth_hz().tolist() == [4e6, 2e6, 4e6]
@@ -457,7 +459,7 @@ class TestBank:
     def test_release_below_zero_is_phantom(self):
         bank = PoolBank(PoolConfig(), 2)
         load = claim_load(bank, comp_claim([0], (0, 4), 2e7, client=1))
-        bank.add(*load)
+        assert not bank.place(*load).any()
         bank.release(*load)
         before = bank.time_comp.copy()
         with pytest.raises(PhantomRelease):

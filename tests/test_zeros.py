@@ -549,10 +549,10 @@ class TestPlacement:
     def test_generation_claim_that_does_not_fit_is_internal_error(self, monkeypatch):
         """A generation claim the pool refuses raises; the pair is not voided."""
 
-        def refuse(bank, freq, comp=None):
+        def refuse(bank, freq, comp=None, bad=None):
             return np.ones(len(bank.time_freq), dtype=bool)
 
-        monkeypatch.setattr(PoolBank, "misfits", refuse)
+        monkeypatch.setattr(PoolBank, "place", refuse)
         env = RoundEnv(lambda _: tiny_scenario(1), plan_pipeline(2, 9, Mode.ZEROS),
                        PoolConfig(), SensingParams())
         obs = env.reset()
