@@ -209,8 +209,12 @@ def cmd_simulate(cfg: RunConfig, _args) -> tuple[dict, int]:
             utilization.append({"seed": seed, "frames": list(trace.utilization)})
     except ConfigError:
         raise
-    except Exception:
-        # A program fault (exit 5) keeps the rows of the seeds that finished.
+    except Exception as err:
+        # A program fault (exit 5) keeps the rows of the seeds that finished,
+        # then those of the failing seed's finished rounds, which an episode
+        # that raised carries.
+        if getattr(err, "trace", None) is not None:
+            rows.extend(_trace_rows(cfg.seeds[len(per_seed)], err.trace))
         write_csv(cfg.out, "trace.csv", TRACE_HEADER, rows)
         raise
     results = {

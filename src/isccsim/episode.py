@@ -20,7 +20,9 @@ and checking them are array operations over all clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -54,12 +56,21 @@ class InvariantBroken(RuntimeError):
 
 @dataclass
 class Observation:
-    """Everything a policy may look at when deciding round r."""
+    """Everything a policy may look at when deciding round r.
+
+    `state`, the fixed-layout vector of `encode_state`, is encoded on its
+    first read, from the positions and pool residuals as they were when the
+    round was observed; only the learned policy reads it.
+    """
 
     round_index: int
     scenario: Scenario
     graph: GainGraph
-    state: np.ndarray  # the fixed-layout vector of `encode_state`
+    encode: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> np.ndarray:
+        return self.encode()
 
 
 @dataclass
@@ -82,6 +93,8 @@ class EpisodeTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
     utilization: list[dict] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
+    # The rounds' tables and their concatenation, as `claim_table` last built it.
+    _table: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
     @property
     def cumulative_gain(self) -> float:
@@ -96,7 +109,14 @@ class EpisodeTrace:
         return [float(sum(rec.gains)) for rec in self.rounds]
 
     def claim_table(self) -> ClaimTable:
-        return ClaimTable.concat([rec.table for rec in self.rounds])
+        """Every round's claims in one table, built again only once the
+        rounds' tables change."""
+        tables = tuple(rec.table for rec in self.rounds)
+        built, table = self._table
+        if len(built) != len(tables) or any(a is not b for a, b in zip(built, tables)):
+            table = ClaimTable.concat(list(tables))
+            self._table = (tables, table)
+        return table
 
     def all_claims(self) -> list[Claim]:
         return [c for rec in self.rounds for c in rec.claims]
@@ -189,6 +209,7 @@ def claims_for_solution(
 _SENS, _DL, _COMP, _UL = range(4)
 _TIME_FREQ, _TIME_COMP, _NONE = (GRID_KINDS.index(g) for g in GridKind)
 _GRID_OF = np.array([_TIME_FREQ, _TIME_FREQ, _TIME_COMP, _TIME_FREQ])  # by process code
+_DEMAND_ROW = np.array([1, 2, 3, 2])  # the solution row of each process's rate
 _PROCESS_NAMES = {code: p.value for code, p in enumerate(PROCESS_ORDER)}
 
 
@@ -215,9 +236,7 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     """
     n, length, freq_lanes = bank.time_freq.shape
     comp_lanes = bank.time_comp.shape[2]
-    lanes = max(freq_lanes, comp_lanes)
-    cfg = bank.cfg
-    dt = cfg.slot_duration
+    dt = bank.cfg.slot_duration
     active = (solutions[-1] == 1.0) & (solutions[0] != 0.0)
 
     # (N, 4) arrays by process code. `slots_needed` of t_sens, t_dl,
@@ -225,12 +244,12 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     # holds slots [start[:, p], end[:, p]). A phase of zero time adds
     # nothing to the sum, so its end is the one before it.
     ends = np.where(active[:, None], solutions[4:8].T, 0.0)
+    has = ends[:, _COMP:] > 0.0
     ends[:, _COMP] += ends[:, _DL]
     ends[:, _UL] += ends[:, _COMP]
     end = np.where(ends > 0.0, np.ceil(ends / dt - 1e-9), 0.0).astype(np.int64)
     if (end[:, _SENS] > length).any():
         raise OutOfHorizon(f"sensing needs {end[:, _SENS].max()} slots, frame has {length}")
-    has = (solutions[6:8].T > 0.0) & active[:, None]
     end[:, _COMP] = np.maximum(end[:, _DL] + has[:, 0], end[:, _COMP])
     end[:, _UL] = np.maximum(end[:, _COMP] + has[:, 1], end[:, _UL])
     start = np.zeros((n, 4), dtype=np.int64)
@@ -239,25 +258,23 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
 
     # One pour per process over stacked rows: sensing on the live residual,
     # capacity less each lane's peak usage over slots [0, s1) (exact, rounding
-    # being monotone; inf if no slots), DL and UL on full frequency lanes, COMP
-    # on full compute lanes. A pour the scalar code skips gets no demand.
-    slot = np.arange(length)
-    avail = np.zeros((n, 4, lanes))
+    # being monotone; inf if no slots), the rest on the bank's full lanes. A
+    # pour the scalar code skips gets no demand.
+    slot = bank.slot
     peak = np.where((slot[:, None] < end[:, _SENS])[:, :, None],
                     bank.time_freq.transpose(1, 0, 2), -np.inf).max(axis=0)
-    avail[:, _SENS, :freq_lanes] = np.maximum(cfg.freq_cell_capacity - peak, 0.0)
-    avail[:, _DL::2, :freq_lanes] = cfg.freq_cell_capacity
-    avail[:, _COMP, :comp_lanes] = cfg.comp_cell_capacity
+    avail = bank.full_lanes.copy()
+    avail[:, _SENS, :freq_lanes] = np.maximum(bank.cfg.freq_cell_capacity - peak, 0.0)
     camera = vs & present[:, _SENS]
     present[:, _SENS] ^= camera
-    demand = np.where(present, solutions[[1, 2, 3, 2]].T * dt, 0.0)
-    cells, ok = pour_rows(avail.reshape(4 * n, lanes), demand.ravel())
+    demand = np.where(present, solutions.take(_DEMAND_ROW, axis=0).T * dt, 0.0)
+    cells, ok = pour_rows(avail.reshape(4 * n, -1), demand.ravel())
     bad = ~ok.reshape(n, 4).all(axis=1) | (end[:, _UL] > length)
 
     # Each load puts its pours' cells on their slots; DL and UL take disjoint
     # slots of one load.
     inside = ((slot >= start[:, :, None]) & (slot < end[:, :, None]))[..., None]
-    phase = cells.reshape(n, 4, 1, lanes)
+    phase = cells.reshape(n, 4, 1, -1)
     gen = np.where(inside[:, _SENS], phase[:, _SENS, :, :freq_lanes], 0.0)
     cons = (np.where(inside[:, _DL], phase[:, _DL, :, :freq_lanes],
                      np.where(inside[:, _UL], phase[:, _UL, :, :freq_lanes], 0.0)),
@@ -283,9 +300,9 @@ def _decisions(assignment, n: int, m: int) -> list[int]:
     """A round's decision as plain ints, each a model index in [0, m)."""
     decisions = assignment.tolist() if isinstance(assignment, np.ndarray) else list(assignment)
     types = set(map(type, decisions))
-    if any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
-        raise ValueError(f"assignment entries must be integer model indices, got {types}")
     if types != {int}:
+        if any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
+            raise ValueError(f"assignment entries must be integer model indices, got {types}")
         decisions = list(map(int, decisions))
     if len(decisions) != n or decisions and not 0 <= min(decisions) <= max(decisions) < m:
         raise ValueError(f"assignment must give each of {n} clients a model in [0,{m})")
@@ -323,8 +340,12 @@ class RoundEnv:
             samples_per_target=self.sensing.samples_per_target,
         )
         self.client_ids = np.array([c.client_id for c in self.scenario.clients], dtype=np.int64)
-        self.vs = self.scenario.model_arrays().vs[:, 0]
-        self.rows = np.arange(len(self.client_ids))
+        models = self.scenario.model_arrays()
+        self.vs = models.vs[:, 0]
+        # Each client's first edge in the gain graph's flat (N*M) edge order.
+        self.first_edge = np.arange(len(self.client_ids)) * len(models.edge_of_model)
+        # Each round's (bandwidth, compute) budgets; only the bandwidth changes.
+        self.residuals = np.full((len(self.client_ids), 2), self.pool_cfg.compute_cps)
         self.bank = PoolBank(self.pool_cfg, len(self.client_ids))
         self.placed: list[tuple] = []  # the open frame's (freq, comp) loads, in placement order
         self.round_index = 1
@@ -342,15 +363,11 @@ class RoundEnv:
         decisions = _decisions(assignment, len(self.client_ids), len(graph.model_ids))
 
         r = self.round_index
-        solutions = graph.solutions[:, self.rows, decisions]
-        gains = graph.weights[self.rows, decisions].tolist()
+        edges = self.first_edge + decisions
+        solutions = graph.solutions.reshape(len(graph.solutions), -1).take(edges, axis=1)
+        gains = graph.weights.take(edges).tolist()
         plan = plan_round(r, self.client_ids, self.vs, solutions, self.bank)
         self._place(r, (plan.gen, None), plan.bad)
-        self.trace.rounds.append(RoundRecord(
-            r, decisions, gains, solutions[0].astype(int).tolist(),
-            (solutions[-1] == 1.0).tolist(), plan.table, graph.infeasible_edges,
-        ))
-        reward = float(sum(gains))
 
         # The consumption frame stays open only for the next round's generation.
         self._close_frame()
@@ -359,6 +376,11 @@ class RoundEnv:
         done = r == sched.num_rounds
         if done or sched.gen_frame(r + 1) != self.frame:
             self._close_frame()
+        self.trace.rounds.append(RoundRecord(
+            r, decisions, gains, solutions[0].astype(int).tolist(),
+            (solutions[-1] == 1.0).tolist(), plan.table, graph.infeasible_edges,
+        ))
+        reward = float(sum(gains))
         self.round_index += 1
         if done:
             self.trace.violations = validate_cstc(sched, self.trace.claim_table())
@@ -379,14 +401,11 @@ class RoundEnv:
 
     def _close_frame(self) -> None:
         """Record the open frame's use, release its loads in order and open the next."""
-        f_frac, c_frac = self.bank.residual_fraction()
-        n = len(f_frac)
+        fractions = self.bank.residual_fraction()
+        # np.mean's sum and division, of each grid's row.
+        freq_used, comp_used = ((1.0 - fractions).sum(axis=1) / fractions.shape[1]).tolist()
         self.trace.utilization.append(
-            {
-                "frame": self.frame,
-                "freq_used": float((1.0 - f_frac).sum() / n),  # np.mean's sum and division
-                "comp_used": float((1.0 - c_frac).sum() / n),
-            }
+            {"frame": self.frame, "freq_used": freq_used, "comp_used": comp_used}
         )
         for load in self.placed:
             self.bank.release(*load)
@@ -395,21 +414,23 @@ class RoundEnv:
         step_mobility(self.scenario, self.schedule.cr_length * self.pool_cfg.slot_duration)
 
     def _observe(self) -> Observation:
-        sc = self.scenario
+        sc, bank, norms = self.scenario, self.bank, self.norms
         length = self.schedule.cr_length
         dt = self.pool_cfg.slot_duration
         coupled = self.schedule.mode is Mode.ZEROS
 
-        free = self.bank.free()
-        residuals = np.empty((len(sc.clients), 2))
-        residuals[:, 0] = self.bank.rect_bandwidth_hz(free[0])
-        residuals[:, 1] = self.pool_cfg.compute_cps
-        fracs = np.array(self.bank.residual_fraction(free)).T
+        free = bank.free()
+        self.residuals[:, 0] = bank.rect_bandwidth_hz(free[0])
         graph = build_gain_graph(
-            sc, length * dt, consumption_window(length, dt), residuals, self.sensing, coupled
+            sc, length * dt, consumption_window(length, dt), self.residuals, self.sensing, coupled
         )
-        state = encode_state(sc, fracs, graph, self.norms)
-        self._current_obs = Observation(self.round_index, sc, graph, state)
+        positions = sc.positions.copy()  # mobility moves the scenario's in place
+
+        def encode() -> np.ndarray:
+            return encode_state(replace(sc, positions=positions),
+                                bank.residual_fraction(free).T, graph, norms)
+
+        self._current_obs = Observation(self.round_index, sc, graph, encode)
         return self._current_obs
 
 
@@ -420,12 +441,20 @@ def run_episode(
     pool_cfg: PoolConfig,
     sensing: SensingParams,
 ) -> EpisodeTrace:
-    """Run one full episode; the caller's scenario is left untouched."""
+    """Run one full episode; the caller's scenario is left untouched.
+
+    An exception raised during the episode carries the trace of the rounds
+    finished before it as its `trace` attribute.
+    """
     env = RoundEnv(lambda _: scenario, schedule, pool_cfg, sensing)
     obs = env.reset()
     done = False
-    while not done:
-        obs, _, done = env.step(policy.decide(obs))
+    try:
+        while not done:
+            obs, _, done = env.step(policy.decide(obs))
+    except Exception as err:
+        err.trace = env.trace
+        raise
     return env.trace
 
 

@@ -80,7 +80,7 @@ def kl_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = p[:, None, :]
-    return np.sum(p * np.log(p / q[None, :, :]), axis=-1)
+    return (p * np.log(p / q[None, :, :])).sum(axis=-1)
 
 
 def gain(s: float, w: float) -> float:
@@ -183,8 +183,7 @@ def build_gain_graph(
         raise ValueError("similarity outside (0, 1]")
 
     values = np.empty((len(EDGE_FIELDS), n, m_count))
-    values[0] = budgets[:, :1]
-    values[1] = budgets[:, 1:]
+    values[:2] = budgets.T[:, :, None]
     np.take(spectral_efficiencies(scenario), models.edge_of_model, axis=1, out=values[2])
     values[3:6] = models.sizes
     values[6] = (sensed * sensing.samples_per_target)[:, None]

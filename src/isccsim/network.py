@@ -301,7 +301,7 @@ def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
     edges = scenario.model_arrays().edge_positions
     dx, dy = (scenario.positions[:, None] - edges).transpose(2, 0, 1).reshape(2, -1).tolist()
     d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
-    d = np.where(ch.min_distance_m > d, ch.min_distance_m, d)  # max(d, min_distance_m)
+    d = np.maximum(d, ch.min_distance_m)  # max(d, min_distance_m), NaN too
     power = np.fromiter(map(pow, d.tolist(), repeat(-ch.path_loss_exp)), float, d.size)
     snr = ch.tx_power_w * ch.reference_gain * power / ch.noise_power_w
     log2 = np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, d.size)
@@ -417,7 +417,7 @@ def local_distribution(counts: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise ValueError("negative class count")
     k = counts.shape[-1]
     return (counts + epsilon) / (counts.sum(axis=-1, keepdims=True) + k * epsilon)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -139,7 +141,7 @@ class ClaimTable:
         return len(self.amount)
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return _claim_columns(self)
 
     @classmethod
     def of(cls, claims: list[Claim]) -> "ClaimTable":
@@ -167,6 +169,9 @@ class ClaimTable:
             Claim(c, r, PROCESS_ORDER[p], GRID_KINDS[g], (s0, s1), tuple(range(l0, l1)), a)
             for c, r, p, g, s0, s1, l0, l1, a in zip(*(col.tolist() for col in self.columns()))
         ]
+
+
+_claim_columns = attrgetter(*(f.name for f in fields(ClaimTable)))
 
 
 def fit_bound(cell_capacity: float) -> float:
@@ -504,11 +509,28 @@ class PoolBank:
         self.cfg = cfg  # the shape and capacities of every row
         self.time_freq = np.zeros((num_pools, cfg.num_slots, cfg.freq_lanes))
         self.time_comp = np.zeros((num_pools, cfg.num_slots, cfg.comp_lanes))
+        self.slot = np.arange(cfg.num_slots)
+        self.caps = (cfg.freq_cell_capacity, cfg.comp_cell_capacity)  # by grid
+        self.bounds = tuple(map(fit_bound, self.caps))
 
-    def _grids(self, freq: np.ndarray | None = None, comp: np.ndarray | None = None):
-        """(usage, load, cell capacity) of each grid."""
-        return ((self.time_freq, freq, self.cfg.freq_cell_capacity),
-                (self.time_comp, comp, self.cfg.comp_cell_capacity))
+    @cached_property
+    def full_lanes(self) -> np.ndarray:
+        """(N, 4, lanes): each row's lanes by process code in `PROCESS_ORDER`,
+        at full capacity on the grid the process claims, 0 past that grid's
+        lanes and on the sensing row."""
+        cfg = self.cfg
+        grids = {GridKind.TIME_FREQ: (cfg.freq_lanes, self.caps[0]),
+                 GridKind.TIME_COMP: (cfg.comp_lanes, self.caps[1])}
+        lanes = np.zeros((len(self.time_freq), len(PROCESS_ORDER), max(cfg.freq_lanes, cfg.comp_lanes)))
+        for code, process in enumerate(PROCESS_ORDER):
+            if process is not Process.SENS:
+                num, cap = grids[_GRIDS_FOR_PROCESS[process][0]]
+                lanes[:, code, :num] = cap
+        return lanes
+
+    def _grids(self):
+        """(usage, cell capacity, `fit_bound`) of each grid."""
+        return zip((self.time_freq, self.time_comp), self.caps, self.bounds)
 
     def place(self, freq: np.ndarray | None, comp: np.ndarray | None = None,
               bad: np.ndarray | None = None) -> np.ndarray:
@@ -516,10 +538,12 @@ class PoolBank:
         claim would, as rounding is monotone); return those rows or'd with ``bad``.
         Usage plus load, computed once, is both checked and kept."""
         bad = np.zeros(len(self.time_freq), dtype=bool) if bad is None else bad.copy()
-        totals = [used if add is None else used + add for used, add, _ in self._grids(freq, comp)]
-        for total, (used, _, cap) in zip(totals, self._grids()):
-            if total is not used:
-                _flag_over(bad, total, fit_bound(cap))
+        totals = []
+        for (used, _, bound), load in zip(self._grids(), (freq, comp)):
+            if load is not None:
+                used = used + load
+                _flag_over(bad, used, bound)
+            totals.append(used)
         if not bad.any():
             self.time_freq, self.time_comp = totals
         return bad
@@ -530,47 +554,49 @@ class PoolBank:
         Rounding noise within EPS of a cell is clipped to 0; a cell taken
         deeper below 0 raises PhantomRelease without touching the bank.
         """
-        grids = [(used, used - load, cap) for used, load, cap in self._grids(freq, comp)
+        grids = [(used, used - load) for (used, cap, _), load in zip(self._grids(), (freq, comp))
                  if load is not None]
-        for _, left, cap in grids:
-            if (left < -EPS * cap).any():
+        for (_, left), cap in zip(grids, self.caps):
+            if left.min(initial=math.inf) < -EPS * cap:  # NaN passes, as in the claim-level path
                 raise PhantomRelease("a release takes cells below 0")
-        for used, left, _ in grids:
+        for used, left in grids:
             np.maximum(left, 0.0, out=used)
 
     def free(self) -> tuple[np.ndarray, np.ndarray]:
         """Each grid's residual per cell, capacity less usage and at least 0."""
-        return (_free(self.time_freq, self.cfg.freq_cell_capacity),
-                _free(self.time_comp, self.cfg.comp_cell_capacity))
+        return tuple(_free(used, cap) for used, cap, _ in self._grids())
 
     def rect_bandwidth_hz(self, free_freq: np.ndarray | None = None) -> np.ndarray:
         """Each row's ``rect_bandwidth_hz`` over the whole frame, from the
         frequency grid's `free` cells if given, reduced slot-major (fast)."""
         if free_freq is None:
-            free_freq = _free(self.time_freq, self.cfg.freq_cell_capacity)
+            free_freq = _free(self.time_freq, self.caps[0])
         least = np.ascontiguousarray(free_freq.transpose(1, 0, 2)).min(axis=0)
         return least.sum(axis=1) / self.cfg.slot_duration
 
-    def residual_fraction(self, free: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's (freq, comp) ``residual_fraction``, from the `free` cells if given."""
-        free_freq, free_comp = free or self.free()
-        return (_free_fraction(free_freq, self.cfg.freq_cell_capacity),
-                _free_fraction(free_comp, self.cfg.comp_cell_capacity))
+    def residual_fraction(self, free: tuple | None = None) -> np.ndarray:
+        """(2, N): each row's (freq, comp) ``residual_fraction``, from the `free`
+        cells if given."""
+        fractions = np.empty((2, len(self.time_freq)))
+        for out, cells, cap in zip(fractions, free or self.free(), self.caps):
+            n, num_slots, num_lanes = cells.shape
+            np.divide(cells.reshape(n, -1).sum(axis=1), num_slots * num_lanes * cap, out=out)
+        return fractions
 
     def peak_use(self) -> float:
         """Highest cell usage over every row and both grids, as a fraction of capacity."""
-        return max(float(used.max() / cap) for used, _, cap in self._grids())
+        return max(float(used.max() / cap) for used, cap, _ in self._grids())
 
     def over_rows(self) -> list[np.ndarray]:
         """Each grid's rows holding a cell above `fit_bound`."""
-        return [np.flatnonzero(_flag_over(np.zeros(len(used), dtype=bool), used, fit_bound(cap)))
-                for used, _, cap in self._grids()]
+        return [np.flatnonzero(_flag_over(np.zeros(len(used), dtype=bool), used, bound))
+                for used, _, bound in self._grids()]
 
     def residue_rows(self) -> np.ndarray:
         """Rows holding any cell with |usage| above 1e-9 of its capacity,
         looked for only when a whole-grid max and min show one."""
         rows = np.zeros(len(self.time_freq), dtype=bool)
-        for used, _, cap in self._grids():
+        for used, cap, _ in self._grids():
             limit = 1e-9 * cap
             if used.size and not (used.max() <= limit and used.min() >= -limit):  # NaN too
                 rows |= np.abs(used).max(axis=(1, 2)) > limit
@@ -587,7 +613,3 @@ def _flag_over(rows: np.ndarray, used: np.ndarray, bound: float) -> np.ndarray:
 def _free(used: np.ndarray, cell_capacity: float) -> np.ndarray:
     return np.maximum(cell_capacity - used, 0.0)
 
-
-def _free_fraction(free: np.ndarray, cell_capacity: float) -> np.ndarray:
-    n, num_slots, num_lanes = free.shape
-    return free.reshape(n, -1).sum(axis=1) / (num_slots * num_lanes * cell_capacity)

@@ -116,20 +116,24 @@ def validate_cstc(schedule: RoundSchedule, claims: ClaimTable) -> list[Violation
     key = owner * len(PROCESS_ORDER) + process
     order = np.argsort(key, kind="stable")
     key = key[order]
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    start = new.nonzero()[0]
     first = np.minimum.reduceat((base + s0)[order], start)
     last = np.maximum.reduceat((base + s1 - 1)[order], start)  # last occupied slot
-    span_owner, span_process = np.divmod(key[start], len(PROCESS_ORDER))
+    span_key = key[start]
+    span_owner = span_key // len(PROCESS_ORDER)
     clash = (span_owner[1:] == span_owner[:-1]) & (last[:-1] >= first[1:])
 
     found = []  # ((owner, 0 window / 1 order, position), violation)
-    for k in np.flatnonzero(outside).tolist():
+    for k in outside.nonzero()[0].tolist():
         c, r = divmod(int(owner[k]), schedule.num_rounds)
         found.append(((c, r, 0, k), Violation(
             r + 1, c, "window", (PROCESS_ORDER[process[k]].value,), (int(s0[k]), int(s1[k])))))
-    for j in np.flatnonzero(clash).tolist():
+    for j in clash.nonzero()[0].tolist():
         c, r = divmod(int(span_owner[j]), schedule.num_rounds)
-        earlier, later = (PROCESS_ORDER[p].value for p in span_process[j:j + 2])
+        earlier, later = (PROCESS_ORDER[p].value for p in span_key[j:j + 2] % len(PROCESS_ORDER))
         found.append(((c, r, 1, j), Violation(
             r + 1, c, "order", (earlier, later), (int(last[j]), int(first[j + 1])))))
     found.sort(key=lambda item: item[0])

@@ -316,7 +316,7 @@ class EdgeArrays:
         if self.values.shape[:1] != (len(EDGE_FIELDS),) or self.vs.shape != self.values.shape[1:]:
             raise InvalidProblem(f"values {self.values.shape} and vs {self.vs.shape} mismatch")
         lows = self.values.min(axis=(1, 2), initial=math.inf).tolist()
-        lows.extend(getattr(self, name) for name in SCALAR_FIELDS)
+        lows += (self.t_gen, self.t_cons, self.tau_s, self.sigma, self.rho)  # SCALAR_FIELDS
         if min(lows) < 0 or lows[2] <= 0:
             low = dict(zip(EDGE_FIELDS + SCALAR_FIELDS, lows))
             bad = [name for name in NON_NEGATIVE if low[name] < 0]
@@ -377,7 +377,7 @@ def solve_edges(x: EdgeArrays) -> np.ndarray:
     free = not kappa.all()
     total = s_dl + s_ul
     out = np.empty((len(SOLUTION_FIELDS),) + vs.shape)
-    w, b_sens, b_comm, f_cps, t_sens, _, t_cp, _, feasible = out
+    w, b_sens, b_comm, _, t_sens, _, t_cp = out[:7]
     # A mask drops each branch not taken, which may divide by zero. A time
     # is 0 for a zero amount, so fmax(t, 0) turns the 0/0 of a zero amount
     # at a zero rate into 0 and keeps every other time.
@@ -409,15 +409,14 @@ def solve_edges(x: EdgeArrays) -> np.ndarray:
                 cross_comp = np.where(kappa == 0.0, comp, cross_comp)
             sens = b_cross * x.rho * x.t_gen / x.sigma
             np.minimum(np.minimum(sens, cross_comp), w_cap, out=w_real, where=cross)
-        w[...] = 0.0
+        out[:2] = 0.0  # w and b_sens where no branch sets them
         np.floor(w_real * (1.0 + 1e-12) + TOL, out=w, where=ok)
 
         # Thrifty sensing bandwidth; w = 0 gives 0.
         w_sigma = w * x.sigma
-        b_sens[...] = 0.0
         if x.sigma != 0.0 and sens_rate != 0.0:
             np.minimum(b, w_sigma / sens_rate, out=b_sens, where=ws)
-        b_comm[...] = b
+        out[2:4] = x.values[:2]  # b_comm = B and f_cps = F
         b_comm_eta = b_eta
         if crossing:
             np.minimum(b_cross, b_sens, out=b_sens, where=cross)
@@ -431,8 +430,7 @@ def solve_edges(x: EdgeArrays) -> np.ndarray:
         else:
             np.fmax(w_sigma / (b_sens * x.rho), 0.0, out=t_sens, where=ws)
         np.fmax(w * kappa / f, 0.0, out=t_cp)
-    f_cps[...] = f
-    feasible[...] = ok
+    out[-1] = ok
     return out
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EPISODE_POOLS, EPISODE_SCENARIOS
+from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, TINY_ROUNDS, TINY_SCENARIO
 from isccsim import episode
 from isccsim.episode import (
     EpisodeTrace,
@@ -28,7 +28,7 @@ from isccsim.episode import (
 )
 from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, SensingMode, generate_scenario
-from isccsim.policies import GreedyGainPolicy, make_policy
+from isccsim.policies import GreedyGainPolicy, exhaustive_optimal, make_policy
 from isccsim.pool import (
     GRID_KINDS,
     PROCESS_ORDER,
@@ -526,6 +526,72 @@ def episode_record(mode):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_episode_bytes_are_pinned(mode):
     assert hashlib.sha256(episode_record(mode).encode()).hexdigest() == PINNED_EPISODES[mode]
+
+
+# SHA-256 of `tiny_record` for each (mode, scenario seed), recorded before
+# the per-round fixed cost was cut: that change must not move one byte.
+PINNED_TINY = {
+    (Mode.ZEROS, 0):
+        "db573139cfa79fddd6c5a9d65f3aa07b3f423d5316305b339f8ac4d72b6c4301",
+    (Mode.ZEROS, 7):
+        "38074a6ab5bdadd09d615d009668735595ef9ca3a629f6ba45c39bf7a42c832d",
+    (Mode.ZEROS, 101):
+        "da598bf0c7682e3d1e92f16fdaa4fdcfd9ee38f151e4a7a0ebb98b779f985a71",
+    (Mode.SERIAL, 0):
+        "8c0412845cccf4dc4aef7eadb18050181dd9f6864aeb99c30c6fa1a60c645ba0",
+    (Mode.SERIAL, 7):
+        "aef9c880dadd0536808fbd9f5e73bb77aaff23620cdc8288b7ea88656df25750",
+    (Mode.SERIAL, 101):
+        "03360d1c9397b0d399a4e120a98a7cada549651675b940f9d8eba25d6b058797",
+}
+TINY_BASELINES = ("greedy", "ml-c", "ml-cc", "ml-scc", "mp-tsc", "random")
+
+
+def tiny_record(mode, seed):
+    """The optimum and the six baselines on one 3-client scenario, with each
+    baseline's audit, as canonical JSON; floats keep every digit."""
+    schedule, pool_cfg, sensing = plan_pipeline(TINY_ROUNDS, 9, mode), PoolConfig(), SensingParams()
+    scenario = generate_scenario(TINY_SCENARIO, seed)
+    best = exhaustive_optimal(scenario, schedule, pool_cfg, sensing, 2)
+    record = {"optimum": [best.decisions, best.gain, best.sequences_tried]}
+    for name in TINY_BASELINES:
+        trace = run_episode(scenario, make_policy(name, seed=seed), schedule, pool_cfg, sensing)
+        record[name] = {
+            "rounds": [[r.decisions, r.gains, r.workloads, r.feasible] for r in trace.rounds],
+            "claims": [col.tolist() for col in trace.claim_table().columns()],
+            "utilization": trace.utilization,
+            "violations": [repr(v) for v in trace.violations],
+            "audit": audit_trace(trace, schedule, pool_cfg),
+        }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("mode, seed", list(PINNED_TINY))
+def test_tiny_bytes_are_pinned(mode, seed):
+    """The N=3 scale, where a round's fixed cost dominates, in both modes."""
+    assert hashlib.sha256(tiny_record(mode, seed).encode()).hexdigest() == PINNED_TINY[mode, seed]
+
+
+def test_finished_episode_concatenates_its_claims_once(monkeypatch):
+    """The table `step` builds for `validate_cstc` is the one the audit reads;
+    a round appended afterwards is in the next table."""
+    calls = []
+    concat = ClaimTable.concat.__func__
+
+    def counted(cls, tables):
+        calls.append(len(tables))
+        return concat(cls, tables)
+
+    monkeypatch.setattr(ClaimTable, "concat", classmethod(counted))
+    schedule, pool_cfg = plan_pipeline(TINY_ROUNDS, 9, Mode.ZEROS), PoolConfig()
+    trace = run_episode(generate_scenario(TINY_SCENARIO, 0), GreedyGainPolicy(), schedule,
+                        pool_cfg, SensingParams())
+    table = trace.claim_table()
+    assert audit_trace(trace, schedule, pool_cfg)["ok"]
+    assert calls == [TINY_ROUNDS] and trace.claim_table() is table
+    trace.rounds.append(trace.rounds[0])
+    assert len(trace.claim_table()) == len(table) + len(trace.rounds[0].table)
+    assert calls == [TINY_ROUNDS, TINY_ROUNDS + 1]
 
 
 # -- the per-claim CSTC check as reference -------------------------------------------

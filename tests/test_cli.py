@@ -181,6 +181,30 @@ def test_program_fault_keeps_trace_rows_of_finished_seeds(tmp_path, monkeypatch)
     assert {line.split(",")[0] for line in rows.splitlines()[1:]} == {"0"}
 
 
+def test_program_fault_keeps_finished_rounds_of_the_failing_seed(tmp_path, monkeypatch):
+    """A fault in round 2 of the second seed leaves that seed's round-1 rows
+    after the first seed's rows: what a run without the fault writes up to
+    the fault."""
+    assert main(["simulate", "--config", tiny_config(tmp_path), "--policy", "greedy",
+                 "--out", str(tmp_path / "whole")]) == 0
+    header, *rows = (tmp_path / "whole" / "trace.csv").read_text().splitlines()
+    make_policy = cli._make_policy
+
+    class FailsInRound2(GreedyGainPolicy):
+        def decide(self, obs):
+            if obs.round_index == 2:
+                raise InvariantBroken("fault in round 2")
+            return super().decide(obs)
+
+    monkeypatch.setattr(
+        cli, "_make_policy", lambda name, seed: FailsInRound2() if seed == 1 else make_policy(name, seed)
+    )
+    assert main(["simulate", "--config", tiny_config(tmp_path), "--policy", "greedy"]) == 5
+    kept = [row for row in rows if row.split(",")[0] == "0" or row.split(",")[:2] == ["1", "1"]]
+    assert len(kept) == 3 * TINY_SCENARIO["num_clients"]
+    assert (tmp_path / "out" / "trace.csv").read_text().splitlines() == [header, *kept]
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("sensing", "epsilon", 0.0),
     ("sensing", "tau_s", -1.0),

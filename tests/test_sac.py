@@ -1,6 +1,7 @@
 """State encoding, hand-rolled backprop, and the soft actor-critic learner."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scenarios
-from isccsim.encoding import LayoutMismatch, default_norms, encode_state, layout_length
-from isccsim.episode import RoundEnv
+from isccsim import episode
+from isccsim.encoding import (
+    EncodingNorms,
+    LayoutMismatch,
+    default_norms,
+    encode_state,
+    layout_length,
+)
+from isccsim.episode import RoundEnv, run_episode
 from isccsim.gain import SensingParams, build_gain_graph
 from isccsim.mlp import Mlp, gradient_check, interleave, scalar_gradient_check
 from isccsim.network import ScenarioConfig, generate_scenario, spectral_efficiency
-from isccsim.policies import RandomPolicy
+from isccsim.policies import FixedSequencePolicy, GreedyGainPolicy, RandomPolicy, make_policy
 from isccsim.sac import (
     ReplayBuffer,
     SacAgent,
@@ -153,6 +161,85 @@ def test_encoding_matches_per_client_reference(sc, seed):
     expected = reference_encoding(sc, fracs, graph, norms)
     assert state.dtype == expected.dtype
     assert state.tobytes() == expected.tobytes()
+
+
+# -- the state on demand ------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["greedy", "ml-c", "random", "fixed"])
+def test_heuristic_episodes_never_encode_the_state(policy, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("state encoded")
+
+    monkeypatch.setattr(episode, "encode_state", refuse)
+    env = tiny_env(num_clients=3, num_rounds=3)
+    decider = FixedSequencePolicy([[0, 1, 0]] * 3) if policy == "fixed" else make_policy(policy, 4)
+    trace = run_episode(env.scenario_factory(0), decider, env.schedule, env.pool_cfg, env.sensing)
+    assert len(trace.rounds) == 3
+
+
+@pytest.fixture
+def eager_states(monkeypatch):
+    """What `encode_state` gives for each observation when it is made, by its
+    graph's id; the graph is kept so that no id is reused."""
+    states = {}
+    observe = RoundEnv._observe
+
+    def observe_and_encode(self):
+        obs = observe(self)
+        fracs = self.bank.residual_fraction().T
+        states[id(obs.graph)] = (obs.graph, encode_state(self.scenario, fracs, obs.graph, self.norms))
+        return obs
+
+    monkeypatch.setattr(RoundEnv, "_observe", observe_and_encode)
+    return states
+
+
+def test_learned_policy_reads_the_state_as_observed(monkeypatch, eager_states):
+    """Training, its evaluations and a `SacPolicy` episode read, bit for bit,
+    the vectors eager encoding gave when each observation was made."""
+    reads = []
+    encode = episode.encode_state
+
+    def spy(scenario, fracs, graph, norms):
+        reads.append((graph, encode(scenario, fracs, graph, norms)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(episode, "encode_state", spy)
+    env = tiny_env(num_clients=3, num_rounds=3)
+    config = SacConfig(total_steps=12, warmup_steps=4, batch_size=4, replay_capacity=32,
+                       hidden=8, eval_interval_episodes=2)
+    result = train(env, config)
+    run_episode(env.scenario_factory(0), SacPolicy(result.agent), env.schedule, env.pool_cfg,
+                env.sensing)
+    assert len(reads) > 12
+    for graph, state in reads:
+        assert np.array_equal(state, eager_states[id(graph)][1])
+
+
+def test_state_read_after_the_env_stepped_is_the_observed_one(eager_states):
+    env = tiny_env(num_clients=3, num_rounds=3)
+    obs = env.reset()
+    positions, fracs = env.scenario.positions.copy(), env.bank.residual_fraction()
+    env.step(GreedyGainPolicy().decide(obs))
+    assert not np.array_equal(env.scenario.positions, positions)
+    assert not np.array_equal(env.bank.residual_fraction(), fracs)
+    assert np.array_equal(obs.state, eager_states[id(obs.graph)][1])
+
+
+def test_state_checks_run_when_the_state_is_read(monkeypatch):
+    monkeypatch.setattr(episode, "default_norms",
+                        lambda *args, **kwargs: EncodingNorms(eta_norm=math.nan, gain_norm=1.0))
+    obs = tiny_env().reset()
+    with pytest.raises(ValueError, match="non-finite state feature"):
+        obs.state
+    monkeypatch.undo()
+    build = episode.build_gain_graph
+    monkeypatch.setattr(episode, "build_gain_graph",
+                        lambda *args: dataclasses.replace(build(*args), model_ids=[0]))
+    obs = tiny_env().reset()
+    with pytest.raises(LayoutMismatch):
+        obs.state
 
 
 # -- actor forward ------------------------------------------------------------
