@@ -13,9 +13,18 @@ given, so they fit too: any planned claim that does not is a program fault
 and raises ``InvariantBroken``. A round's gains are the chosen edges' weights.
 
 A round is planned for every client at once (`plan_round`): its claims
-become one bank load per phase and one `ClaimTable`, so placing, releasing
-and checking them are array operations over all clients.
+become one bank load per phase and its pours, so placing and releasing them
+are array operations over all clients, and the episode's pours become one
+`ClaimTable` when the episode ends (`tabulate_claims`).
 `claims_for_solution` is the one-client reference definition.
+
+Mobility, sensing, the channel and the similarities depend on the round
+alone, never on a decision. `reset` steps the clients through every frame of
+the episode and computes those terms for all rounds in one pass
+(`round_terms`); each round's gain graph then only adds the budgets the pool
+leaves. A round's scenario is handed to the policy as it is at the round,
+but the positions of later rounds are already fixed: a policy that writes
+`obs.scenario.positions` changes no later round.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .encoding import default_norms, encode_state
-from .gain import GainGraph, SensingParams, build_gain_graph
+from .gain import GainGraph, SensingParams, build_gain_graph, round_terms
 from .network import Scenario, SensingMode, clone_scenario, step_mobility
 from .pool import (
     GRID_KINDS,
@@ -60,7 +69,9 @@ class Observation:
 
     `state`, the fixed-layout vector of `encode_state`, is encoded on its
     first read, from the positions and pool residuals as they were when the
-    round was observed; only the learned policy reads it.
+    round was observed; only the learned policy reads it. `scenario` is the
+    environment's, as it is at this round; writing its positions changes
+    neither the state nor any later round, whose positions `reset` fixed.
     """
 
     round_index: int
@@ -80,8 +91,13 @@ class RoundRecord:
     gains: list[float]
     workloads: list[int]
     feasible: list[bool]
-    table: ClaimTable  # the round's claims, client-major: generation, then DL, COMP, UL
+    pours: RoundPours
     infeasible_edges: int = 0  # gain-graph edges the round's decision saw infeasible
+
+    @property
+    def table(self) -> ClaimTable:
+        """The round's claims, client-major: generation, then DL, COMP, UL."""
+        return tabulate_claims([self.pours])
 
     @property
     def claims(self) -> list[Claim]:
@@ -93,7 +109,7 @@ class EpisodeTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
     utilization: list[dict] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
-    # The rounds' tables and their concatenation, as `claim_table` last built it.
+    # The rounds' pours and their table, as `claim_table` last built it.
     _table: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
     @property
@@ -110,16 +126,16 @@ class EpisodeTrace:
 
     def claim_table(self) -> ClaimTable:
         """Every round's claims in one table, built again only once the
-        rounds' tables change."""
-        tables = tuple(rec.table for rec in self.rounds)
+        rounds' pours change."""
+        pours = tuple(rec.pours for rec in self.rounds)
         built, table = self._table
-        if len(built) != len(tables) or any(a is not b for a, b in zip(built, tables)):
-            table = ClaimTable.concat(list(tables))
-            self._table = (tables, table)
+        if len(built) != len(pours) or any(a is not b for a, b in zip(built, pours)):
+            table = tabulate_claims(list(pours))
+            self._table = (pours, table)
         return table
 
     def all_claims(self) -> list[Claim]:
-        return [c for rec in self.rounds for c in rec.claims]
+        return self.claim_table().claims()
 
 
 def consumption_window(cr_length: int, slot_duration: float) -> float:
@@ -214,25 +230,61 @@ _PROCESS_NAMES = {code: p.value for code, p in enumerate(PROCESS_ORDER)}
 
 
 @dataclass(frozen=True)
-class RoundPlan:
-    """One round's claims for every client, as bank loads and as a table."""
+class RoundPours:
+    """One round's claims as `plan_round` poured them, tabulated on demand."""
 
-    gen: np.ndarray                      # (N, slots, freq lanes) sensing load
-    cons: tuple[np.ndarray, np.ndarray]  # (freq, comp) DL/UL and COMP load
-    table: ClaimTable
-    bad: np.ndarray                      # (N,) rows whose plan does not fit a frame
+    round_index: int
+    client_ids: np.ndarray  # (N,)
+    cells: np.ndarray       # (4N, lanes): each (client, process)'s pour; camera sensing is -1 on lane 0
+    start: np.ndarray       # (N, 4): each (client, process)'s first slot
+    end: np.ndarray         # (N, 4): and the slot after its last
+
+
+def tabulate_claims(rounds: list[RoundPours]) -> ClaimTable:
+    """The rounds' claims in one table, round by round and client-major, a
+    client's claims in process order: one `lane_runs` pass over the stacked
+    pours. Each group of equal lanes is a claim; a camera sensing mark is a
+    time-only claim with no lanes and no amount."""
+    if not rounds:
+        return ClaimTable.of([])
+    cells = np.concatenate([p.cells for p in rounds])
+    runs, l0, l1 = lane_runs(cells)
+    row, process = np.divmod(runs, 4)
+    amount = cells[runs, l0]
+    timed = amount < 0.0
+    return ClaimTable(
+        np.concatenate([p.client_ids for p in rounds])[row],
+        np.repeat([p.round_index for p in rounds], [len(p.client_ids) for p in rounds])[row],
+        process, _GRID_OF[process] + timed * (_NONE - _TIME_FREQ),
+        np.concatenate([p.start for p in rounds]).ravel()[runs],
+        np.concatenate([p.end for p in rounds]).ravel()[runs],
+        l0, l1 - timed, np.maximum(amount, 0.0),
+    )
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """One round's claims for every client, as bank loads and as pours."""
+
+    gen: np.ndarray | None                      # (N, slots, freq lanes) sensing load
+    cons: tuple[np.ndarray, np.ndarray | None]  # (freq, comp) DL/UL and COMP load
+    pours: RoundPours | None
+    bad: np.ndarray                             # (N,) rows whose plan does not fit a frame
 
 
 def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
-               solutions: np.ndarray, bank: PoolBank) -> RoundPlan:
+               solutions: np.ndarray, bank: PoolBank, carry_only: bool = False) -> RoundPlan:
     """`claims_for_solution` for every row of a (9, N) solution array at once.
 
     Slot counts, pours and lane groups run the scalar code's float operations
-    row by row, so the table holds exactly the per-client claims in client
-    order, and the loads put exactly their amounts on their cells. Sensing
-    is poured onto the bank's live residual over slots [0, s1), consumption
-    onto full lanes. A row without a feasible, nonzero workload claims
-    nothing; a plan that does not fit flags its row in `bad`.
+    row by row, so the pours tabulate to exactly the per-client claims in
+    client order, and the loads put exactly their amounts on their cells.
+    Sensing is poured onto the bank's live residual over slots [0, s1),
+    consumption onto full lanes. A row without a feasible, nonzero workload
+    claims nothing; a plan that does not fit flags its row in `bad`.
+    `carry_only` plans only what an overlapped next round sees, the
+    frequency consumption load and `bad` of the consumption pours: no
+    sensing pour, no generation or compute load and no pours.
     """
     n, length, freq_lanes = bank.time_freq.shape
     comp_lanes = bank.time_comp.shape[2]
@@ -261,12 +313,16 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     # being monotone; inf if no slots), the rest on the bank's full lanes. A
     # pour the scalar code skips gets no demand.
     slot = bank.slot
-    peak = np.where((slot[:, None] < end[:, _SENS])[:, :, None],
-                    bank.time_freq.transpose(1, 0, 2), -np.inf).max(axis=0)
-    avail = bank.full_lanes.copy()
-    avail[:, _SENS, :freq_lanes] = np.maximum(bank.cfg.freq_cell_capacity - peak, 0.0)
-    camera = vs & present[:, _SENS]
-    present[:, _SENS] ^= camera
+    avail = bank.full_lanes
+    if carry_only:
+        present[:, _SENS] = False
+    else:
+        peak = np.where((slot[:, None] < end[:, _SENS])[:, :, None],
+                        bank.time_freq.transpose(1, 0, 2), -np.inf).max(axis=0)
+        avail = avail.copy()
+        avail[:, _SENS, :freq_lanes] = np.maximum(bank.cfg.freq_cell_capacity - peak, 0.0)
+        camera = vs & present[:, _SENS]
+        present[:, _SENS] ^= camera
     demand = np.where(present, solutions.take(_DEMAND_ROW, axis=0).T * dt, 0.0)
     cells, ok = pour_rows(avail.reshape(4 * n, -1), demand.ravel())
     bad = ~ok.reshape(n, 4).all(axis=1) | (end[:, _UL] > length)
@@ -275,25 +331,17 @@ def plan_round(round_index: int, client_ids: np.ndarray, vs: np.ndarray,
     # slots of one load.
     inside = ((slot >= start[:, :, None]) & (slot < end[:, :, None]))[..., None]
     phase = cells.reshape(n, 4, 1, -1)
+    freq = np.where(inside[:, _DL], phase[:, _DL, :, :freq_lanes],
+                    np.where(inside[:, _UL], phase[:, _UL, :, :freq_lanes], 0.0))
+    if carry_only:
+        return RoundPlan(None, (freq, None), None, bad)
     gen = np.where(inside[:, _SENS], phase[:, _SENS, :, :freq_lanes], 0.0)
-    cons = (np.where(inside[:, _DL], phase[:, _DL, :, :freq_lanes],
-                     np.where(inside[:, _UL], phase[:, _UL, :, :freq_lanes], 0.0)),
-            np.where(inside[:, _COMP], phase[:, _COMP, :, :comp_lanes], 0.0))
+    comp = np.where(inside[:, _COMP], phase[:, _COMP, :, :comp_lanes], 0.0)
 
-    # Client-major table rows. Camera sensing is a time-only claim: it is
-    # marked as a group of lane 0 with amount -1, then given no lanes and
-    # no amount.
+    # Camera sensing is a time-only claim: it is marked as a group of lane 0
+    # with amount -1, which `tabulate_claims` gives no lanes and no amount.
     cells[::4, 0] -= camera
-    runs, l0, l1 = lane_runs(cells)
-    row, process = np.divmod(runs, 4)
-    amount = cells[runs, l0]
-    timed = amount < 0.0
-    table = ClaimTable(
-        client_ids[row], np.full(len(row), round_index), process,
-        _GRID_OF[process] + timed * (_NONE - _TIME_FREQ), start.ravel()[runs],
-        end.ravel()[runs], l0, l1 - timed, np.maximum(amount, 0.0),
-    )
-    return RoundPlan(gen, cons, table, bad)
+    return RoundPlan(gen, (freq, comp), RoundPours(round_index, client_ids, cells, start, end), bad)
 
 
 def _decisions(assignment, n: int, m: int) -> list[int]:
@@ -332,8 +380,23 @@ class RoundEnv:
     # -- episode lifecycle ---------------------------------------------------
 
     def reset(self) -> Observation:
+        """Start the next episode and observe its first round.
+
+        The clients are stepped through every frame of the episode here, and
+        each round's sensing, similarities and channel computed in one pass,
+        so a failing check of those terms (a similarity outside (0, 1])
+        raises here, naming its round. The checks that involve the pool's
+        budgets (`EdgeArrays`) run when each round is observed.
+        """
         self.episode_index += 1
         self.scenario = clone_scenario(self.scenario_factory(self.episode_index))
+        # Where each round is observed, and where the last frame's close leaves the clients.
+        sched = self.schedule
+        frames = [sched.gen_frame(r) for r in range(1, sched.num_rounds + 1)]
+        self.positions, self.velocities, self.times = kinematics_at(
+            self.scenario, frames + [sched.total_frames + 1],
+            sched.cr_length * self.pool_cfg.slot_duration)
+        self.terms = round_terms(self.scenario, self.positions[:-1], self.sensing)
         self.norms = default_norms(
             self.scenario.channel,
             max_targets=max(1, len(self.scenario.targets)),
@@ -378,11 +441,12 @@ class RoundEnv:
             self._close_frame()
         self.trace.rounds.append(RoundRecord(
             r, decisions, gains, solutions[0].astype(int).tolist(),
-            (solutions[-1] == 1.0).tolist(), plan.table, graph.infeasible_edges,
+            (solutions[-1] == 1.0).tolist(), plan.pours, graph.infeasible_edges,
         ))
         reward = float(sum(gains))
         self.round_index += 1
         if done:
+            self._move(sched.num_rounds)
             self.trace.violations = validate_cstc(sched, self.trace.claim_table())
             return None, reward, True
         return self._observe(), reward, False
@@ -411,20 +475,28 @@ class RoundEnv:
             self.bank.release(*load)
         self.placed = []
         self.frame += 1
-        step_mobility(self.scenario, self.schedule.cr_length * self.pool_cfg.slot_duration)
+
+    def _move(self, k: int) -> None:
+        """Put the scenario's clients where `reset` found them at round k + 1
+        (after the last frame for k = R)."""
+        sc = self.scenario
+        np.copyto(sc.positions, self.positions[k])
+        np.copyto(sc.velocities, self.velocities[k])
+        sc.time_s = self.times[k]
 
     def _observe(self) -> Observation:
         sc, bank, norms = self.scenario, self.bank, self.norms
         length = self.schedule.cr_length
         dt = self.pool_cfg.slot_duration
         coupled = self.schedule.mode is Mode.ZEROS
+        r = self.round_index - 1
+        self._move(r)
 
         free = bank.free()
         self.residuals[:, 0] = bank.rect_bandwidth_hz(free[0])
-        graph = build_gain_graph(
-            sc, length * dt, consumption_window(length, dt), self.residuals, self.sensing, coupled
-        )
-        positions = sc.positions.copy()  # mobility moves the scenario's in place
+        graph = build_gain_graph(sc, length * dt, consumption_window(length, dt), self.residuals,
+                                 self.sensing, coupled, self.terms[r])
+        positions = self.positions[r]  # the episode's own, never handed to a policy
 
         def encode() -> np.ndarray:
             return encode_state(replace(sc, positions=positions),
@@ -432,6 +504,26 @@ class RoundEnv:
 
         self._current_obs = Observation(self.round_index, sc, graph, encode)
         return self._current_obs
+
+
+def kinematics_at(
+    scenario: Scenario, frames: list[int], frame_s: float
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The clients' (F, N, 2) positions and velocities and the clock at the
+    start of each of the ascending 1-based `frames`: `step_mobility` once per
+    frame of `frame_s` seconds, as each frame closes. Moves `scenario` to
+    the start of the last of them."""
+    positions = np.empty((len(frames),) + scenario.positions.shape)
+    velocities = np.empty_like(positions)
+    times = []
+    frame = 1
+    for k, first in enumerate(frames):
+        for _ in range(first - frame):
+            step_mobility(scenario, frame_s)
+        frame = first
+        positions[k], velocities[k] = scenario.positions, scenario.velocities
+        times.append(scenario.time_s)
+    return positions, velocities, times
 
 
 def run_episode(

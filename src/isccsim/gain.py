@@ -150,6 +150,42 @@ def num_models(scenario: Scenario) -> int:
     return len(scenario.edges) * len(scenario.edges[0].model_mixtures)
 
 
+@dataclass(frozen=True)
+class RoundTerms:
+    """The inputs of one round's gain graph that no decision changes: what
+    each client senses and its channel, at the round's positions."""
+
+    similarities: np.ndarray  # (N, M) of each client's sensed mix to each model's
+    etas: np.ndarray          # (N, M) spectral efficiency to each model's edge server
+    w_cap: np.ndarray         # (N,) samples sensed: targets covered times samples per target
+
+
+def round_terms(scenario: Scenario, positions: np.ndarray,
+                sensing: SensingParams) -> list[RoundTerms]:
+    """The `RoundTerms` of each of R rounds, the clients at (R, N, 2)
+    `positions`, in one pass over all R*N client-rounds stacked as rows: one
+    sensing pass, one KL and `exp` pass and one channel pass. Every entry
+    is computed row by row as for one round alone, so each round's terms
+    equal its own pass bit for bit. A similarity outside (0, 1] raises
+    ValueError naming the first round (from 1) that has one.
+    """
+    rounds, n = positions.shape[:2]
+    models = scenario.model_arrays()
+    m_count = len(models.edge_of_model)
+
+    counts = sensed_class_counts(scenario, positions).reshape(rounds * n, -1)
+    sensed = counts.sum(axis=1)
+    neg_kl = -_kl(local_distribution(counts, sensing.epsilon, sensed[:, None]), models.mixtures)
+    sims = np.fromiter(map(math.exp, neg_kl.ravel().tolist()), float, neg_kl.size)
+    if sims.size and not (sims.min() > 0.0 and sims.max() <= 1.0 + 1e-12):
+        per_round = sims.reshape(rounds, -1)
+        bad = ~((per_round.min(axis=1) > 0.0) & (per_round.max(axis=1) <= 1.0 + 1e-12))
+        raise ValueError(f"round {bad.argmax() + 1}: similarity outside (0, 1]")
+    etas = spectral_efficiencies(scenario, positions).take(models.edge_of_model, axis=-1)
+    return list(map(RoundTerms, sims.reshape(rounds, n, m_count), etas,
+                    (sensed * sensing.samples_per_target).reshape(rounds, n)))
+
+
 def build_gain_graph(
     scenario: Scenario,
     t_gen: float,
@@ -157,48 +193,44 @@ def build_gain_graph(
     residuals,
     sensing: SensingParams,
     coupled: bool,
+    terms: RoundTerms | None = None,
 ) -> GainGraph:
     """Weight every (client, model) pair with its achievable gain.
 
     residuals is an (N, 2) array or list of client i's (bandwidth Hz,
-    compute cycles/s) budget for the round. One sensing pass and one
-    `solve_edges` pass cover every edge; exp, log1p and the spectral
-    efficiencies' transcendentals run on `math` over flat lists, as their
-    scalar definitions do, and the arithmetic around them in numpy. A pure
-    function: identical inputs give identical graphs.
+    compute cycles/s) budget for the round. `terms` are the round's
+    decision-free terms; by default `round_terms` of the scenario's
+    positions, so a call without them is the one-round case. One
+    `solve_edges` pass covers every edge; log1p runs on `math` over a flat
+    list, as its scalar definition does, and the arithmetic around it in
+    numpy. A pure function: identical inputs give identical graphs.
     """
     n = len(scenario.clients)
     if len(residuals) != n:
         raise DimensionMismatch("one residual pair per client required")
     budgets = np.asarray(residuals, dtype=float).reshape(n, 2)
+    if terms is None:
+        terms = round_terms(scenario, scenario.positions[None], sensing)[0]
     models = scenario.model_arrays()
     m_count = len(models.edge_of_model)
 
-    counts = sensed_class_counts(scenario)
-    sensed = counts.sum(axis=1)
-    neg_kl = -_kl(local_distribution(counts, sensing.epsilon), models.mixtures)
-    sims = np.fromiter(map(math.exp, neg_kl.ravel().tolist()), float, neg_kl.size)
-    similarities = sims.reshape(n, m_count)
-    if sims.size and not (sims.min() > 0.0 and sims.max() <= 1.0 + 1e-12):
-        raise ValueError("similarity outside (0, 1]")
-
     values = np.empty((len(EDGE_FIELDS), n, m_count))
     values[:2] = budgets.T[:, :, None]
-    np.take(spectral_efficiencies(scenario), models.edge_of_model, axis=1, out=values[2])
+    values[2] = terms.etas
     values[3:6] = models.sizes
-    values[6] = (sensed * sensing.samples_per_target)[:, None]
+    values[6] = terms.w_cap[:, None]
     problems = EdgeArrays(
         values, models.vs, t_gen, t_cons, sensing.tau_s, sensing.sigma, sensing.rho, coupled
     )
     solutions = solve_edges(problems)
-    log1p_w = np.fromiter(map(math.log1p, solutions[0].ravel().tolist()), float, sims.size)
-    weights = similarities * log1p_w.reshape(n, m_count)
+    log1p_w = np.fromiter(map(math.log1p, solutions[0].ravel().tolist()), float, n * m_count)
+    weights = terms.similarities * log1p_w.reshape(n, m_count)
     return GainGraph(
         client_ids=[c.client_id for c in scenario.clients],
         model_ids=list(range(m_count)),
         weights=weights,
         etas=values[2],
-        similarities=similarities,
+        similarities=terms.similarities,
         solutions=solutions,
         problems=problems,
     )

@@ -291,21 +291,23 @@ def spectral_efficiency(pos: tuple[float, float], edge: EdgeServer, ch: ChannelP
                      / ch.noise_power_w)
 
 
-def spectral_efficiencies(scenario: Scenario) -> np.ndarray:
-    """(N, E) `spectral_efficiency` of every client to every edge server.
+def spectral_efficiencies(scenario: Scenario, positions: np.ndarray | None = None) -> np.ndarray:
+    """(..., E) `spectral_efficiency` to every edge server from each of the
+    (..., 2) `positions`, by default the clients' (N, 2).
 
     `hypot`, `**` and `log2` run on Python floats and the rest in numpy,
     in the scalar definition's order: each entry equals it bit for bit.
     """
     ch = scenario.channel
     edges = scenario.model_arrays().edge_positions
-    dx, dy = (scenario.positions[:, None] - edges).transpose(2, 0, 1).reshape(2, -1).tolist()
+    xy = scenario.positions if positions is None else positions
+    dx, dy = (xy.reshape(-1, 1, 2) - edges).transpose(2, 0, 1).reshape(2, -1).tolist()
     d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
     d = np.maximum(d, ch.min_distance_m)  # max(d, min_distance_m), NaN too
     power = np.fromiter(map(pow, d.tolist(), repeat(-ch.path_loss_exp)), float, d.size)
     snr = ch.tx_power_w * ch.reference_gain * power / ch.noise_power_w
     log2 = np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, d.size)
-    return log2.reshape(len(scenario.positions), len(edges))
+    return log2.reshape(xy.shape[:-1] + (len(edges),))
 
 
 def sense_targets(pos: tuple[float, float], radius: float, targets: list[Target]) -> list[Target]:
@@ -357,10 +359,14 @@ def sense_rows(xy: np.ndarray) -> np.ndarray:
     return c
 
 
-def sensed_class_counts(scenario: Scenario) -> np.ndarray:
-    """(N, K) class counts of the targets each client senses, in one pass.
+def sensed_class_counts(scenario: Scenario, positions: np.ndarray | None = None) -> np.ndarray:
+    """(..., N, K) class counts of the targets each client senses, in one pass.
 
-    Equals counting the classes of `sense_targets` for every client. Each
+    `positions` (..., N, 2), by default the clients' (N, 2), places the
+    clients once per leading index, say once per round; all the client
+    placements are sensed as one stacked set of rows, each with its
+    client's radius. Equals counting the classes of `sense_targets` for
+    every client placement. Each
     block of `SENSE_BLOCK` clients gets its squared distances to the targets
     from one (block, 4) x (4, targets) product (see `sense_rows`); a pair is
     inside if that is below r^2 - m, outside if above r^2 + m, with m the
@@ -373,8 +379,14 @@ def sensed_class_counts(scenario: Scenario) -> np.ndarray:
     target.
     """
     tx, operand, onehot, order, radii, r2, margin = scenario.sense_arrays()
-    xy = scenario.positions
+    xy = scenario.positions if positions is None else positions
+    shape = xy.shape[:-1] + (scenario.num_classes,)
+    if xy.shape[-2:] != (len(radii), 2):
+        raise DimensionMismatch(f"positions {xy.shape} for {len(radii)} clients")
+    xy = xy.reshape(-1, 2)
     n = len(xy)
+    if n != len(radii):
+        radii, r2, margin = (np.concatenate((a,) * (n // len(radii))) for a in (radii, r2, margin))
     spans = [(0, len(tx))]
     if n > SENSE_BLOCK:
         rows = np.argsort(xy[:, 0], kind="stable")
@@ -405,14 +417,16 @@ def sensed_class_counts(scenario: Scenario) -> np.ndarray:
         counts[block] = inside @ onehot[hits]
     if n > SENSE_BLOCK:
         counts[rows] = counts.copy()
-    return counts
+    return counts.reshape(shape)
 
 
-def local_distribution(counts: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
+def local_distribution(counts: np.ndarray, epsilon: float = 1e-3,
+                       totals: np.ndarray | None = None) -> np.ndarray:
     """Smoothed empirical class distribution: (n_k + eps) / (N + K*eps).
 
     Defined for all-zero counts (gives uniform); always strictly positive
-    and sums to one. A 2-D array gives one distribution per row.
+    and sums to one. A 2-D array gives one distribution per row. `totals`,
+    if given, are the counts' sums over the last axis, kept as (..., 1).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -420,4 +434,6 @@ def local_distribution(counts: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
     if (counts < 0).any():
         raise ValueError("negative class count")
     k = counts.shape[-1]
-    return (counts + epsilon) / (counts.sum(axis=-1, keepdims=True) + k * epsilon)
+    if totals is None:
+        totals = counts.sum(axis=-1, keepdims=True)
+    return (counts + epsilon) / (totals + k * epsilon)

@@ -12,11 +12,12 @@ from .episode import (
     InvariantBroken,
     Observation,
     consumption_window,
+    kinematics_at,
     plan_round,
     run_episode,
 )
-from .gain import SensingParams, build_gain_graph
-from .network import Scenario, clone_scenario, step_mobility
+from .gain import SensingParams, build_gain_graph, round_terms
+from .network import Scenario, clone_scenario
 from .pool import PoolBank, PoolConfig
 from .schedule import Mode, RoundSchedule
 
@@ -159,10 +160,14 @@ def exhaustive_optimal(
     consumption load leaves, a function of that round's state and action. So
     (round, residual bandwidth) is a sufficient state, and the best path into
     each distinct state covers all M^(N·R) sequences, the `sequences_tried`
-    reported. A round builds one gain graph per layer of the clients' k-th
-    states, a client short of states repeating its last. Paths into one state
-    keep the larger cumulative gain, on a tie the lexicographically smaller
-    prefix, as one rollout per sequence in product order would.
+    reported. The rounds' positions and decision-free gain terms are computed
+    once, as `RoundEnv.reset` computes them; a round builds one gain graph
+    per layer of the clients' k-th states from its terms, a client short of
+    states repeating its last, and a round whose consumption the next round
+    sees plans only that consumption load (`plan_round`'s `carry_only`).
+    Paths into one state keep the larger cumulative gain, on a tie the
+    lexicographically smaller prefix, as one rollout per sequence in product
+    order would.
 
     The decisions are re-simulated once, and that trace and its cumulative
     gain are reported; a client-round gain that differs from the program's
@@ -181,10 +186,10 @@ def exhaustive_optimal(
     # Per client: residual bandwidth -> the best path into it, as (negated
     # cumulative gain, prefix, per-round gains), so the best path is the least.
     states = [{b: (0.0, (), ())} for b in empty]
-    sc = clone_scenario(scenario)
+    frames = [schedule.gen_frame(r) for r in range(1, rounds + 1)]
+    terms = round_terms(scenario, kinematics_at(clone_scenario(scenario), frames, t_gen)[0],
+                        sensing)
     for r in range(1, rounds + 1):
-        for _ in range(schedule.stride if r > 1 else 0):
-            step_mobility(sc, t_gen)
         layers = [list(s.items()) for s in states]
         width = max(map(len, layers), default=1)
         if n * width > EXHAUSTIVE_LIMIT:
@@ -196,14 +201,14 @@ def exhaustive_optimal(
         for k in range(width):
             rows = [layer[min(k, len(layer) - 1)] for layer in layers]
             residuals = [(b, pool_cfg.compute_cps) for b, _ in rows]
-            graph = build_gain_graph(sc, t_gen, t_cons, residuals, sensing,
-                                     schedule.mode is Mode.ZEROS)
+            graph = build_gain_graph(scenario, t_gen, t_cons, residuals, sensing,
+                                     schedule.mode is Mode.ZEROS, terms[r - 1])
             weights = graph.weights.tolist()
             nxt = [[b] * num_models for b in empty]
             if carry:
                 bank = PoolBank(pool_cfg, n * num_models)
                 solutions = graph.solutions.reshape(len(graph.solutions), -1)
-                plan = plan_round(r, client_ids, vs, solutions, bank)
+                plan = plan_round(r, client_ids, vs, solutions, bank, carry_only=True)
                 if bank.place(plan.cons[0], bad=plan.bad).any():  # only freq moves `nxt`
                     raise InvariantBroken(f"round {r}: a plan does not fit an empty frame")
                 nxt = bank.rect_bandwidth_hz().reshape(n, num_models).tolist()

@@ -157,12 +157,6 @@ class ClaimTable:
         ints = np.array(rows, dtype=np.int64).reshape(-1, 8).T
         return cls(*ints, np.array([c.amount_per_cell for c in claims], dtype=float))
 
-    @classmethod
-    def concat(cls, tables: list["ClaimTable"]) -> "ClaimTable":
-        if not tables:
-            return cls.of([])
-        return cls(*map(np.concatenate, zip(*(t.columns() for t in tables))))
-
     def claims(self) -> list[Claim]:
         """The rows as `Claim` objects, built on each call."""
         return [
@@ -536,15 +530,17 @@ class PoolBank:
               bad: np.ndarray | None = None) -> np.ndarray:
         """Add a load unless a row would exceed `fit_bound` in a cell (exactly when a
         claim would, as rounding is monotone); return those rows or'd with ``bad``.
-        Usage plus load, computed once, is both checked and kept."""
+        Usage plus load, computed once, is both checked and kept. Rows flagged
+        in ``bad`` alone do not stop the load: the caller reduces the rows once."""
         bad = np.zeros(len(self.time_freq), dtype=bool) if bad is None else bad.copy()
         totals = []
+        over = False
         for (used, _, bound), load in zip(self._grids(), (freq, comp)):
             if load is not None:
                 used = used + load
-                _flag_over(bad, used, bound)
+                over |= _flag_over(bad, used, bound)
             totals.append(used)
-        if not bad.any():
+        if not over:
             self.time_freq, self.time_comp = totals
         return bad
 
@@ -589,8 +585,12 @@ class PoolBank:
 
     def over_rows(self) -> list[np.ndarray]:
         """Each grid's rows holding a cell above `fit_bound`."""
-        return [np.flatnonzero(_flag_over(np.zeros(len(used), dtype=bool), used, bound))
-                for used, _, bound in self._grids()]
+        rows = []
+        for used, _, bound in self._grids():
+            flags = np.zeros(len(used), dtype=bool)
+            _flag_over(flags, used, bound)
+            rows.append(np.flatnonzero(flags))
+        return rows
 
     def residue_rows(self) -> np.ndarray:
         """Rows holding any cell with |usage| above 1e-9 of its capacity,
@@ -603,11 +603,13 @@ class PoolBank:
         return np.flatnonzero(rows)
 
 
-def _flag_over(rows: np.ndarray, used: np.ndarray, bound: float) -> np.ndarray:
-    """Flag the rows holding a cell above ``bound`` or NaN, if the grid's max shows one."""
-    if used.size and not used.max() <= bound:  # NaN too
+def _flag_over(rows: np.ndarray, used: np.ndarray, bound: float) -> bool:
+    """Flag the rows holding a cell above ``bound`` or NaN, if the grid's max
+    shows one; return whether it did (then some row is flagged)."""
+    over = bool(used.size) and not used.max() <= bound  # NaN too
+    if over:
         rows |= ~(used <= bound).all(axis=(1, 2))
-    return rows
+    return over
 
 
 def _free(used: np.ndarray, cell_capacity: float) -> np.ndarray:

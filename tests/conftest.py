@@ -51,6 +51,17 @@ EPISODE_POOLS = st.builds(
 )
 
 
+class ForgedTrace:
+    """A trace of a given claim table, which no episode made: what
+    `audit_trace` reads of a trace."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def claim_table(self):
+        return self.table
+
+
 def brute_force_optimal(scenario, schedule, pool_cfg, sensing, num_models) -> OracleResult:
     """The reference of `exhaustive_optimal`: one full episode per decision
     sequence, in the lexicographic order of the round-major sequence, keeping

@@ -15,16 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, TINY_ROUNDS, TINY_SCENARIO
+from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, TINY_ROUNDS, TINY_SCENARIO, ForgedTrace
 from isccsim import episode
 from isccsim.episode import (
-    EpisodeTrace,
     RoundEnv,
-    RoundRecord,
     audit_trace,
     claims_for_solution,
+    RoundPours,
     plan_round,
     run_episode,
+    tabulate_claims,
 )
 from isccsim.gain import SensingParams
 from isccsim.network import ScenarioConfig, SensingMode, generate_scenario
@@ -228,7 +228,7 @@ def test_plan_round_matches_claims_for_solution(case):
     n = len(vs)
     ids = np.arange(10, 10 + n)
     plan = plan_round(4, ids, vs, solutions, bank)
-    claims = plan.table.claims()
+    claims = tabulate_claims([plan.pours]).claims()
     for i in range(n):
         pool = row_pool(bank, bank.time_freq[i], bank.time_comp[i])
         mode = SensingMode.VS if vs[i] else SensingMode.WS
@@ -294,15 +294,27 @@ def test_pour_rows_match_pour_lanes(case):
 
 
 def test_claim_table_round_trip():
+    """`ClaimTable.of` and `tabulate_claims` give back the claims they were
+    made from; a round without claims adds none."""
     claims = [
         Claim(4, 2, Process.SENS, GridKind.NONE, (0, 3), (), 0.0),
         Claim(4, 2, Process.COMM_DL, GridKind.TIME_FREQ, (0, 2), (1, 2, 3), 7.5),
-        Claim(9, 1, Process.COMP, GridKind.TIME_COMP, (2, 4), (0,), 1e7),
+        Claim(9, 2, Process.COMP, GridKind.TIME_COMP, (2, 4), (0,), 1e7),
     ]
     table = ClaimTable.of(claims)
     assert table.claims() == claims
-    assert ClaimTable.concat([table, ClaimTable.of([])]).claims() == claims
-    assert ClaimTable.concat([]).claims() == []
+    # The pours of clients 4 and 9, four (client, process) rows each: client
+    # 4's camera mark and DL group, client 9's COMP group.
+    cells = np.zeros((8, 4))
+    cells[0, 0], cells[1, 1:], cells[6, 0] = -1.0, 7.5, 1e7
+    start, end = np.array([[0, 0, 2, 2], [0, 0, 2, 4]]), np.array([[3, 2, 2, 2], [0, 0, 4, 4]])
+    ids = np.array([4, 9])
+    busy = RoundPours(2, ids, cells, start, end)
+    idle = RoundPours(1, ids, np.zeros((8, 4)), start, end)
+    assert tabulate_claims([idle, busy]).claims() == claims
+    assert [c.tolist() for c in tabulate_claims([busy, idle]).columns()] == \
+        [c.tolist() for c in table.columns()]
+    assert tabulate_claims([]).claims() == []
     with pytest.raises(MalformedClaim):
         ClaimTable.of([Claim(0, 1, Process.COMM_UL, GridKind.TIME_FREQ, (0, 1), (2, 1), 1.0)])
 
@@ -312,12 +324,8 @@ def test_claim_table_round_trip():
 
 def forged_trace(rounds, claims):
     """A trace whose rounds record the given claims, which no episode made."""
-    records = [
-        RoundRecord(r, [0], [0.0], [0], [True],
-                    ClaimTable.of([c for c in claims if c.round_index == r]))
-        for r in range(1, rounds + 1)
-    ]
-    return EpisodeTrace(records)
+    return ForgedTrace(ClaimTable.of(
+        [c for r in range(1, rounds + 1) for c in claims if c.round_index == r]))
 
 
 def audit_failures(mode, rounds, claims):
@@ -361,12 +369,9 @@ class TestAuditFaults:
 def table_trace(rounds, rows):
     """A trace whose rounds record raw claim-table rows, unchecked:
     (client, round, process code, grid code, s0, s1, l0, l1, amount)."""
-    def table(rnd):
-        mine = [row for row in rows if row[1] == rnd]
-        ints = np.array([row[:8] for row in mine], dtype=np.int64).reshape(-1, 8).T
-        return ClaimTable(*ints, np.array([row[8] for row in mine], dtype=float))
-    return EpisodeTrace([RoundRecord(r, [0], [0.0], [0], [True], table(r))
-                         for r in range(1, rounds + 1)])
+    mine = [row for r in range(1, rounds + 1) for row in rows if row[1] == r]
+    ints = np.array([row[:8] for row in mine], dtype=np.int64).reshape(-1, 8).T
+    return ForgedTrace(ClaimTable(*ints, np.array([row[8] for row in mine], dtype=float)))
 
 
 @pytest.mark.parametrize("process, grid", [
@@ -573,16 +578,17 @@ def test_tiny_bytes_are_pinned(mode, seed):
 
 
 def test_finished_episode_concatenates_its_claims_once(monkeypatch):
-    """The table `step` builds for `validate_cstc` is the one the audit reads;
-    a round appended afterwards is in the next table."""
+    """The table `step` builds for `validate_cstc`, from every round's pours
+    at once, is the one the audit reads; a round appended afterwards is in
+    the next table, and a round's own table is built on demand."""
     calls = []
-    concat = ClaimTable.concat.__func__
+    tabulate = episode.tabulate_claims
 
-    def counted(cls, tables):
-        calls.append(len(tables))
-        return concat(cls, tables)
+    def counted(rounds):
+        calls.append(len(rounds))
+        return tabulate(rounds)
 
-    monkeypatch.setattr(ClaimTable, "concat", classmethod(counted))
+    monkeypatch.setattr(episode, "tabulate_claims", counted)
     schedule, pool_cfg = plan_pipeline(TINY_ROUNDS, 9, Mode.ZEROS), PoolConfig()
     trace = run_episode(generate_scenario(TINY_SCENARIO, 0), GreedyGainPolicy(), schedule,
                         pool_cfg, SensingParams())
@@ -591,7 +597,7 @@ def test_finished_episode_concatenates_its_claims_once(monkeypatch):
     assert calls == [TINY_ROUNDS] and trace.claim_table() is table
     trace.rounds.append(trace.rounds[0])
     assert len(trace.claim_table()) == len(table) + len(trace.rounds[0].table)
-    assert calls == [TINY_ROUNDS, TINY_ROUNDS + 1]
+    assert calls == [TINY_ROUNDS, TINY_ROUNDS + 1, 1]
 
 
 # -- the per-claim CSTC check as reference -------------------------------------------

@@ -1,13 +1,16 @@
 """Similarity, gain, and gain-graph tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenarios
+import isccsim.gain as gain_module
+from conftest import TINY_SCENARIO, random_scenarios
+from isccsim import episode
 from isccsim.gain import (
     DimensionMismatch,
     SensingParams,
@@ -15,19 +18,23 @@ from isccsim.gain import (
     gain,
     kl_matrix,
     num_models,
+    round_terms,
     similarity,
 )
 from isccsim.network import (
     ScenarioConfig,
     Scenario,
     EdgeServer,
+    clone_scenario,
     generate_scenario,
     local_distribution,
     sense_targets,
     sensed_class_counts,
+    spectral_efficiencies,
     spectral_efficiency,
+    step_mobility,
 )
-from isccsim.episode import run_episode
+from isccsim.episode import RoundEnv, consumption_window, run_episode
 from isccsim.policies import GreedyGainPolicy
 from isccsim.pool import PoolConfig
 from isccsim.schedule import Mode, plan_pipeline
@@ -284,3 +291,124 @@ class TestGainGraph:
                 assert graph.etas[i, m] == e.problem.eta
                 expected = latency_components(e.problem, int(e.problem.w_cap))
                 assert tuple(graph.latency_table[i, m].tolist()) == expected
+
+
+# -- the episode's decision-free terms, batched at reset --------------------------
+
+
+def reference_graphs(scenario, schedule, pool_cfg, sensing, residuals):
+    """Each round's graph the one-round way: a clone stepped one frame at a
+    time to the round's generation frame, then `build_gain_graph` on it."""
+    sc = clone_scenario(scenario)
+    frame_s = schedule.cr_length * pool_cfg.slot_duration
+    t_cons = consumption_window(schedule.cr_length, pool_cfg.slot_duration)
+    graphs, frame = [], 1
+    for r, budgets in enumerate(residuals, start=1):
+        for _ in range(schedule.gen_frame(r) - frame):
+            step_mobility(sc, frame_s)
+        frame = schedule.gen_frame(r)
+        graphs.append(build_gain_graph(sc, frame_s, t_cons, budgets, sensing,
+                                       schedule.mode is Mode.ZEROS))
+    return graphs
+
+
+GRAPH_ARRAYS = ("weights", "etas", "similarities", "solutions")
+
+
+@pytest.mark.parametrize("config, seed, mode", [
+    *((TINY_SCENARIO, s, mode) for mode in Mode for s in range(12)),
+    *((ScenarioConfig(), s, Mode.ZEROS) for s in range(4)),
+    (ScenarioConfig(num_clients=1000, num_targets=2000), 101, Mode.SERIAL),
+])
+def test_batched_round_terms_equal_one_round_graphs(config, seed, mode):
+    """Every round's gain graph from the terms `reset` computes for all
+    rounds at once equals, bit for bit, the one-round graph of that round's
+    scenario and budgets, and each observation's scenario is the round's."""
+    scenario = generate_scenario(config, seed)
+    schedule, pool_cfg, sensing = plan_pipeline(3, 9, mode), PoolConfig(), SensingParams()
+    env = RoundEnv(lambda _: scenario, schedule, pool_cfg, sensing)
+    obs, done, graphs, budgets, states = env.reset(), False, [], [], []
+    while not done:
+        graphs.append(obs.graph)
+        budgets.append(env.residuals.copy())
+        states.append((obs.scenario.positions.copy(), obs.scenario.velocities.copy(),
+                       obs.scenario.time_s))
+        obs, _, done = env.step(GreedyGainPolicy().decide(obs))
+    reference = reference_graphs(scenario, schedule, pool_cfg, sensing, budgets)
+    sc = clone_scenario(scenario)
+    for graph, expected, (positions, velocities, time_s) in zip(graphs, reference, states):
+        for name in GRAPH_ARRAYS:
+            assert getattr(graph, name).tobytes() == getattr(expected, name).tobytes(), name
+    frame_s = schedule.cr_length * pool_cfg.slot_duration
+    for r, (positions, velocities, time_s) in enumerate(states, start=1):
+        while sc.time_s < time_s:
+            step_mobility(sc, frame_s)
+        assert positions.tobytes() == sc.positions.tobytes()
+        assert velocities.tobytes() == sc.velocities.tobytes() and time_s == sc.time_s
+    for _ in range(schedule.total_frames - schedule.gen_frame(schedule.num_rounds) + 1):
+        step_mobility(sc, frame_s)
+    assert env.scenario.positions.tobytes() == sc.positions.tobytes()
+    assert env.scenario.time_s == sc.time_s
+
+
+@given(random_scenarios(extreme=True), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_sensing_and_channel_equal_one_pass_each(sc, rounds, seed):
+    """Sensing and the channel of R position sets stacked as rows equal one
+    pass per position set, bit for bit, wherever the stacking moves a client
+    between blocks."""
+    rng = np.random.default_rng(seed)
+    scale = max(float(np.abs(sc.positions).max()), 1.0)
+    positions = np.stack([sc.positions] + [
+        sc.positions + scale * rng.uniform(-0.3, 0.3, sc.positions.shape)
+        for _ in range(rounds - 1)])
+    counts = sensed_class_counts(sc, positions)
+    etas = spectral_efficiencies(sc, positions)
+    terms = round_terms(sc, positions, SensingParams())
+    for r, xy in enumerate(positions):
+        one = replace(sc, positions=xy)
+        assert counts[r].tobytes() == sensed_class_counts(one).tobytes()
+        assert etas[r].tobytes() == spectral_efficiencies(one).tobytes()
+        alone = round_terms(one, xy[None], SensingParams())[0]
+        for name in ("similarities", "etas", "w_cap"):
+            assert getattr(terms[r], name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_episode_senses_once_and_builds_one_graph_per_round(monkeypatch, mode):
+    """One episode senses all its rounds in one call, builds each round's
+    graph once and steps mobility once per frame."""
+    calls = {"sense": 0, "graph": 0, "move": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gain_module, "sensed_class_counts",
+                        counted("sense", gain_module.sensed_class_counts))
+    monkeypatch.setattr(episode, "build_gain_graph", counted("graph", episode.build_gain_graph))
+    monkeypatch.setattr(episode, "step_mobility", counted("move", episode.step_mobility))
+    schedule = plan_pipeline(4, 9, mode)
+    run_episode(generate_scenario(TINY_SCENARIO, 3), GreedyGainPolicy(), schedule, PoolConfig(),
+                SensingParams())
+    assert calls == {"sense": 1, "graph": 4, "move": schedule.total_frames}
+
+
+def test_decision_free_check_raises_at_reset_naming_its_round(monkeypatch):
+    """A similarity outside (0, 1] in round 2 stops the episode before its
+    first decision, and the error names round 2."""
+    n = TINY_SCENARIO.num_clients
+    kl = gain_module._kl
+
+    def negative_in_round_2(p, q):
+        out = kl(p, q)
+        out[n:2 * n] = -1.0
+        return out
+
+    monkeypatch.setattr(gain_module, "_kl", negative_in_round_2)
+    env = RoundEnv(lambda _: generate_scenario(TINY_SCENARIO, 0), plan_pipeline(3, 9, Mode.ZEROS),
+                   PoolConfig(), SensingParams())
+    with pytest.raises(ValueError, match="round 2: similarity outside"):
+        env.reset()

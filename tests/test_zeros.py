@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, random_problem
+from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, ForgedTrace, random_problem
 from isccsim.episode import (
-    EpisodeTrace,
     InvariantBroken,
     RoundEnv,
-    RoundRecord,
     audit_trace,
     claims_for_solution,
     consumption_window,
@@ -391,7 +389,7 @@ class TestEpisode:
         sens = [Claim(0, 1, Process.SENS, GridKind.TIME_FREQ, (0, 1), (0,), x)
                 for x in (17722.67404746588, 82277.32556446739)]
         dl = Claim(0, 1, Process.COMM_DL, GridKind.TIME_FREQ, (0, 1), (0,), cap)
-        trace = EpisodeTrace([RoundRecord(1, [0], [0.0], [0], [True], ClaimTable.of(sens + [dl]))])
+        trace = ForgedTrace(ClaimTable.of(sens + [dl]))
         report = audit_trace(trace, plan_pipeline(1, 9, Mode.SERIAL), PoolConfig())
         assert report["ok"], report["failures"]
         assert report["frames_checked"] == 2
