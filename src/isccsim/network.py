@@ -366,9 +366,9 @@ def sensed_class_counts(scenario: Scenario, positions: np.ndarray | None = None)
     clients once per leading index, say once per round; all the client
     placements are sensed as one stacked set of rows, each with its
     client's radius. Equals counting the classes of `sense_targets` for
-    every client placement. Each
-    block of `SENSE_BLOCK` clients gets its squared distances to the targets
-    from one (block, 4) x (4, targets) product (see `sense_rows`); a pair is
+    every client placement. Each block of `SENSE_BLOCK` clients gets its
+    squared distances to the targets from one (block, 4) x (4, targets)
+    product (see `sense_rows`); a pair is
     inside if that is below r^2 - m, outside if above r^2 + m, with m the
     client's `SENSE_BAND` half-width plus the product's error bound, and
     `distance_m` decides the rest. With more than one block, clients go in

@@ -9,6 +9,7 @@ per-claim CSTC check as the reference.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from conftest import EPISODE_POOLS, EPISODE_SCENARIOS, TINY_ROUNDS, TINY_SCENARI
 from isccsim import episode
 from isccsim.episode import (
     RoundEnv,
+    RoundPours,
     audit_trace,
     claims_for_solution,
-    RoundPours,
     plan_round,
     run_episode,
     tabulate_claims,
@@ -299,12 +300,14 @@ def test_claim_table_round_trip():
     claims = [
         Claim(4, 2, Process.SENS, GridKind.NONE, (0, 3), (), 0.0),
         Claim(4, 2, Process.COMM_DL, GridKind.TIME_FREQ, (0, 2), (1, 2, 3), 7.5),
-        Claim(9, 2, Process.COMP, GridKind.TIME_COMP, (2, 4), (0,), 1e7),
+        Claim(9, 1, Process.COMP, GridKind.TIME_COMP, (2, 4), (0,), 1e7),
     ]
     table = ClaimTable.of(claims)
     assert table.claims() == claims
-    # The pours of clients 4 and 9, four (client, process) rows each: client
-    # 4's camera mark and DL group, client 9's COMP group.
+    # The same claims as one round's pours, four (client, process) rows per
+    # client: client 4's camera mark and DL group, client 9's COMP group.
+    claims = [replace(c, round_index=2) for c in claims]
+    table = ClaimTable.of(claims)
     cells = np.zeros((8, 4))
     cells[0, 0], cells[1, 1:], cells[6, 0] = -1.0, 7.5, 1e7
     start, end = np.array([[0, 0, 2, 2], [0, 0, 2, 4]]), np.array([[3, 2, 2, 2], [0, 0, 4, 4]])
