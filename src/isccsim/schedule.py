@@ -65,12 +65,16 @@ class RoundSchedule:
     def total_frames(self) -> int:
         return self.cons_frame(self.num_rounds)
 
+    def check_rounds(self, rnd: np.ndarray) -> None:
+        """Raise ScheduleError unless every round index is in 1..R."""
+        if len(rnd) and not 1 <= rnd.min() <= rnd.max() <= self.num_rounds:
+            raise ScheduleError(f"claim rounds outside 1..{self.num_rounds}")
+
     def claim_frames(self, claims: ClaimTable) -> np.ndarray:
         """(claims,): each claim's frame, its round's generation frame for
         sensing and consumption frame otherwise."""
         rnd = claims.round_index
-        if len(rnd) and not 1 <= rnd.min() <= rnd.max() <= self.num_rounds:
-            raise ScheduleError(f"claim rounds outside 1..{self.num_rounds}")
+        self.check_rounds(rnd)
         return self.stride * (rnd - 1) + 1 + (claims.process != _SENS)
 
 
@@ -105,35 +109,52 @@ def validate_cstc(schedule: RoundSchedule, claims: ClaimTable) -> list[Violation
     """
     if not len(claims):
         return []
+    rounds, cr, procs = schedule.num_rounds, schedule.cr_length, len(PROCESS_ORDER)
     process, s0, s1 = claims.process, claims.s0, claims.s1
-    frame = schedule.claim_frames(claims)
-    outside = (s0 < 0) | (s1 > schedule.cr_length)
-    base = (frame - 1) * schedule.cr_length
+    schedule.check_rounds(claims.round_index)
+    outside = (s0 < 0) | (s1 > cr)
 
     # Claims sorted by (client, round, process): each run of one key is one
-    # process of one owner, spanning absolute slots [first, last].
-    owner = claims.client_id * schedule.num_rounds + (claims.round_index - 1)
-    key = owner * len(PROCESS_ORDER) + process
+    # process of one owner, spanning absolute slots [first, last]. The key is
+    # built in place and one buffer takes each slot column in sorted order in
+    # turn, so that few temporaries are as long as the claim table; integer
+    # // is used where % and divmod run several times slower.
+    key = claims.client_id * rounds
+    key += claims.round_index
+    key -= 1
+    key *= procs
+    key += process
     order = np.argsort(key, kind="stable")
     key = key[order]
     new = np.empty(len(key), dtype=bool)
     new[0] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
     start = new.nonzero()[0]
-    first = np.minimum.reduceat((base + s0)[order], start)
-    last = np.maximum.reduceat((base + s1 - 1)[order], start)  # last occupied slot
-    span_key = key[start]
-    span_owner = span_key // len(PROCESS_ORDER)
+    column = s0.take(order)
+    first = np.minimum.reduceat(column, start)
+    s1.take(order, out=column, mode="clip")  # unbuffered; order is in range
+    last = np.maximum.reduceat(column, start)
+    key = key[start]
+    span_owner = key // procs
+    span_process = key - span_owner * procs
+    # The run's frame starts at absolute slot base.
+    base = span_owner - span_owner // rounds * rounds
+    base *= schedule.stride
+    base += span_process != _SENS
+    base *= cr
+    first += base
+    base -= 1
+    last += base  # last occupied slot
     clash = (span_owner[1:] == span_owner[:-1]) & (last[:-1] >= first[1:])
 
     found = []  # ((owner, 0 window / 1 order, position), violation)
     for k in outside.nonzero()[0].tolist():
-        c, r = divmod(int(owner[k]), schedule.num_rounds)
+        c, r = int(claims.client_id[k]), int(claims.round_index[k]) - 1
         found.append(((c, r, 0, k), Violation(
             r + 1, c, "window", (PROCESS_ORDER[process[k]].value,), (int(s0[k]), int(s1[k])))))
     for j in clash.nonzero()[0].tolist():
-        c, r = divmod(int(span_owner[j]), schedule.num_rounds)
-        earlier, later = (PROCESS_ORDER[p].value for p in span_key[j:j + 2] % len(PROCESS_ORDER))
+        c, r = divmod(int(span_owner[j]), rounds)
+        earlier, later = (PROCESS_ORDER[p].value for p in span_process[j:j + 2])
         found.append(((c, r, 1, j), Violation(
             r + 1, c, "order", (earlier, later), (int(last[j]), int(first[j + 1])))))
     found.sort(key=lambda item: item[0])

@@ -650,7 +650,8 @@ _GRID = {Process.COMM_DL: GridKind.TIME_FREQ, Process.COMM_UL: GridKind.TIME_FRE
 @st.composite
 def claim_sets(draw):
     """Claims of a few clients and rounds in any order, with slot ranges that
-    may leave their 9-slot window or overlap their neighbours in the order."""
+    may leave their 9-slot window or overlap their neighbours in the order.
+    Client ids include a negative one and one far above the claim count."""
     rounds = draw(st.integers(1, 4))
     claims = []
     for _ in range(draw(st.integers(0, 24))):
@@ -659,7 +660,7 @@ def claim_sets(draw):
         s1 = draw(st.integers(s0 + 1, 12))
         grid = _GRID.get(process) or draw(st.sampled_from([GridKind.TIME_FREQ, GridKind.NONE]))
         lanes, amount = ((), 0.0) if grid is GridKind.NONE else ((0,), 1.0)
-        claims.append(Claim(draw(st.sampled_from([0, 2, 5])), draw(st.integers(1, rounds)),
+        claims.append(Claim(draw(st.sampled_from([0, 2, 5, -3, 10**12])), draw(st.integers(1, rounds)),
                             process, grid, (s0, s1), lanes, amount))
     return rounds, claims
 

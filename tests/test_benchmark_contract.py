@@ -50,3 +50,12 @@ def test_oracle_check_passes_on_a_tiny_scenario(bench):
     outcome = bench.oracle_check(inp, bench.oracle_op(inp))
     assert outcome.problems == []
     assert outcome.record["sequences_tried"] == 512
+
+
+def test_episode_check_passes(bench):
+    """The benchmark's own correctness check accepts a greedy N=1000 SERIAL
+    episode and its audit, the operation `episode-n1000-serial` times."""
+    inp = bench.episode_build(0)[0]
+    outcome = bench.episode_check(inp, bench.episode_op(inp))
+    assert outcome.problems == []
+    assert outcome.client_rounds == 1000 * inp.schedule.num_rounds

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EPISODE_SCENARIOS, EXTREME_SCALES, TINY_SCENARIO, random_scenarios
+from isccsim import network
 from isccsim.network import (
     SENSE_BAND,
     SENSE_BLOCK,
@@ -21,6 +23,7 @@ from isccsim.network import (
     ScenarioConfig,
     SensingMode,
     Target,
+    _sense_bands,
     clone_scenario,
     generate_scenario,
     local_distribution,
@@ -49,40 +52,48 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-def reference_counts(sc):
-    """(N, K) class counts of `sense_targets` for every client, as lists."""
+def reference_counts(sc, positions=None):
+    """Class counts of `sense_targets` for every client, as lists: (N, K)
+    at the scenario's positions, or (R, N, K) at each of (R, N, 2)
+    `positions`."""
+    xy = sc.positions if positions is None else positions
+    if xy.ndim == 3:
+        return [reference_counts(sc, one) for one in xy]
     return [
-        np.bincount([t.class_id for t in sense_targets(sc.positions[i], c.sensing_radius_m,
-                                                      sc.targets)],
+        np.bincount([t.class_id for t in sense_targets(xy[i], c.sensing_radius_m, sc.targets)],
                     minlength=sc.num_classes).tolist()
         for i, c in enumerate(sc.clients)
     ]
 
 
-def on_circle_x(xc, r, side):
-    """The float x farthest to `side` (+1 or -1) of `xc` that `distance_m`
-    still puts within `r` of a client at `xc` in the same row."""
-    x, out = xc + side * r, side * math.inf
-    while abs(xc - x) > r:
+def on_circle(centre, r, side):
+    """The float coordinate farthest to `side` (+1 or -1) of `centre` that
+    `distance_m` still puts within `r` of a client at `centre` in the same
+    row (for x) or column (for y)."""
+    x, out = centre + side * r, side * math.inf
+    while abs(centre - x) > r:
         x = math.nextafter(x, -out)
-    while abs(xc - math.nextafter(x, out)) <= r:
+    while abs(centre - math.nextafter(x, out)) <= r:
         x = math.nextafter(x, out)
     return x
 
 
 @st.composite
 def crowded_scenarios(draw, offset=None):
-    """Several sensing blocks over hundreds of targets, so that the x cull
-    cuts: clustered clients and targets, targets on a client's circle in its
-    row (x = x_c +- r, dy = 0), repeated target x, clients far out in x
-    (where positions collapse onto a coarse float grid; `offset` fixes how
-    far), and a stack of zero-radius clients at x = 0 over targets on their
-    point."""
+    """Several sensing blocks over hundreds of targets, so that the x and y
+    culls cut: clustered clients and targets, targets on a client's circle
+    in its row (x = x_c +- r, dy = 0) or its column (dx = 0, y = y_c +- r),
+    repeated target x, clients far out in x and in y (where positions
+    collapse onto a coarse float grid; `offset` fixes how far in both, and
+    each is drawn when it is None), one radius for all clients,
+    two alternating radii or one each, and a stack of zero-radius clients
+    at x = 0 over targets on their point."""
     n = draw(st.integers(2 * SENSE_BLOCK + 1, 4 * SENSE_BLOCK))
     k = draw(st.integers(1, 5))
-    if offset is None:
-        offset = draw(st.sampled_from([0.0, 3e4, -7e8, 2.0**60]))
-    shared_radius = draw(st.booleans())
+    far = [0.0, 3e4, -7e8, 2.0**60]
+    shift = np.array([draw(st.sampled_from(far)) if offset is None else offset,
+                      draw(st.sampled_from(far)) if offset is None else offset])
+    radius_kind = draw(st.sampled_from(["shared", "two", "each"]))
     stack = draw(st.sampled_from([0, 0, 2 * SENSE_BLOCK]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centres = rng.uniform(0.0, 300.0, size=(int(rng.integers(1, 5)), 2))
@@ -91,22 +102,57 @@ def crowded_scenarios(draw, offset=None):
         near = centres[rng.integers(0, len(centres), count)] + rng.normal(0.0, spread, (count, 2))
         return np.vstack([near, rng.uniform(-20.0, 320.0, (count, 2))])
 
-    xy = cloud((n + 1) // 2, 5.0)[:n]
-    radii = np.full(n, rng.uniform(1.0, 100.0)) if shared_radius else rng.uniform(0.0, 100.0, n)
-    xy[:, 0] += offset
+    xy = cloud((n + 1) // 2, 5.0)[:n] + shift
+    radii = {"shared": np.full(n, rng.uniform(1.0, 100.0)),
+             "two": rng.uniform(1.0, 100.0, 2)[np.arange(n) % 2],
+             "each": rng.uniform(0.0, 100.0, n)}[radius_kind]
     xy[:stack], radii[:stack] = (0.0, 77.0), 0.0
 
-    txy = cloud(int(rng.integers(50, 150)), 8.0)
-    txy[:, 0] += offset
+    txy = cloud(int(rng.integers(50, 150)), 8.0) + shift
     copies = rng.integers(0, len(txy), len(txy) // 4)
     txy[-len(copies):, 0] = txy[copies, 0]
-    edge = [(on_circle_x(x, r, side), y) for (x, y), r, side in
-            zip(xy.tolist(), radii.tolist(), rng.choice([-1, 1], n)) if rng.random() < 0.4]
+    edge = [(on_circle(x, r, side), y) if axis else (x, on_circle(y, r, side))
+            for (x, y), r, side, axis in zip(xy.tolist(), radii.tolist(), rng.choice([-1, 1], n),
+                                             rng.integers(0, 2, n).tolist())
+            if rng.random() < 0.4]
     points = txy.tolist() + edge + [(0.0, 77.0)] * (3 if stack else 0)
     targets = [Target(j, tuple(p), int(rng.integers(0, k))) for j, p in enumerate(points)]
     clients = [Client(i, SensingMode.VS, r, (1e6,), (1e6,), (1e7,))
                for i, r in enumerate(radii.tolist())]
     return Scenario(300.0, clients, [], targets, k, ChannelParams(), xy, [(0.0, 0.0)] * n)
+
+
+def forced_bands():
+    """Patch the band cost to zero and the group size to two blocks, so that
+    inputs of 9 blocks or more are split into radius groups and y bands."""
+    return mock.patch.multiple(network, SENSE_BAND_PAIRS=0.0, SENSE_GROUP=2 * SENSE_BLOCK)
+
+
+@st.composite
+def crowded_stacks(draw):
+    """A `crowded_scenarios` scenario and (R, N, 2) placements of its
+    clients: each round moves every client by up to 40 m and shifts the
+    whole set in y by a multiple of 60 m, so that the stack spans several
+    bands. Under `forced_bands`, the lowest and highest client of each
+    band gets a target on its circle in its column, as far out as
+    `distance_m` still counts it."""
+    sc = draw(crowded_scenarios())
+    rounds = draw(st.integers(5, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shifts = np.array([0.0, 1.0]) * 60.0 * rng.integers(-3, 4, (rounds, 1, 1))
+    positions = sc.positions + rng.uniform(-40.0, 40.0, (rounds, len(sc.clients), 2)) + shifts
+    xy = positions.reshape(-1, 2)
+    radii = np.tile(sc.sense_arrays()[4], rounds)
+    with forced_bands():
+        rows, firsts, _ = _sense_bands(xy, radii, len(sc.targets))
+    edge = []
+    for band in np.split(rows, firsts[1:]):
+        for row, side in ((band[xy[band, 1].argmin()], -1), (band[xy[band, 1].argmax()], 1)):
+            edge.append((xy[row, 0], on_circle(xy[row, 1], radii[row], side)))
+    targets = sc.targets + [Target(len(sc.targets) + j, p, j % sc.num_classes)
+                            for j, p in enumerate(edge)]
+    return Scenario(300.0, sc.clients, [], targets, sc.num_classes, ChannelParams(),
+                    sc.positions, sc.velocities), positions
 
 
 def reference_clients(config, rng):
@@ -375,6 +421,36 @@ class TestSensing:
         its x reach; the counts stay exactly the reference's."""
         assert sensed_class_counts(sc).tolist() == reference_counts(sc)
 
+    @given(crowded_stacks())
+    @settings(max_examples=30, deadline=None)
+    def test_banded_pass_matches_reference(self, stack):
+        """Stacked placements under `forced_bands`, so that inputs this small
+        are split: radius groups split, bands culled in y and blocks in x.
+        The counts stay exactly the reference's."""
+        sc, positions = stack
+        with forced_bands():
+            counts = sensed_class_counts(sc, positions)
+        assert counts.tolist() == reference_counts(sc, positions)
+
+    @pytest.mark.parametrize("config, rounds, bands, culled", [
+        (ScenarioConfig(area_m=300.0, num_clients=300, num_targets=1500), 4, [3, 3], True),
+        (ScenarioConfig(), 5, [1], False),
+    ], ids=["dense", "reference"])
+    def test_stacks_band_by_their_size(self, config, rounds, bands, culled):
+        """With the default constants a dense 4-round stack splits into its
+        two radius groups of 3 bands each, all culled in y, while the
+        reference N=50 scenario's 5 rounds keep one band in x order. Both
+        count exactly as the reference."""
+        sc = generate_scenario(config, seed=3)
+        moving = clone_scenario(sc)
+        positions = np.stack([step_mobility(moving, 2.0).positions.copy() for _ in range(rounds)])
+        xy, radii = positions.reshape(-1, 2), np.tile(sc.sense_arrays()[4], rounds)
+        rows, firsts, in_y = _sense_bands(xy, radii, len(sc.targets))
+        group_of_band = radii[rows][firsts]
+        assert [int((group_of_band == r).sum()) for r in np.unique(group_of_band)] == bands
+        assert in_y.tolist() == [culled] * sum(bands)
+        assert sensed_class_counts(sc, positions).tolist() == reference_counts(sc, positions)
+
     # The crowded case far out in x: each client's product errs by up to
     # about 2^-48 * 4e14, so the pairs near its circle, the targets placed on
     # it among them, are all left to `distance_m`.
@@ -459,10 +535,9 @@ class TestSensing:
         clone = clone_scenario(sc)
         assert all(a is b for a, b in zip(clone.sense_arrays(), arrays))
         assert not any(a.flags.writeable for a in arrays)
-        tx, operand, onehot, order, radii, r2, margin = arrays
+        (tx, ty), operand, onehot, order, radii, r2, margin = arrays
         assert sorted(order.tolist()) == list(range(50))
         assert np.all(np.diff(tx) >= 0.0)
-        ty = np.array([sc.targets[j].position[1] for j in order])
         assert [(x, y) for x, y in zip(tx, ty)] == [sc.targets[j].position for j in order]
         assert operand.shape == (4, 50)
         assert bits(operand[0]).tolist() == bits(-2.0 * tx).tolist()

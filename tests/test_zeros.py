@@ -179,6 +179,13 @@ class TestValidateCstc:
         # UL before DL, but on different clients: no violation.
         assert validate_cstc(s, ClaimTable.of(claims)) == []
 
+    def test_rounds_outside_the_schedule_raise(self):
+        s = self.schedule()
+        table = ClaimTable.of([Claim(0, 1, Process.SENS, GridKind.NONE, (0, 4), (), 0.0)])
+        for rnd in (0, 3):
+            with pytest.raises(ScheduleError):
+                validate_cstc(s, replace(table, round_index=table.round_index * rnd))
+
 
 class TestSlotsNeeded:
     def test_exact_boundary(self):
